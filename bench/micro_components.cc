@@ -174,8 +174,8 @@ void BM_KnapsackAllocate(benchmark::State& state) {
 }
 BENCHMARK(BM_KnapsackAllocate)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// Single-push/pop through the rt mailbox ring: the per-request cost the
-/// non-batched submit path pays (one release-store per item on each side).
+/// Single-push/pop through the rt mailbox ring: one release-store per item
+/// on each side, the baseline PushBatch is measured against.
 void BM_SpscRingPushSingle(benchmark::State& state) {
   rt::SpscRing<rt::RtRequest> ring(1024);
   rt::RtRequest req;
@@ -190,7 +190,7 @@ void BM_SpscRingPushSingle(benchmark::State& state) {
 BENCHMARK(BM_SpscRingPushSingle);
 
 /// Batched push through the same ring: one release-store publishes the
-/// whole batch (the submit-flush path of `--batch-submit=on`).
+/// whole batch (the rt clients' submit-flush path).
 void BM_SpscRingPushBatch(benchmark::State& state) {
   rt::SpscRing<rt::RtRequest> ring(1024);
   rt::RtRequest batch[64];

@@ -29,7 +29,6 @@ namespace {
 
 struct RtMlpsOptions {
   bool telemetry = true;
-  bool batch_submit = true;
   std::string stats_socket;
 };
 
@@ -39,8 +38,6 @@ RtMlpsOptions ParseRtMlpsOptions(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--telemetry=off") options.telemetry = false;
     if (arg == "--telemetry=on") options.telemetry = true;
-    if (arg == "--batch-submit=off") options.batch_submit = false;
-    if (arg == "--batch-submit=on") options.batch_submit = true;
     if (arg.rfind("--stats-socket=", 0) == 0) {
       options.stats_socket = arg.substr(std::strlen("--stats-socket="));
     }
@@ -93,7 +90,6 @@ void RunRt(BenchReport& report, const RtMlpsOptions& rt_options) {
     BackendRunConfig config = BaseConfig(report.quick());
     config.rt_cores = cores;
     config.rt_telemetry = rt_options.telemetry;
-    config.rt_batch_submit = rt_options.batch_submit;
     config.rt_stats_socket = rt_options.stats_socket;
     const BackendRunResult result =
         RunMicroTimed(BackendKind::kRt, config, warmup, measure);
@@ -138,13 +134,10 @@ void RunRt(BenchReport& report, const RtMlpsOptions& rt_options) {
   table.Print();
 }
 
-// The batched hot path earns its keep under contention: Zipf-skewed
-// multi-lock transactions queue behind each other, releases cascade
-// several grants at once, and the per-request doorbell/publish overhead of
-// the legacy path dominates. CI runs this twice (--batch-submit=on / off)
-// and asserts the on/off wall_mlps ratio on the "rt_contended" run.
+// Contention: Zipf-skewed multi-lock transactions queue behind each other
+// and releases cascade several grants at once, on one park-eager core.
 void RunRtContended(BenchReport& report, const RtMlpsOptions& rt_options) {
-  Banner("Real-time backend: contended Zipf workload (--batch-submit A/B)");
+  Banner("Real-time backend: contended Zipf workload");
   BackendRunConfig config;
   config.workload.num_locks = 512;
   config.workload.locks_per_txn = 2;
@@ -155,12 +148,11 @@ void RunRtContended(BenchReport& report, const RtMlpsOptions& rt_options) {
   config.rt_client_threads = 1;
   config.rt_cores = 1;
   config.rt_telemetry = rt_options.telemetry;
-  config.rt_batch_submit = rt_options.batch_submit;
   // Park-eager idle tuning (shared-host deployment mode): workers park as
   // soon as their mailboxes run dry instead of burning a shared CPU, so
   // every submit-side doorbell that finds the worker parked is a real
-  // futex wake. This is the regime batching + doorbell coalescing target:
-  // one wake per flush instead of one per request.
+  // futex wake. Batched submits and doorbell coalescing keep that to one
+  // wake per flush instead of one per request.
   config.rt_spin_rounds = 0;
   config.rt_yield_rounds = 0;
   config.rt_park_timeout_us = 2000;
@@ -175,15 +167,11 @@ void RunRtContended(BenchReport& report, const RtMlpsOptions& rt_options) {
           ? static_cast<double>(result.metrics.lock_grants) /
                 result.wall_seconds / 1e6
           : 0.0;
-  std::printf("contended zipf(%.2f) %d locks: %.3f wall MLPS "
-              "(batch-submit=%s)\n",
-              config.workload.zipf_alpha, config.workload.num_locks, mlps,
-              rt_options.batch_submit ? "on" : "off");
+  std::printf("contended zipf(%.2f) %d locks: %.3f wall MLPS\n",
+              config.workload.zipf_alpha, config.workload.num_locks, mlps);
   BenchRun& run = report.AddRun("rt_contended", result.metrics);
   run.extra.emplace_back("wall_mlps", mlps);
   run.extra.emplace_back("rt_wall_ms", result.wall_seconds * 1e3);
-  run.extra.emplace_back("batch_submit",
-                         rt_options.batch_submit ? 1.0 : 0.0);
   AddLatencyExtras(run, result.metrics);
 }
 

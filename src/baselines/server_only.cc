@@ -11,24 +11,14 @@ ServerOnlyManager::ServerOnlyManager(Network& net,
   NETLOCK_CHECK(num_servers >= 1);
   for (int i = 0; i < num_servers; ++i) {
     servers_.push_back(std::make_unique<LockServer>(net_, server_config));
+    server_nodes_.push_back(servers_.back()->node());
   }
 }
 
-NodeId ServerOnlyManager::ServerNodeFor(LockId lock) const {
-  std::uint64_t h = lock;
-  h ^= h >> 15;
-  h *= 0x2c1b3c6dull;
-  h ^= h >> 12;
-  return servers_[h % servers_.size()]->node();
-}
-
 std::unique_ptr<LockSession> ServerOnlyManager::CreateSession(
-    ClientMachine& machine, TenantId tenant) {
-  ServerOnlySession::Config config;
-  config.tenant = tenant;
-  config.retry_timeout = session_defaults_.retry_timeout;
-  config.max_retries = session_defaults_.max_retries;
-  return std::make_unique<ServerOnlySession>(machine, *this, config);
+    ClientMachine& machine, NetLockSession::Config config) {
+  config.home_servers = server_nodes_;
+  return std::make_unique<NetLockSession>(machine, std::move(config));
 }
 
 void ServerOnlyManager::StartLeasePolling(SimTime lease, SimTime interval) {
@@ -42,147 +32,6 @@ std::uint64_t ServerOnlyManager::Grants() const {
   std::uint64_t total = 0;
   for (const auto& server : servers_) total += server->stats().grants;
   return total;
-}
-
-ServerOnlySession::ServerOnlySession(ClientMachine& machine,
-                                     const ServerOnlyManager& manager,
-                                     Config config)
-    : machine_(machine), manager_(manager), config_(config) {
-  grant_filter_.assign(config_.grant_filter_slots, 0);
-  node_ = machine_.net().AddNode(
-      [this](const Packet& pkt) { OnPacket(pkt); });
-}
-
-void ServerOnlySession::Acquire(LockId lock, LockMode mode, TxnId txn,
-                                Priority /*priority*/, AcquireCallback cb) {
-  const auto key = std::make_pair(lock, txn);
-  NETLOCK_CHECK(pending_.find(key) == pending_.end());
-  Pending pending;
-  pending.mode = mode;
-  pending.cb = std::move(cb);
-  pending.epoch = next_epoch_++;
-  SendAcquire(lock, txn, pending);
-  const std::uint64_t epoch = pending.epoch;
-  pending_.emplace(key, std::move(pending));
-  ArmRetry(lock, txn, epoch);
-}
-
-void ServerOnlySession::Release(LockId lock, LockMode mode, TxnId txn) {
-  LockHeader hdr;
-  hdr.op = LockOp::kRelease;
-  hdr.lock_id = lock;
-  hdr.mode = mode;
-  hdr.txn_id = txn;
-  hdr.client_node = node_;
-  hdr.aux = release_nonce_++;  // Per-instance nonce (dedup filter key).
-  machine_.Send(
-      MakeLockPacket(node_, manager_.ServerNodeFor(lock), hdr));
-}
-
-void ServerOnlySession::Cancel(LockId lock, LockMode mode, TxnId txn) {
-  pending_.erase(std::make_pair(lock, txn));  // Callback never fires.
-  Invalidate(lock, txn);
-  LockHeader hdr;
-  hdr.op = LockOp::kCancel;
-  hdr.lock_id = lock;
-  hdr.mode = mode;
-  hdr.txn_id = txn;
-  hdr.client_node = node_;
-  hdr.timestamp = machine_.net().sim().now();
-  machine_.Send(MakeLockPacket(node_, manager_.ServerNodeFor(lock), hdr));
-}
-
-void ServerOnlySession::Invalidate(LockId lock, TxnId txn) {
-  const auto pair = std::make_pair(lock, txn);
-  if (!invalidated_.insert(pair).second) return;
-  invalidated_fifo_.push_back(pair);
-  while (invalidated_fifo_.size() > 1024) {
-    invalidated_.erase(invalidated_fifo_.front());
-    invalidated_fifo_.pop_front();
-  }
-}
-
-bool ServerOnlySession::Invalidated(LockId lock, TxnId txn) const {
-  return invalidated_.count(std::make_pair(lock, txn)) != 0;
-}
-
-void ServerOnlySession::SendAcquire(LockId lock, TxnId txn,
-                                    const Pending& pending) {
-  LockHeader hdr;
-  hdr.op = LockOp::kAcquire;
-  hdr.flags = kFlagServerOwned;
-  hdr.lock_id = lock;
-  hdr.mode = pending.mode;
-  hdr.tenant = config_.tenant;
-  hdr.txn_id = txn;
-  hdr.client_node = node_;
-  hdr.timestamp = machine_.net().sim().now();
-  machine_.Send(MakeLockPacket(node_, manager_.ServerNodeFor(lock), hdr));
-}
-
-void ServerOnlySession::ArmRetry(LockId lock, TxnId txn,
-                                 std::uint64_t epoch) {
-  machine_.net().sim().Schedule(
-      config_.retry_timeout, [this, lock, txn, epoch]() {
-        const auto it = pending_.find(std::make_pair(lock, txn));
-        if (it == pending_.end() || it->second.epoch != epoch) return;
-        Pending& pending = it->second;
-        if (pending.attempts >= config_.max_retries) {
-          AcquireCallback cb = std::move(pending.cb);
-          pending_.erase(it);
-          cb(AcquireResult::kTimeout);
-          return;
-        }
-        ++pending.attempts;
-        pending.epoch = next_epoch_++;
-        SendAcquire(lock, txn, pending);
-        ArmRetry(lock, txn, pending.epoch);
-      });
-}
-
-void ServerOnlySession::OnPacket(const Packet& pkt) {
-  const std::optional<LockHeader> hdr = LockHeader::Parse(pkt);
-  if (!hdr) return;
-  if (hdr->op == LockOp::kAbort) {
-    // Deadlock-policy refusal (no-wait/wait-die) or revocation (wound);
-    // the queue entry is gone server-side either way.
-    const auto it =
-        pending_.find(std::make_pair(hdr->lock_id, hdr->txn_id));
-    if (it != pending_.end()) {
-      Invalidate(hdr->lock_id, hdr->txn_id);
-      AcquireCallback cb = std::move(it->second.cb);
-      pending_.erase(it);
-      cb(AcquireResult::kAborted);
-    } else if (static_cast<AbortReason>(hdr->aux) == AbortReason::kWound) {
-      // Held lock wounded away: the holder must not release it.
-      Invalidate(hdr->lock_id, hdr->txn_id);
-      if (wound_observer_) wound_observer_(hdr->lock_id, hdr->txn_id);
-    }
-    return;
-  }
-  if (hdr->op != LockOp::kGrant) return;
-  if (!grant_filter_.empty()) {
-    // Drop network-duplicated grant copies so the ghost release below
-    // fires once per queue entry (see NetLockSession::OnPacket).
-    const std::uint64_t fp = GrantFingerprint(*hdr, pkt.src);
-    std::uint64_t& reg = grant_filter_[static_cast<std::size_t>(
-        fp % grant_filter_.size())];
-    if (reg == fp) return;
-    reg = fp;  // Collisions just evict: the filter is best-effort.
-  }
-  const auto it = pending_.find(std::make_pair(hdr->lock_id, hdr->txn_id));
-  if (it == pending_.end()) {
-    // A grant racing a cancel/wound: the entry is already removed, so a
-    // ghost release would blind-pop some other waiter's entry. Drop it.
-    if (Invalidated(hdr->lock_id, hdr->txn_id)) return;
-    // Unsolicited grant (duplicate/late): release so the queue slot is
-    // reclaimed immediately rather than by lease expiry.
-    Release(hdr->lock_id, hdr->mode, hdr->txn_id);
-    return;
-  }
-  AcquireCallback cb = std::move(it->second.cb);
-  pending_.erase(it);
-  cb(AcquireResult::kGranted);
 }
 
 }  // namespace netlock

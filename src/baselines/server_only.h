@@ -5,12 +5,14 @@
 // the lock (hash partitioning); the server CPU both queues and grants, so
 // throughput is bounded by cores * per-core rate — the bottleneck NetLock
 // exists to remove. Reuses the LockServer substrate in owner-only mode.
+//
+// The client side is NetLock's own session on its server route: acquires
+// go to HomeServer(lock) flagged kFlagServerOwned instead of to a switch.
+// Retries, grant dedup and abort handling are shared with the switch
+// route. Sessions keep lease = 0 (no client lease discipline).
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "client/client.h"
@@ -22,93 +24,29 @@ namespace netlock {
 
 class ServerOnlyManager {
  public:
-  struct SessionDefaults {
-    SimTime retry_timeout = 5 * kMillisecond;
-    int max_retries = 16;
-  };
-
   ServerOnlyManager(Network& net, LockServerConfig server_config,
                     int num_servers);
 
-  /// Retry parameters applied to every subsequently created session (the
-  /// harness plumbs its client_retry_timeout here).
-  void set_session_defaults(SessionDefaults defaults) {
-    session_defaults_ = defaults;
-  }
-
-  std::unique_ptr<LockSession> CreateSession(ClientMachine& machine,
-                                             TenantId tenant = 0);
+  /// Builds a NetLockSession from `config` (tenant, retry settings) on
+  /// the server route over this manager's servers.
+  std::unique_ptr<LockSession> CreateSession(
+      ClientMachine& machine, NetLockSession::Config config = {});
 
   /// Periodic lease cleanup, as any centralized manager runs.
   void StartLeasePolling(SimTime lease, SimTime interval);
 
   LockServer& server(int i) { return *servers_[i]; }
   int num_servers() const { return static_cast<int>(servers_.size()); }
-  NodeId ServerNodeFor(LockId lock) const;
+  NodeId ServerNodeFor(LockId lock) const {
+    return HomeServer(lock, server_nodes_);
+  }
 
   std::uint64_t Grants() const;
 
  private:
   Network& net_;
   std::vector<std::unique_ptr<LockServer>> servers_;
-  SessionDefaults session_defaults_;
-};
-
-/// Session that routes each lock to its home server directly.
-class ServerOnlySession : public LockSession {
- public:
-  struct Config {
-    TenantId tenant = 0;
-    SimTime retry_timeout = 5 * kMillisecond;
-    int max_retries = 16;
-    /// Duplicate-grant filter slots (see NetLockSession::Config).
-    std::uint32_t grant_filter_slots = 1024;
-  };
-
-  ServerOnlySession(ClientMachine& machine, const ServerOnlyManager& manager,
-                    Config config);
-
-  void Acquire(LockId lock, LockMode mode, TxnId txn, Priority priority,
-               AcquireCallback cb) override;
-  void Release(LockId lock, LockMode mode, TxnId txn) override;
-  void Cancel(LockId lock, LockMode mode, TxnId txn) override;
-  void set_wound_observer(
-      std::function<void(LockId, TxnId)> obs) override {
-    wound_observer_ = std::move(obs);
-  }
-  NodeId node() const override { return node_; }
-
- private:
-  struct Pending {
-    LockMode mode;
-    AcquireCallback cb;
-    int attempts = 0;
-    std::uint64_t epoch = 0;
-  };
-
-  void OnPacket(const Packet& pkt);
-  void SendAcquire(LockId lock, TxnId txn, const Pending& pending);
-  void ArmRetry(LockId lock, TxnId txn, std::uint64_t epoch);
-  void Invalidate(LockId lock, TxnId txn);
-  bool Invalidated(LockId lock, TxnId txn) const;
-
-  ClientMachine& machine_;
-  const ServerOnlyManager& manager_;
-  Config config_;
-  NodeId node_;
-  std::map<std::pair<LockId, TxnId>, Pending> pending_;
-  std::uint64_t next_epoch_ = 1;
-  /// Per-instance release nonce (see NetLockSession::release_nonce_): keys
-  /// the server's retransmission-dedup filter.
-  std::uint32_t release_nonce_ = 1;
-  /// Grant-dedup fingerprints (see NetLockSession::grant_filter_): drops
-  /// duplicated grant copies before they re-fire the ghost release.
-  std::vector<std::uint64_t> grant_filter_;
-  /// Pairs whose entries a cancel/wound already removed server-side; a
-  /// racing grant for one must not ghost-release (see NetLockSession).
-  std::set<std::pair<LockId, TxnId>> invalidated_;
-  std::deque<std::pair<LockId, TxnId>> invalidated_fifo_;
-  std::function<void(LockId, TxnId)> wound_observer_;
+  std::vector<NodeId> server_nodes_;  ///< The sessions' home-server route.
 };
 
 }  // namespace netlock

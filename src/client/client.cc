@@ -7,9 +7,10 @@ namespace netlock {
 
 NetLockSession::NetLockSession(ClientMachine& machine, Config config)
     : machine_(machine),
-      config_(config),
+      config_(std::move(config)),
       trace_(&machine.net().sim().context().trace()) {
-  NETLOCK_CHECK(config_.switch_node != kInvalidNode);
+  NETLOCK_CHECK(config_.switch_node != kInvalidNode ||
+                !config_.home_servers.empty());
   grant_filter_.assign(config_.grant_filter_slots, 0);
   node_ = machine_.net().AddNode(
       [this](const Packet& pkt) { OnPacket(pkt); });
@@ -42,7 +43,7 @@ void NetLockSession::Release(LockId lock, LockMode mode, TxnId txn) {
   const SimTime now = machine_.net().sim().now();
   // Release to the switch that granted the lock — during backup-switch
   // failover the grantor may not be the switch new acquires target.
-  NodeId target = config_.switch_node;
+  NodeId target = RouteFor(lock);
   SimTime granted_at = 0;
   bool have_grant_time = false;
   const auto src = grant_source_.find(std::make_pair(lock, txn));
@@ -95,7 +96,7 @@ void NetLockSession::Cancel(LockId lock, LockMode mode, TxnId txn) {
   hdr.txn_id = txn;
   hdr.client_node = node_;
   hdr.timestamp = machine_.net().sim().now();
-  machine_.Send(MakeLockPacket(node_, config_.switch_node, hdr));
+  machine_.Send(MakeLockPacket(node_, RouteFor(lock), hdr));
 }
 
 void NetLockSession::Invalidate(LockId lock, TxnId txn) {
@@ -118,6 +119,7 @@ void NetLockSession::SendAcquire(LockId lock, TxnId txn,
                                  const Pending& pending) {
   LockHeader hdr;
   hdr.op = LockOp::kAcquire;
+  if (!config_.home_servers.empty()) hdr.flags = kFlagServerOwned;
   hdr.lock_id = lock;
   hdr.mode = pending.mode;
   hdr.priority = pending.priority;
@@ -125,7 +127,7 @@ void NetLockSession::SendAcquire(LockId lock, TxnId txn,
   hdr.txn_id = txn;
   hdr.client_node = node_;
   hdr.timestamp = pending.issued_at;
-  machine_.Send(MakeLockPacket(node_, config_.switch_node, hdr));
+  machine_.Send(MakeLockPacket(node_, RouteFor(lock), hdr));
 }
 
 void NetLockSession::ArmRetry(LockId lock, TxnId txn, std::uint64_t epoch,

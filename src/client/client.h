@@ -16,6 +16,7 @@
 #include <memory>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/types.h"
 #include "net/lock_wire.h"
@@ -90,13 +91,24 @@ class ClientMachine {
   ServiceQueue tx_;
 };
 
-/// NetLock client session: sends acquires/releases to the rack's lock
-/// switch and waits for grants. Losses are recovered by lease-scale
-/// retransmission (Section 4.5: "clients retry when the leases expire").
+/// The client lock session of both centralized designs: sends acquires and
+/// releases to the lock manager and waits for grants. Losses are recovered
+/// by lease-scale retransmission (Section 4.5: "clients retry when the
+/// leases expire").
+///
+/// One session, two routes, differing only in where acquires and cancels
+/// go. NetLock sessions send them to the rack's lock switch. Server-only
+/// sessions (the baseline of Figures 1 and 9) send them straight to the
+/// lock's home server, flagged kFlagServerOwned. Releases go back to the
+/// grantor on either route.
 class NetLockSession : public LockSession {
  public:
   struct Config {
+    /// Switch route: the lock switch every acquire goes to.
     NodeId switch_node = kInvalidNode;
+    /// Server route when non-empty: acquires go to HomeServer(lock,
+    /// home_servers) instead of the switch (switch_node is then unused).
+    std::vector<NodeId> home_servers;
     TenantId tenant = 0;
     /// Retransmit an unanswered acquire after this long. Must be on the
     /// order of the lease so duplicates are rare; queued-but-not-granted
@@ -166,6 +178,13 @@ class NetLockSession : public LockSession {
     SimTime issued_at = 0;
   };
 
+  /// Destination of acquires and cancels for `lock`: the switch, or the
+  /// lock's home server on the server route.
+  NodeId RouteFor(LockId lock) const {
+    return config_.home_servers.empty()
+               ? config_.switch_node
+               : HomeServer(lock, config_.home_servers);
+  }
   void OnPacket(const Packet& pkt);
   void SendAcquire(LockId lock, TxnId txn, const Pending& pending);
   void ArmRetry(LockId lock, TxnId txn, std::uint64_t epoch, SimTime delay);

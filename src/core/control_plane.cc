@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "net/lock_wire.h"
 
 namespace netlock {
 
@@ -27,10 +28,7 @@ NodeId ControlPlane::ServerFor(LockId lock) const {
 }
 
 LockServer& ControlPlane::ServerObjFor(LockId lock) const {
-  std::uint64_t h = lock;
-  h ^= h >> 15;
-  h *= 0x2c1b3c6dull;
-  h ^= h >> 12;
+  const std::uint64_t h = HomeServerHash(lock);
   // Linear probing over the alive set: a failed server's locks spill onto
   // the survivors deterministically, and return home on recovery.
   const std::size_t n = servers_.size();

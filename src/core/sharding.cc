@@ -73,16 +73,35 @@ void ShardedSession::Acquire(LockId lock, LockMode mode, TxnId txn,
       });
 }
 
-void ShardedSession::Release(LockId lock, LockMode mode, TxnId txn) {
-  // Route to the rack that granted, not the rack the directory names now:
-  // a re-home between grant and release must not strand the release.
-  int rack = directory_.RackFor(lock);
+int ShardedSession::TakeRoute(LockId lock, TxnId txn) {
+  // Route to the rack the acquire went to, not the rack the directory
+  // names now: a re-home in between must not strand the message.
   const auto it = acquire_rack_.find(RouteKey{lock, txn});
-  if (it != acquire_rack_.end()) {
-    rack = it->second;
-    acquire_rack_.erase(it);
+  if (it == acquire_rack_.end()) return directory_.RackFor(lock);
+  const int rack = it->second;
+  acquire_rack_.erase(it);
+  return rack;
+}
+
+void ShardedSession::Release(LockId lock, LockMode mode, TxnId txn) {
+  rack_sessions_[TakeRoute(lock, txn)]->Release(lock, mode, txn);
+}
+
+void ShardedSession::Cancel(LockId lock, LockMode mode, TxnId txn) {
+  // The withdrawn acquire's callback never fires, so drop its route here.
+  rack_sessions_[TakeRoute(lock, txn)]->Cancel(lock, mode, txn);
+}
+
+void ShardedSession::set_wound_observer(
+    std::function<void(LockId, TxnId)> obs) {
+  wound_observer_ = std::move(obs);
+  for (auto& session : rack_sessions_) {
+    session->set_wound_observer([this](LockId lock, TxnId txn) {
+      // The wounded entry is gone server-side and no release will follow.
+      acquire_rack_.erase(RouteKey{lock, txn});
+      if (wound_observer_) wound_observer_(lock, txn);
+    });
   }
-  rack_sessions_[rack]->Release(lock, mode, txn);
 }
 
 // --- ShardedNetLock ---

@@ -89,8 +89,9 @@ struct ShardedNetLockOptions {
 };
 
 /// A client session over a sharded topology: one inner per-rack session,
-/// acquire routed by the directory at call time, release routed to the
-/// rack that granted.
+/// acquire routed by the directory at call time, release and cancel routed
+/// to the rack the acquire went to. Wounds from any rack reach the one
+/// observer.
 class ShardedSession : public LockSession {
  public:
   ShardedSession(const LockDirectory& directory,
@@ -99,6 +100,9 @@ class ShardedSession : public LockSession {
   void Acquire(LockId lock, LockMode mode, TxnId txn, Priority priority,
                AcquireCallback cb) override;
   void Release(LockId lock, LockMode mode, TxnId txn) override;
+  void Cancel(LockId lock, LockMode mode, TxnId txn) override;
+  void set_wound_observer(
+      std::function<void(LockId, TxnId)> obs) override;
   NodeId node() const override { return rack_sessions_[0]->node(); }
 
   /// The per-rack inner session (for harness wiring: each has its own
@@ -122,12 +126,18 @@ class ShardedSession : public LockSession {
     }
   };
 
+  /// Rack the acquire of (lock, txn) went to, dropping the route: the
+  /// caller sends the pair's last message (release or cancel).
+  int TakeRoute(LockId lock, TxnId txn);
+
   const LockDirectory& directory_;
   std::vector<std::unique_ptr<LockSession>> rack_sessions_;
   /// (lock, txn) -> rack that serviced the acquire. An entry lives from
-  /// Acquire until Release (or until a failed acquire's callback), so a
-  /// directory flip mid-transaction cannot misroute the release.
+  /// Acquire until Release, Cancel, a wound, or a failed acquire's
+  /// callback, so a directory flip mid-transaction cannot misroute the
+  /// release.
   std::unordered_map<RouteKey, int, RouteKeyHash> acquire_rack_;
+  std::function<void(LockId, TxnId)> wound_observer_;
 };
 
 /// N NetLock racks behind one lock-space directory.

@@ -94,7 +94,6 @@ struct RtRig {
     options.num_clients = config.rt_client_threads;
     options.record_events = config.rt_record_events;
     options.pin_threads = config.rt_pin_threads;
-    options.batch_submit = config.rt_batch_submit;
     if (config.rt_spin_rounds >= 0) {
       options.spin_rounds = config.rt_spin_rounds;
     }
@@ -117,7 +116,6 @@ struct RtRig {
     cc.sessions_per_client = config.sessions / config.rt_client_threads;
     cc.txns_per_session = config.txns_per_session;
     cc.seed = config.seed;
-    cc.batch_submit = config.rt_batch_submit;
     cc.telemetry = config.rt_telemetry;
     return cc;
   }

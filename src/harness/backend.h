@@ -62,11 +62,6 @@ struct BackendRunConfig {
   int rt_client_threads = 2;
   bool rt_record_events = false;  ///< Keep the oracle replay log.
   bool rt_pin_threads = false;
-  /// Batched hot path (`--batch-submit`): clients stage submits per core
-  /// and flush with SubmitBatch once per poll iteration; the service
-  /// stages grants and flushes completions once per drain. Off = the
-  /// per-request legacy path, kept as the A/B baseline.
-  bool rt_batch_submit = true;
   /// Worker idle tuning (see RtLockService::Options). Negative = keep the
   /// service defaults (spin-aggressive dedicated-host mode).
   int rt_spin_rounds = -1;

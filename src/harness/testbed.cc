@@ -94,8 +94,6 @@ Testbed::Testbed(TestbedConfig config)
     case SystemKind::kServerOnly: {
       server_only_ = std::make_unique<ServerOnlyManager>(
           *net_, config_.server_config, config_.lock_servers);
-      server_only_->set_session_defaults(
-          {config_.client_retry_timeout, config_.client_max_retries});
       server_only_->StartLeasePolling(config_.lease,
                                       config_.lease_poll_interval);
       for (int i = 0; i < server_only_->num_servers(); ++i) {
@@ -141,9 +139,14 @@ Testbed::Testbed(TestbedConfig config)
       case SystemKind::kNetLock:
         session = sharded_->CreateSession(machine, tenant);
         break;
-      case SystemKind::kServerOnly:
-        session = server_only_->CreateSession(machine, tenant);
+      case SystemKind::kServerOnly: {
+        NetLockSession::Config session_config;
+        session_config.tenant = tenant;
+        session_config.retry_timeout = config_.client_retry_timeout;
+        session_config.max_retries = config_.client_max_retries;
+        session = server_only_->CreateSession(machine, session_config);
         break;
+      }
       case SystemKind::kDslr:
         session = dslr_->CreateSession(machine);
         break;

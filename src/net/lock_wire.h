@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/types.h"
 #include "sim/network.h"
@@ -146,6 +147,22 @@ inline std::uint64_t GrantFingerprint(const LockHeader& hdr,
   mix(grantor);
   mix(hdr.aux);
   return h | 1;  // Never zero: zero marks an empty filter slot.
+}
+
+/// Hash partition of the lock space over a rack's lock servers: lock ->
+/// home-server index is HomeServerHash(lock) % num_servers. The control
+/// plane probes onward from it when the home server is down.
+inline std::uint64_t HomeServerHash(LockId lock) {
+  std::uint64_t h = lock;
+  h ^= h >> 15;
+  h *= 0x2c1b3c6dull;
+  h ^= h >> 12;
+  return h;
+}
+
+/// The home server of `lock` among `servers` (non-empty).
+inline NodeId HomeServer(LockId lock, const std::vector<NodeId>& servers) {
+  return servers[HomeServerHash(lock) % servers.size()];
 }
 
 }  // namespace netlock

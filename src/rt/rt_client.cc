@@ -36,10 +36,8 @@ RtClientPool::RtClientPool(RtLockService& service,
       NETLOCK_CHECK(sess.workload != nullptr);
       sess.engine_id = static_cast<std::uint32_t>(global + 1);
     }
-    if (config_.batch_submit) {
-      ct->staged.resize(static_cast<std::size_t>(service_.cores()));
-      for (auto& buf : ct->staged) buf.reserve(config_.poll_batch);
-    }
+    ct->staged.resize(static_cast<std::size_t>(service_.cores()));
+    for (auto& buf : ct->staged) buf.reserve(config_.poll_batch);
     threads_.push_back(std::move(ct));
   }
 }
@@ -98,16 +96,11 @@ void RtClientPool::RunClient(ClientThread& ct) {
 }
 
 void RtClientPool::EnqueueRequest(ClientThread& ct, const RtRequest& rt) {
-  if (!config_.batch_submit) {
-    service_.Submit(ct.index, rt);
-    return;
-  }
   ct.staged[static_cast<std::size_t>(service_.CoreFor(rt.lock))]
       .push_back(rt);
 }
 
 void RtClientPool::FlushStaged(ClientThread& ct) {
-  if (!config_.batch_submit) return;
   for (std::size_t core = 0; core < ct.staged.size(); ++core) {
     std::vector<RtRequest>& buf = ct.staged[core];
     if (buf.empty()) continue;

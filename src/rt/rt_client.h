@@ -35,11 +35,6 @@ struct RtClientConfig {
   /// Per-session seeds follow the simulated testbed: seed * 1000003 + i.
   std::uint64_t seed = 1;
   std::size_t poll_batch = 64;
-  /// Stage submits in per-core buffers and flush each once per poll-loop
-  /// iteration via RtLockService::SubmitBatch — one ring publish and one
-  /// doorbell per flush instead of per request. Off = legacy per-request
-  /// Submit, kept as the --batch-submit A/B baseline.
-  bool batch_submit = true;
   /// Always-on sharded latency histograms ("rt.lock_latency",
   /// "rt.txn_latency"), one shard per client thread — what the live stats
   /// poller and netlock_top read. Off for `--telemetry=off` overhead runs;
@@ -136,8 +131,9 @@ class RtClientPool {
     int index = 0;
     int first_session = 0;  ///< Global index of sessions[0].
     std::vector<Session> sessions;
-    /// Per-core submit staging (batch_submit mode): requests group here by
-    /// target core and flush once per poll-loop iteration.
+    /// Per-core submit staging: requests group here by target core and
+    /// flush once per poll-loop iteration via RtLockService::SubmitBatch —
+    /// one ring publish and one doorbell per flush instead of per request.
     std::vector<std::vector<RtRequest>> staged;
     RunMetrics metrics;
     std::uint64_t commits = 0;
@@ -152,8 +148,7 @@ class RtClientPool {
   void RunClient(ClientThread& ct);
   void BeginTxn(ClientThread& ct, Session& s);
   void SubmitAcquire(ClientThread& ct, Session& s);
-  /// Routes a request to the wire: staged per core (batch_submit) or a
-  /// direct Submit.
+  /// Stages a request in its core's buffer for the next flush.
   void EnqueueRequest(ClientThread& ct, const RtRequest& rt);
   /// Flushes every nonempty per-core staging buffer with SubmitBatch.
   void FlushStaged(ClientThread& ct);

@@ -111,41 +111,24 @@ int RtLockService::CoreFor(LockId lock) const {
   return static_cast<int>(h % static_cast<std::uint32_t>(options_.cores));
 }
 
-void RtLockService::Submit(int client, const RtRequest& req) {
-  const int core = CoreFor(req.lock);
-  SpscRing<RtRequest>& ring =
-      *req_rings_[static_cast<std::size_t>(core)]
-                 [static_cast<std::size_t>(client)];
-  // Count before the push: a worker may process the request the instant it
-  // lands, and WaitQuiesce must never observe processed > submitted.
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  int spins = 0;
-  while (!ring.TryPush(req)) {
-    // A full ring means the owning core fell behind (or missed a doorbell
-    // and parked); a rescue wake restores liveness, but only after some
-    // spinning so the common full-ring blip stays doorbell-free.
-    if (++spins > 64) {
-      executor_->WakeWorker(core);
-      std::this_thread::yield();
-    }
-  }
-  // One targeted doorbell per push — a relaxed load unless the owning
-  // worker is actually parked (it used to ring the broadcast bell twice).
-  executor_->WakeWorker(core);
-}
-
 void RtLockService::SubmitBatch(int client, int core, const RtRequest* reqs,
                                 std::size_t n) {
   if (n == 0) return;
   SpscRing<RtRequest>& ring =
       *req_rings_[static_cast<std::size_t>(core)]
                  [static_cast<std::size_t>(client)];
+  // Count before the push: a worker may process a request the instant it
+  // lands, and WaitQuiesce must never observe processed > submitted.
   submitted_.fetch_add(n, std::memory_order_relaxed);
   std::size_t pushed = 0;
   int spins = 0;
   while (pushed < n) {
     const std::size_t k = ring.PushBatch(reqs + pushed, n - pushed);
     if (k == 0) {
+      // A full ring means the owning core fell behind (or missed a
+      // doorbell and parked); a rescue wake restores liveness, but only
+      // after some spinning so the common full-ring blip stays
+      // doorbell-free.
       if (++spins > 64) {
         executor_->WakeWorker(core);
         std::this_thread::yield();
@@ -203,7 +186,7 @@ bool RtLockService::ServiceCore(int core) {
   }
   // Flush staged grants before acknowledging the requests as processed, so
   // WaitQuiesce implies every completion is visible in its client ring.
-  if (options_.batch_submit && any) FlushStaged(core);
+  if (any) FlushStaged(core);
   if (processed != 0) {
     processed_.fetch_add(processed, std::memory_order_release);
   }
@@ -361,21 +344,9 @@ void RtLockService::Core::Sink::DeliverAbort(LockId lock,
 
 void RtLockService::DeliverCompletion(int core, const RtCompletion& comp,
                                       std::uint32_t client) {
-  if (options_.batch_submit) {
-    // Stage it; ServiceCore flushes the whole batch after the drain. The
-    // cascade never blocks on a slow client's full completion ring.
-    staging_[static_cast<std::size_t>(core)]->per_client[client].push_back(
-        comp);
-    return;
-  }
-  SpscRing<RtCompletion>& ring =
-      *comp_rings_[client][static_cast<std::size_t>(core)];
-  // Backpressure: the client is the only consumer; if its completion ring
-  // is full we wait for it, never drop a completion.
-  int spins = 0;
-  while (!ring.TryPush(comp)) {
-    if (++spins > 64) std::this_thread::yield();
-  }
+  // ServiceCore flushes the whole batch after the drain.
+  staging_[static_cast<std::size_t>(core)]->per_client[client].push_back(
+      comp);
 }
 
 void RtLockService::FlushStaged(int core) {
@@ -387,7 +358,9 @@ void RtLockService::FlushStaged(int core) {
         *comp_rings_[cl][static_cast<std::size_t>(core)];
     std::size_t pushed = 0;
     int spins = 0;
-    // Backpressure as before — but here, between drains, not mid-cascade.
+    // Backpressure: the client is the only consumer; if its completion
+    // ring is full we wait for it — between drains, not mid-cascade — and
+    // never drop a completion.
     while (pushed < buf.size()) {
       const std::size_t k =
           ring.PushBatch(buf.data() + pushed, buf.size() - pushed);

@@ -90,7 +90,7 @@ class RtLockService {
  public:
   struct Options {
     int cores = 2;
-    int num_clients = 1;  ///< Client threads that will call Submit/Poll.
+    int num_clients = 1;  ///< Client threads that will call SubmitBatch/Poll.
     std::size_t ring_capacity = 8192;
     /// Max requests drained from one mailbox per visit.
     std::size_t drain_batch = 64;
@@ -100,17 +100,10 @@ class RtLockService {
     /// spin aggressively (dedicated-host latency mode); park-eager
     /// settings (spin_rounds ~0, longer park_timeout) suit shared or
     /// oversubscribed hosts, where spinning burns someone else's CPU and
-    /// every submit-side doorbell is a real futex wake — the regime the
-    /// --batch-submit A/B bench measures.
+    /// every submit-side doorbell is a real futex wake.
     int spin_rounds = 256;
     int yield_rounds = 16;
     std::chrono::microseconds park_timeout{100};
-    /// Stage grants in a per-(core, client) buffer and flush them into the
-    /// completion rings once per drain with PushBatch, instead of pushing
-    /// (and possibly spin-waiting on a full client ring) inside the engine
-    /// cascade. Off = legacy direct push, kept as the A/B baseline for
-    /// --batch-submit.
-    bool batch_submit = true;
     /// Flight recorder on the hot path. On by default (a record is a few
     /// plain stores); `--telemetry=off` benches disable it to measure the
     /// overhead. An external `recorder` overrides ownership either way
@@ -157,15 +150,11 @@ class RtLockService {
   /// RSS hash, identical to the simulated LockServer's core dispatch.
   int CoreFor(LockId lock) const;
 
-  /// Called only from client thread `client`. Spin-waits (with yields) if
-  /// the target mailbox is full — backpressure, never loss. Rings at most
-  /// one doorbell per push, and only at the worker owning the lock's core.
-  void Submit(int client, const RtRequest& req);
-
-  /// Batched submit: pushes `n` requests — all of which must hash to
-  /// `core` (i.e. CoreFor(req.lock) == core) — into that core's mailbox
-  /// with one release-store per PushBatch and a single doorbell for the
-  /// whole flush. Called only from client thread `client`.
+  /// Pushes `n` requests — all of which must hash to `core` (i.e.
+  /// CoreFor(req.lock) == core) — into that core's mailbox with one
+  /// release-store per PushBatch and a single doorbell for the whole
+  /// flush. Spin-waits (with yields) while the mailbox is full —
+  /// backpressure, never loss. Called only from client thread `client`.
   void SubmitBatch(int client, int core, const RtRequest* reqs,
                    std::size_t n);
 
@@ -174,7 +163,7 @@ class RtLockService {
                               std::size_t max);
 
   /// Blocks until every submitted request has been processed. Call from a
-  /// non-worker thread with producers quiescent (no concurrent Submits).
+  /// non-worker thread with producers quiescent (no concurrent submits).
   void WaitQuiesce();
 
   /// Summed per-core stats. Exact once quiesced.
@@ -223,9 +212,10 @@ class RtLockService {
     std::vector<RtEvent> events;
   };
 
-  /// Per-core staging for grant completions (batch_submit mode): the sink
-  /// appends here during the cascade; ServiceCore flushes per drain. One
-  /// cache line per core for the headers so appends never false-share.
+  /// Per-core staging for completions: the sink appends here during the
+  /// cascade; ServiceCore flushes per drain, so the cascade never blocks
+  /// on a slow client's full completion ring. One cache line per core for
+  /// the headers so appends never false-share.
   struct alignas(64) CoreStaging {
     std::vector<std::vector<RtCompletion>> per_client;
   };
@@ -235,8 +225,7 @@ class RtLockService {
   /// spin-with-yield on full — backpressure outside the engine cascade).
   void FlushStaged(int core);
   void Process(int core_idx, Core& core, const RtRequest& req);
-  /// Routes one completion (grant or abort) to its client's ring: staged
-  /// in batch_submit mode, direct push with backpressure otherwise.
+  /// Stages one completion (grant or abort) for its client's ring.
   void DeliverCompletion(int core, const RtCompletion& comp,
                          std::uint32_t client);
   void RecordEvent(Core& core, RtEvent::Kind kind, LockId lock,

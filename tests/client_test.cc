@@ -1,11 +1,14 @@
 // Tests for the client library: session grant matching, retransmission on
 // loss, rejection backoff, machine TX rate limiting, and the transaction
 // engine's closed-loop behaviour.
+// Session tests that hold on both session routes (switch and home server)
+// run once per route.
 #include <gtest/gtest.h>
 
 #include "client/client.h"
 #include "client/txn.h"
 #include "dataplane/switch_dataplane.h"
+#include "server/lock_server.h"
 #include "test_util.h"
 #include "workload/micro.h"
 
@@ -60,57 +63,6 @@ TEST_F(ClientTest, GrantLatencyIsClientSwitchRtt) {
   EXPECT_EQ(granted_at, 55u + 1000u + 1000u);
 }
 
-TEST_F(ClientTest, RetransmitsAfterLoss) {
-  ASSERT_TRUE(switch_->InstallLock(1, server_->node(), 8));
-  net_.SetLossProbability(1.0);  // Drop everything...
-  auto session = MakeSession(/*retry_timeout=*/kMillisecond);
-  AcquireResult result = AcquireResult::kRejected;
-  bool done = false;
-  session->Acquire(1, LockMode::kExclusive, 42, 0, [&](AcquireResult r) {
-    result = r;
-    done = true;
-  });
-  sim_.RunUntil(2 * kMillisecond);
-  net_.SetLossProbability(0.0);  // ...then heal the network.
-  sim_.RunUntil(10 * kMillisecond);
-  EXPECT_TRUE(done);
-  EXPECT_EQ(result, AcquireResult::kGranted);
-  EXPECT_GE(session->retransmits(), 1u);
-}
-
-// Regression test for a fuzzer-found bug: a network-duplicated copy of an
-// already-consumed grant used to take the unsolicited-grant path and
-// ghost-release the holder's queue entry, granting the lock to the next
-// waiter while the holder still held it. The duplicate-grant filter must
-// drop the copy (same grant nonce) while still ghost-releasing genuine
-// second entries created by retransmitted acquires (fresh nonce).
-TEST_F(ClientTest, DuplicatedGrantDoesNotGhostReleaseHeldLock) {
-  ASSERT_TRUE(switch_->InstallLock(1, server_->node(), 8));
-  auto a = MakeSession();
-  auto b = MakeSession();
-  LinkFaults faults;
-  faults.duplicate = 1.0;  // Every packet is delivered twice.
-  net_.SetDefaultFaults(faults);
-  int a_granted = 0;
-  int b_granted = 0;
-  a->Acquire(1, LockMode::kExclusive, 1, 0, [&](AcquireResult r) {
-    a_granted += r == AcquireResult::kGranted;
-  });
-  sim_.RunUntil(kMillisecond);
-  ASSERT_EQ(a_granted, 1);
-  b->Acquire(1, LockMode::kExclusive, 2, 0, [&](AcquireResult r) {
-    b_granted += r == AcquireResult::kGranted;
-  });
-  sim_.RunUntil(2 * kMillisecond);
-  // Mutual exclusion: B waits while A holds, duplicates notwithstanding.
-  EXPECT_EQ(b_granted, 0);
-  a->Release(1, LockMode::kExclusive, 1);
-  sim_.RunUntil(4 * kMillisecond);
-  // The ghost entries from duplicated acquires are reclaimed at wire speed
-  // and B is granted exactly once.
-  EXPECT_EQ(b_granted, 1);
-}
-
 // Lease discipline: once a grant is within the safety margin of its lease
 // expiring, the manager's lease sweep may already have force-released the
 // entry — sending the release would blind-pop a different waiter's slot.
@@ -155,14 +107,174 @@ TEST_F(ClientTest, PromptReleaseNotSuppressed) {
   EXPECT_EQ(switch_->stats().releases, 1u);
 }
 
-TEST_F(ClientTest, TimesOutAfterMaxRetries) {
-  // No route for the lock: requests vanish at the switch.
-  auto session = MakeSession(/*retry_timeout=*/100 * kMicrosecond);
+// The session's two routes: acquires to the lock switch (NetLock), or to
+// the lock's home server (the server-only baseline). The tests below run
+// on both; the switch route's manager is switch_ (locks installed), the
+// server route's is a LockServer that owns whatever it is asked for.
+enum class Route { kSwitch, kServer };
+
+class SessionRouteTest : public ClientTest,
+                         public ::testing::WithParamInterface<Route> {
+ protected:
+  bool server_route() const { return GetParam() == Route::kServer; }
+
+  /// Makes `lock` grantable on this route's manager.
+  void Serve(LockId lock) {
+    if (!server_route()) {
+      ASSERT_TRUE(switch_->InstallLock(lock, server_->node(), 8));
+    }
+  }
+
+  /// The node that grants on this route.
+  NodeId manager() const {
+    return server_route() ? lock_server_.node() : switch_->node();
+  }
+
+  /// A session whose acquires go to `target` (default: the manager) on
+  /// this route.
+  std::unique_ptr<NetLockSession> MakeRoutedSession(
+      SimTime retry_timeout = 2 * kMillisecond,
+      NodeId target = kInvalidNode) {
+    if (target == kInvalidNode) target = manager();
+    NetLockSession::Config config;
+    config.retry_timeout = retry_timeout;
+    if (server_route()) {
+      config.home_servers = {target};
+    } else {
+      config.switch_node = target;
+    }
+    return std::make_unique<NetLockSession>(*machine_, config);
+  }
+
+  std::uint64_t ManagerReleases() const {
+    return server_route() ? lock_server_.stats().releases
+                          : switch_->stats().releases;
+  }
+  bool ManagerQueueEmpty(LockId lock) const {
+    return server_route() ? lock_server_.QueueEmpty(lock)
+                          : switch_->QueueEmpty(lock);
+  }
+
+  LockServer lock_server_{net_};
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Routes, SessionRouteTest, ::testing::Values(Route::kSwitch, Route::kServer),
+    [](const ::testing::TestParamInfo<Route>& info) {
+      return info.param == Route::kSwitch ? "Switch" : "Server";
+    });
+
+TEST_P(SessionRouteTest, RetransmitsAfterLoss) {
+  Serve(1);
+  net_.SetLossProbability(1.0);  // Drop everything...
+  auto session = MakeRoutedSession(/*retry_timeout=*/kMillisecond);
+  AcquireResult result = AcquireResult::kRejected;
+  bool done = false;
+  session->Acquire(1, LockMode::kExclusive, 42, 0, [&](AcquireResult r) {
+    result = r;
+    done = true;
+  });
+  sim_.RunUntil(2 * kMillisecond);
+  net_.SetLossProbability(0.0);  // ...then heal the network.
+  sim_.RunUntil(10 * kMillisecond);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(result, AcquireResult::kGranted);
+  EXPECT_GE(session->retransmits(), 1u);
+}
+
+// Regression test for a fuzzer-found bug: a network-duplicated copy of an
+// already-consumed grant used to take the unsolicited-grant path and
+// ghost-release the holder's queue entry, granting the lock to the next
+// waiter while the holder still held it. The duplicate-grant filter must
+// drop the copy (same grant nonce) while still ghost-releasing genuine
+// second entries created by retransmitted acquires (fresh nonce).
+TEST_P(SessionRouteTest, DuplicatedGrantDoesNotGhostReleaseHeldLock) {
+  Serve(1);
+  auto a = MakeRoutedSession();
+  auto b = MakeRoutedSession();
+  LinkFaults faults;
+  faults.duplicate = 1.0;  // Every packet is delivered twice.
+  net_.SetDefaultFaults(faults);
+  int a_granted = 0;
+  int b_granted = 0;
+  a->Acquire(1, LockMode::kExclusive, 1, 0, [&](AcquireResult r) {
+    a_granted += r == AcquireResult::kGranted;
+  });
+  sim_.RunUntil(kMillisecond);
+  ASSERT_EQ(a_granted, 1);
+  b->Acquire(1, LockMode::kExclusive, 2, 0, [&](AcquireResult r) {
+    b_granted += r == AcquireResult::kGranted;
+  });
+  sim_.RunUntil(2 * kMillisecond);
+  // Mutual exclusion: B waits while A holds, duplicates notwithstanding.
+  EXPECT_EQ(b_granted, 0);
+  a->Release(1, LockMode::kExclusive, 1);
+  sim_.RunUntil(4 * kMillisecond);
+  // The ghost entries from duplicated acquires are reclaimed at wire speed
+  // and B is granted exactly once.
+  EXPECT_EQ(b_granted, 1);
+}
+
+TEST_P(SessionRouteTest, UnsolicitedGrantReleasedToSender) {
+  Serve(1);
+  // The session's route points at a silent node, not at the manager.
+  auto session = MakeRoutedSession(2 * kMillisecond, server_->node());
+  // The manager grants something the session never asked for (stale
+  // ghost).
+  LockHeader ghost;
+  ghost.op = LockOp::kAcquire;
+  ghost.lock_id = 1;
+  ghost.mode = LockMode::kExclusive;
+  ghost.txn_id = 99;
+  ghost.client_node = session->node();
+  net_.Send(MakeLockPacket(session->node(), manager(), ghost));
+  sim_.RunUntil(kMillisecond);
+  // The grant arrived unsolicited; the auto-release must go back to the
+  // sender, not to the session's route.
+  EXPECT_EQ(ManagerReleases(), 1u);
+  EXPECT_TRUE(ManagerQueueEmpty(1));
+  EXPECT_TRUE(server_->received().empty());
+}
+
+TEST_P(SessionRouteTest, TimesOutAfterMaxRetries) {
+  // The route leads to a node that never answers.
+  auto session =
+      MakeRoutedSession(/*retry_timeout=*/100 * kMicrosecond, server_->node());
   AcquireResult result = AcquireResult::kGranted;
   session->Acquire(5, LockMode::kExclusive, 1, 0,
                    [&](AcquireResult r) { result = r; });
   sim_.RunUntil(kSecond);
   EXPECT_EQ(result, AcquireResult::kTimeout);
+}
+
+// The server route's destination rule: every acquire and cancel for a lock
+// reaches HomeServer(lock), and acquires are flagged server-owned.
+TEST_F(ClientTest, ServerRouteSendsToHomeServer) {
+  testing::PacketCatcher other(net_);
+  const std::vector<NodeId> homes = {server_->node(), other.node()};
+  NetLockSession::Config config;
+  config.home_servers = homes;
+  NetLockSession session(*machine_, config);
+  constexpr LockId kLocks = 16;
+  for (LockId lock = 0; lock < kLocks; ++lock) {
+    session.Acquire(lock, LockMode::kExclusive, 7, 0, [](AcquireResult) {});
+    session.Cancel(lock, LockMode::kExclusive, 7);
+  }
+  sim_.RunUntil(kMillisecond);
+  std::size_t seen = 0;
+  for (const testing::PacketCatcher* catcher : {server_.get(), &other}) {
+    for (const LockHeader& hdr : catcher->received()) {
+      ++seen;
+      EXPECT_EQ(HomeServer(hdr.lock_id, homes), catcher->node());
+      if (hdr.op == LockOp::kAcquire) {
+        EXPECT_NE(hdr.flags & kFlagServerOwned, 0);
+      } else {
+        EXPECT_EQ(hdr.op, LockOp::kCancel);
+      }
+    }
+    EXPECT_FALSE(catcher->received().empty());  // Both homes are used.
+  }
+  EXPECT_EQ(seen, 2 * kLocks);
 }
 
 TEST_F(ClientTest, RejectBacksOffAndRetries) {

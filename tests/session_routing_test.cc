@@ -1,6 +1,7 @@
 // Tests for session-level routing behaviours: grant-source release routing
-// (the failover-critical rule), switch re-pointing, unsolicited-grant
-// release targets, and conflict-unit ordering in the engines.
+// (the failover-critical rule), switch re-pointing, and conflict-unit
+// ordering in the engines. The unsolicited-grant release target is tested
+// on both session routes in client_test.
 #include <gtest/gtest.h>
 
 #include "client/client.h"
@@ -57,27 +58,6 @@ TEST_F(SessionRoutingTest, ReleaseGoesToGrantingSwitch) {
   session.Acquire(1, LockMode::kExclusive, 2, 0, [](AcquireResult) {});
   sim_.RunUntil(3 * kMillisecond);
   EXPECT_EQ(switch_b_->stats().grants, 1u);
-}
-
-TEST_F(SessionRoutingTest, UnsolicitedGrantReleasedToSender) {
-  ASSERT_TRUE(switch_a_->InstallLock(1, server_->node(), 8));
-  NetLockSession::Config config;
-  config.switch_node = switch_b_->node();  // Session "points" elsewhere.
-  NetLockSession session(*machine_, config);
-  // Switch A grants something the session never asked for (stale ghost).
-  LockHeader ghost;
-  ghost.op = LockOp::kAcquire;
-  ghost.lock_id = 1;
-  ghost.mode = LockMode::kExclusive;
-  ghost.txn_id = 99;
-  ghost.client_node = session.node();
-  net_.Send(MakeLockPacket(session.node(), switch_a_->node(), ghost));
-  sim_.RunUntil(kMillisecond);
-  // The grant arrived unsolicited; the auto-release must go back to switch
-  // A (the sender), not the session's configured switch B.
-  EXPECT_EQ(switch_a_->stats().grants, 1u);
-  EXPECT_EQ(switch_a_->stats().releases, 1u);
-  EXPECT_TRUE(switch_a_->QueueEmpty(1));
 }
 
 namespace {

@@ -11,6 +11,7 @@
 #include "harness/experiment.h"
 #include "harness/testbed.h"
 #include "testing/lock_oracle.h"
+#include "workload/micro.h"
 
 namespace netlock {
 namespace {
@@ -176,6 +177,42 @@ TEST(ShardedTestbedTest, DeterministicAcrossIdenticalRuns) {
   };
   EXPECT_EQ(run_once(7), run_once(7));
   EXPECT_NE(run_once(7), run_once(8));  // The seed actually matters.
+}
+
+// Regression: ShardedSession used to forward only Acquire and Release. With
+// more than one rack, a wound-wait revocation never reached the
+// transaction engine (it kept committing on a lock it no longer held), and
+// a wounded transaction's in-flight acquire was never cancelled.
+TEST(ShardedTestbedTest, WoundsReachEnginesOnEveryRackCount) {
+  for (const int num_racks : {1, 2}) {
+    SCOPED_TRACE(num_racks);
+    SimContext context;
+    TestbedConfig config = ShardedConfig(num_racks, &context);
+    config.sessions_per_machine = 4;  // 16 sessions.
+    config.server_config.deadlock_policy = DeadlockPolicy::kWoundWait;
+    config.txn_config.preserve_workload_order = true;
+    MicroConfig micro;
+    micro.num_locks = 6;
+    micro.locks_per_txn = 3;
+    config.workload_factory = [micro](int) {
+      return std::make_unique<UnorderedMicroWorkload>(micro);
+    };
+    Testbed testbed(config);
+    testbed.Run(/*warmup=*/2 * kMillisecond, /*measure=*/20 * kMillisecond);
+    std::uint64_t server_wounds = 0;
+    for (int r = 0; r < testbed.sharded().num_racks(); ++r) {
+      NetLockManager& rack = testbed.sharded().rack(r);
+      for (int s = 0; s < rack.num_servers(); ++s) {
+        server_wounds += rack.server(s).stats().wounds;
+      }
+    }
+    std::uint64_t engine_wounds = 0;
+    for (int i = 0; i < testbed.num_engines(); ++i) {
+      engine_wounds += testbed.engine(i).wounds();
+    }
+    ASSERT_GT(server_wounds, 0u);
+    EXPECT_GT(engine_wounds, 0u);
+  }
 }
 
 // --- Re-homing under live traffic ---
