@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "client/txn_driver.h"
 #include "common/types.h"
 #include "net/lock_wire.h"
 #include "sim/network.h"
@@ -66,6 +67,20 @@ class LockSession {
   /// granularity that actually conflicts — otherwise hash collisions
   /// create deadlock cycles no lock ordering can prevent.
   virtual LockId ConflictUnit(LockId lock) const { return lock; }
+};
+
+/// TxnDriver sink of the simulated front-ends: releases and cancels go
+/// straight to the session.
+struct LockSessionSink {
+  LockSession* session;
+
+  void operator()(TxnOp op, const LockRequest& req, TxnId txn) const {
+    if (op == TxnOp::kRelease) {
+      session->Release(req.lock, req.mode, txn);
+    } else {
+      session->Cancel(req.lock, req.mode, txn);
+    }
+  }
 };
 
 /// A client machine: shared NIC with a finite TX rate.

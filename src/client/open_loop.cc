@@ -13,9 +13,10 @@ OpenLoopEngine::OpenLoopEngine(Simulator& sim, LockSession& session,
     : sim_(sim),
       session_(session),
       workload_(std::move(workload)),
-      engine_id_(engine_id),
       rng_(seed),
-      config_(config) {
+      config_(config),
+      driver_(LockSessionSink{&session}),
+      ids_{engine_id} {
   NETLOCK_CHECK(workload_ != nullptr);
   NETLOCK_CHECK(config_.offered_tps > 0.0);
   session_.set_wound_observer(
@@ -23,12 +24,6 @@ OpenLoopEngine::OpenLoopEngine(Simulator& sim, LockSession& session,
 }
 
 void OpenLoopEngine::Start() { ScheduleNextArrival(); }
-
-TxnId OpenLoopEngine::MakeTxnId(std::uint32_t engine_id,
-                                std::uint64_t counter) {
-  NETLOCK_CHECK(counter < (std::uint64_t{1} << kCounterBits));
-  return (static_cast<TxnId>(engine_id) << kCounterBits) | counter;
-}
 
 void OpenLoopEngine::ScheduleNextArrival() {
   if (stopped_) return;
@@ -45,23 +40,18 @@ void OpenLoopEngine::ScheduleNextArrival() {
 }
 
 void OpenLoopEngine::BeginTxn() {
-  if (outstanding_ >= config_.max_outstanding) {
+  if (in_flight_.size() >= config_.max_outstanding) {
     ++dropped_;  // Overloaded: shed the arrival.
     return;
   }
-  const TxnId txn_id = MakeTxnId(engine_id_, ++txn_counter_);
-  Txn txn;
+  const TxnId txn_id = ids_.Next();
+  TxnState txn;
   txn.spec = workload_->Next(rng_);
   if (!config_.preserve_workload_order) {
-    // Order by the backend's conflict unit (see TxnEngine for rationale).
-    std::sort(txn.spec.locks.begin(), txn.spec.locks.end(),
-              [this](const LockRequest& a, const LockRequest& b) {
-                return session_.ConflictUnit(a.lock) <
-                       session_.ConflictUnit(b.lock);
-              });
+    OrderLockSet(txn.spec.locks,
+                 [this](LockId lock) { return session_.ConflictUnit(lock); });
   }
-  txn.started = sim_.now();
-  ++outstanding_;
+  driver_.Begin(txn, txn_id, sim_.now());
   const bool empty = txn.spec.locks.empty();
   in_flight_.emplace(txn_id, std::move(txn));
   if (empty) {
@@ -77,10 +67,8 @@ void OpenLoopEngine::BeginTxn() {
 }
 
 void OpenLoopEngine::AcquireNext(TxnId txn_id) {
-  Txn& txn = in_flight_.at(txn_id);
-  const LockRequest& req = txn.spec.locks[txn.next_lock];
-  txn.lock_issued = sim_.now();
-  if (recording_) ++metrics_.lock_requests;
+  const LockRequest& req =
+      driver_.Issue(in_flight_.at(txn_id), sim_.now(), recording_);
   session_.Acquire(req.lock, req.mode, txn_id, config_.priority,
                    [this, txn_id](AcquireResult result) {
                      OnResult(txn_id, result);
@@ -90,25 +78,14 @@ void OpenLoopEngine::AcquireNext(TxnId txn_id) {
 void OpenLoopEngine::OnResult(TxnId txn_id, AcquireResult result) {
   const auto it = in_flight_.find(txn_id);
   NETLOCK_CHECK(it != in_flight_.end());
-  Txn& txn = it->second;
   if (result != AcquireResult::kGranted) {
-    // Abort: release what we hold and drop the transaction (open-loop
-    // arrivals keep coming; there is no retry loop to preserve).
-    if (recording_) ++metrics_.retries;
-    for (std::size_t i = 0; i < txn.next_lock; ++i) {
-      session_.Release(txn.spec.locks[i].lock, txn.spec.locks[i].mode,
-                       txn_id);
-    }
+    // Abort: the driver releases what we hold; drop the transaction.
+    driver_.Abort(it->second, txn_id, recording_);
     in_flight_.erase(it);
-    --outstanding_;
     return;
   }
-  if (recording_) {
-    ++metrics_.lock_grants;
-    metrics_.lock_latency.Record(sim_.now() - txn.lock_issued);
-  }
-  ++txn.next_lock;
-  if (txn.next_lock < txn.spec.locks.size()) {
+  if (driver_.Grant(it->second, txn_id, sim_.now(), recording_) ==
+      GrantStep::kAcquireNext) {
     AcquireNext(txn_id);
     return;
   }
@@ -122,39 +99,16 @@ void OpenLoopEngine::OnResult(TxnId txn_id, AcquireResult result) {
 void OpenLoopEngine::OnWound(LockId lock, TxnId txn_id) {
   const auto it = in_flight_.find(txn_id);
   if (it == in_flight_.end()) return;  // Stale wound: already done.
-  Txn& txn = it->second;
-  ++wounds_;
-  if (recording_) ++metrics_.retries;
-  // Release held locks except the wounded one (its entry is already gone
-  // server-side); cancel the acquire still in flight, if any. No retry:
-  // open-loop arrivals keep coming.
-  for (std::size_t i = 0; i < txn.next_lock; ++i) {
-    const LockRequest& req = txn.spec.locks[i];
-    if (req.lock == lock) continue;
-    session_.Release(req.lock, req.mode, txn_id);
-  }
-  if (txn.next_lock < txn.spec.locks.size()) {
-    const LockRequest& req = txn.spec.locks[txn.next_lock];
-    session_.Cancel(req.lock, req.mode, txn_id);
-  }
+  driver_.Wound(it->second, txn_id, lock, recording_);
   in_flight_.erase(it);
-  --outstanding_;
 }
 
 void OpenLoopEngine::Commit(TxnId txn_id) {
   const auto it = in_flight_.find(txn_id);
   // A wound during think time already tore the transaction down.
   if (it == in_flight_.end()) return;
-  Txn& txn = it->second;
-  for (const LockRequest& req : txn.spec.locks) {
-    session_.Release(req.lock, req.mode, txn_id);
-  }
-  if (recording_) {
-    ++metrics_.txn_commits;
-    metrics_.txn_latency.Record(sim_.now() - txn.started);
-  }
+  driver_.Commit(it->second, txn_id, sim_.now(), recording_);
   in_flight_.erase(it);
-  --outstanding_;
 }
 
 }  // namespace netlock

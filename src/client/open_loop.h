@@ -4,9 +4,12 @@
 // reduced arrival rate. This is how the paper's DPDK clients stress the
 // systems, and what a latency-vs-offered-load curve needs.
 //
-// Each in-flight transaction runs its own acquire→hold→release state
-// machine, so one engine can have many transactions outstanding
-// (bounded by `max_outstanding` to keep overload runs finite).
+// Each in-flight transaction is its own TxnState, driven through the
+// acquire→hold→release transitions by the shared TxnDriver, so one engine
+// can have many transactions outstanding (bounded by `max_outstanding` to
+// keep overload runs finite). This class is only the open-loop scheduling:
+// arrivals, shedding, think time, and committing empty lock sets. Aborts
+// and wounds drop the transaction; there is no retry loop.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include <unordered_map>
 
 #include "client/client.h"
+#include "client/txn_driver.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "common/stats.h"
@@ -61,28 +65,20 @@ class OpenLoopEngine {
     config_.offered_tps = tps;
   }
 
-  RunMetrics& metrics() { return metrics_; }
+  RunMetrics& metrics() { return driver_.metrics(); }
   std::uint64_t dropped_arrivals() const { return dropped_; }
-  std::uint32_t outstanding() const { return outstanding_; }
-  std::uint64_t wounds() const { return wounds_; }
+  std::uint32_t outstanding() const {
+    return static_cast<std::uint32_t>(in_flight_.size());
+  }
+  std::uint64_t wounds() const { return driver_.counters().wounds; }
 
-  /// Bits of the txn id reserved for the per-engine counter; the engine id
-  /// occupies the bits above them.
-  static constexpr int kCounterBits = 40;
-
-  /// Builds the txn id `(engine_id << kCounterBits) | counter`, checking
-  /// that the counter has not overflowed into the engine-id bits (which
-  /// would alias txn ids across engines). Exposed for tests.
-  static TxnId MakeTxnId(std::uint32_t engine_id, std::uint64_t counter);
+  /// The shared txn-id layout (see MakeTxnId in client/txn_driver.h).
+  static constexpr int kCounterBits = kTxnCounterBits;
+  static TxnId MakeTxnId(std::uint32_t engine_id, std::uint64_t counter) {
+    return netlock::MakeTxnId(engine_id, counter);
+  }
 
  private:
-  struct Txn {
-    TxnSpec spec;
-    std::size_t next_lock = 0;
-    SimTime started = 0;
-    SimTime lock_issued = 0;
-  };
-
   void ScheduleNextArrival();
   void BeginTxn();
   void AcquireNext(TxnId txn_id);
@@ -93,18 +89,15 @@ class OpenLoopEngine {
   Simulator& sim_;
   LockSession& session_;
   std::unique_ptr<WorkloadGenerator> workload_;
-  std::uint32_t engine_id_;
   Rng rng_;
   OpenLoopConfig config_;
+  TxnDriver<LockSessionSink> driver_;
+  TxnIdSource ids_;
 
-  std::unordered_map<TxnId, Txn> in_flight_;
-  std::uint64_t txn_counter_ = 0;
-  std::uint32_t outstanding_ = 0;
+  std::unordered_map<TxnId, TxnState> in_flight_;
   std::uint64_t dropped_ = 0;
-  std::uint64_t wounds_ = 0;
   bool stopped_ = false;
   bool recording_ = false;
-  RunMetrics metrics_;
 };
 
 }  // namespace netlock

@@ -1,7 +1,5 @@
 #include "client/txn.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace netlock {
@@ -13,9 +11,10 @@ TxnEngine::TxnEngine(Simulator& sim, LockSession& session,
     : sim_(sim),
       session_(session),
       workload_(std::move(workload)),
-      engine_id_(engine_id),
       rng_(seed),
       config_(config),
+      driver_(LockSessionSink{&session}),
+      ids_{engine_id},
       commits_metric_(
           &sim.context().metrics().Counter("client.txn_commits")),
       grants_metric_(
@@ -35,102 +34,62 @@ void TxnEngine::Restart() {
 }
 
 void TxnEngine::StartNextTxn() {
-  if (stopped_ ||
-      (config_.max_txns != 0 && completed_txns_ >= config_.max_txns)) {
+  if (stopped_ || (config_.max_txns != 0 &&
+                   driver_.counters().commits >= config_.max_txns)) {
     idle_ = true;
     return;
   }
   idle_ = false;
-  current_ = workload_->Next(rng_);
-  NETLOCK_CHECK(!current_.locks.empty());
-  if (config_.preserve_workload_order) {
-    // Deadlock-prone on purpose: keep the workload's (unordered) sequence
-    // so conflicting transactions can wait on each other in a cycle — the
-    // scenario the deadlock policies exist to break.
-    current_txn_ = (static_cast<TxnId>(engine_id_) << 40) | ++txn_counter_;
-    next_lock_ = 0;
-    txn_start_ = sim_.now();
-    AcquireNext();
-    return;
+  txn_.spec = workload_->Next(rng_);
+  // preserve_workload_order is deadlock-prone on purpose: it keeps the
+  // workload's (unordered) sequence so conflicting transactions can wait on
+  // each other in a cycle — the scenario the deadlock policies exist to
+  // break.
+  if (!config_.preserve_workload_order) {
+    OrderLockSet(txn_.spec.locks,
+                 [this](LockId lock) { return session_.ConflictUnit(lock); });
   }
-  // Re-normalize at the backend's conflict granularity: coarsening
-  // backends (NetChain cells) need ordering and deduplication by conflict
-  // unit, or hash collisions produce unpreventable deadlock cycles and
-  // double-acquisition of the same unit.
-  std::sort(current_.locks.begin(), current_.locks.end(),
-            [this](const LockRequest& a, const LockRequest& b) {
-              const LockId ua = session_.ConflictUnit(a.lock);
-              const LockId ub = session_.ConflictUnit(b.lock);
-              if (ua != ub) return ua < ub;
-              if (a.mode != b.mode) return a.mode == LockMode::kExclusive;
-              return a.lock < b.lock;
-            });
-  current_.locks.erase(
-      std::unique(current_.locks.begin(), current_.locks.end(),
-                  [this](const LockRequest& a, const LockRequest& b) {
-                    return session_.ConflictUnit(a.lock) ==
-                           session_.ConflictUnit(b.lock);
-                  }),
-      current_.locks.end());
-  current_txn_ =
-      (static_cast<TxnId>(engine_id_) << 40) | ++txn_counter_;
-  next_lock_ = 0;
-  txn_start_ = sim_.now();
+  BeginAttempt();
+}
+
+void TxnEngine::BeginAttempt() {
+  driver_.Begin(txn_, ids_.Next(), sim_.now());
   AcquireNext();
 }
 
 void TxnEngine::AcquireNext() {
-  NETLOCK_CHECK(next_lock_ < current_.locks.size());
-  const LockRequest& req = current_.locks[next_lock_];
-  lock_issue_ = sim_.now();
-  if (recording_) ++metrics_.lock_requests;
-  const std::size_t index = next_lock_;
-  session_.Acquire(req.lock, req.mode, current_txn_, config_.priority,
-                   [this, index](AcquireResult result) {
-                     OnAcquireResult(index, result);
+  const LockRequest& req = driver_.Issue(txn_, sim_.now(), recording_);
+  session_.Acquire(req.lock, req.mode, txn_.id, config_.priority,
+                   [this, txn = txn_.id](AcquireResult result) {
+                     OnAcquireResult(txn, result);
                    });
 }
 
-void TxnEngine::OnAcquireResult(std::size_t index, AcquireResult result) {
-  NETLOCK_CHECK(index == next_lock_);
+void TxnEngine::OnAcquireResult(TxnId txn, AcquireResult result) {
   if (result != AcquireResult::kGranted) {
-    AbortAndRetry(/*acquired=*/index);
+    if (driver_.Abort(txn_, txn, recording_)) ScheduleRetry();
     return;
   }
+  const GrantStep step = driver_.Grant(txn_, txn, sim_.now(), recording_);
+  if (step == GrantStep::kStale) return;
   grants_metric_->Inc();
-  if (recording_) {
-    ++metrics_.lock_grants;
-    metrics_.lock_latency.Record(sim_.now() - lock_issue_);
-  }
-  ++next_lock_;
-  if (next_lock_ < current_.locks.size()) {
+  if (step == GrantStep::kAcquireNext) {
     AcquireNext();
     return;
   }
-  // All locks held: execute, then commit. The commit is guarded by the
-  // transaction id: a wound during think time aborts the transaction, and
-  // the stale commit must not release locks the retry is re-acquiring.
+  // All locks held: execute, then commit. A wound during think time ends
+  // the attempt, and the driver then drops this commit as stale, so it
+  // cannot release locks the retry is re-acquiring.
   if (config_.think_time == 0) {
-    CommitAndRelease();
+    Commit(txn);
   } else {
-    sim_.Schedule(config_.think_time, [this, txn = current_txn_]() {
-      if (aborting_ || txn != current_txn_) return;
-      CommitAndRelease();
-    });
+    sim_.Schedule(config_.think_time, [this, txn]() { Commit(txn); });
   }
 }
 
-void TxnEngine::CommitAndRelease() {
-  for (const LockRequest& req : current_.locks) {
-    session_.Release(req.lock, req.mode, current_txn_);
-  }
+void TxnEngine::Commit(TxnId txn) {
+  if (!driver_.Commit(txn_, txn, sim_.now(), recording_)) return;
   commits_metric_->Inc();
-  ++completed_txns_;
-  committed_lock_grants_ += current_.locks.size();
-  if (recording_) {
-    ++metrics_.txn_commits;
-    metrics_.txn_latency.Record(sim_.now() - txn_start_);
-  }
   if (commit_series_ != nullptr) commit_series_->Record(sim_.now());
   if (config_.inter_txn_gap == 0) {
     StartNextTxn();
@@ -139,55 +98,17 @@ void TxnEngine::CommitAndRelease() {
   }
 }
 
-void TxnEngine::AbortAndRetry(std::size_t acquired) {
-  ++aborts_;
-  if (recording_) ++metrics_.retries;
-  // Two-phase locking abort: drop everything acquired so far, back off,
-  // and retry the same transaction under a fresh transaction id.
-  for (std::size_t i = 0; i < acquired; ++i) {
-    session_.Release(current_.locks[i].lock, current_.locks[i].mode,
-                     current_txn_);
-  }
-  ScheduleRetry();
-}
-
 void TxnEngine::OnWound(LockId lock, TxnId txn) {
-  // Stale wound (previous transaction, or one we are already aborting):
-  // its locks are released or being released; nothing to do.
-  if (txn != current_txn_ || idle_ || aborting_) return;
-  ++wounds_;
-  ++aborts_;
-  if (recording_) ++metrics_.retries;
-  // Release every held lock EXCEPT the wounded one — its queue entry was
-  // already removed server-side, and releasing it would pop some other
-  // waiter's entry instead.
-  for (std::size_t i = 0; i < next_lock_; ++i) {
-    const LockRequest& req = current_.locks[i];
-    if (req.lock == lock) continue;
-    session_.Release(req.lock, req.mode, current_txn_);
-  }
-  // An acquire still in flight can never be answered usefully now: cancel
-  // it client-side (no callback) and tell the manager to drop any queue
-  // entry it created, so a doomed entry never stalls the queue.
-  if (next_lock_ < current_.locks.size()) {
-    const LockRequest& req = current_.locks[next_lock_];
-    session_.Cancel(req.lock, req.mode, current_txn_);
-  }
-  ScheduleRetry();
+  if (driver_.Wound(txn_, txn, lock, recording_)) ScheduleRetry();
 }
 
 void TxnEngine::ScheduleRetry() {
-  aborting_ = true;
   sim_.Schedule(config_.abort_backoff, [this]() {
-    aborting_ = false;
     if (stopped_) {
       idle_ = true;
       return;
     }
-    current_txn_ = (static_cast<TxnId>(engine_id_) << 40) | ++txn_counter_;
-    next_lock_ = 0;
-    txn_start_ = sim_.now();
-    AcquireNext();
+    BeginAttempt();
   });
 }
 

@@ -4,13 +4,17 @@
 // transaction from a workload generator, acquires its locks in order
 // (two-phase locking, growing phase), "executes" for a think time with the
 // locks held, releases everything, and moves on. Lock-grant latency and
-// transaction latency/throughput feed the evaluation figures.
+// transaction latency/throughput feed the evaluation figures. The 2PL
+// transitions and their accounting are the shared TxnDriver; this class is
+// the closed-loop scheduling around it: think time, inter-transaction gap,
+// abort backoff and the commit time series.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "client/client.h"
+#include "client/txn_driver.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/stats.h"
@@ -71,55 +75,37 @@ class TxnEngine {
   /// Optional sink for per-commit time-series plots (Figures 12, 15).
   void set_commit_series(TimeSeries* series) { commit_series_ = series; }
 
-  RunMetrics& metrics() { return metrics_; }
-  const RunMetrics& metrics() const { return metrics_; }
-  std::uint64_t aborts() const { return aborts_; }
-  std::uint64_t wounds() const { return wounds_; }
+  RunMetrics& metrics() { return driver_.metrics(); }
+  const RunMetrics& metrics() const { return driver_.metrics(); }
+  std::uint64_t aborts() const { return driver_.counters().aborts; }
+  std::uint64_t wounds() const { return driver_.counters().wounds; }
   std::uint64_t committed_lock_grants() const {
-    return committed_lock_grants_;
+    return driver_.counters().committed_lock_grants;
   }
 
  private:
   void StartNextTxn();
+  /// Starts an attempt at txn_.spec under a fresh (younger) txn id.
+  void BeginAttempt();
   void AcquireNext();
-  void OnAcquireResult(std::size_t index, AcquireResult result);
-  void CommitAndRelease();
-  void AbortAndRetry(std::size_t acquired);
-  /// Wound-wait revoked a *held* lock: abort the transaction without
-  /// releasing the wounded lock (its entry is already gone server-side).
+  void OnAcquireResult(TxnId txn, AcquireResult result);
+  void Commit(TxnId txn);
   void OnWound(LockId lock, TxnId txn);
-  /// Backoff, fresh (younger) txn id, re-run the same spec.
+  /// Backoff, then re-run the same spec.
   void ScheduleRetry();
 
   Simulator& sim_;
   LockSession& session_;
   std::unique_ptr<WorkloadGenerator> workload_;
-  std::uint32_t engine_id_;
   Rng rng_;
   TxnEngineConfig config_;
-
-  TxnSpec current_;
-  TxnId current_txn_ = kInvalidTxn;
-  std::uint64_t txn_counter_ = 0;
-  std::size_t next_lock_ = 0;
-  SimTime txn_start_ = 0;
-  SimTime lock_issue_ = 0;
+  TxnDriver<LockSessionSink> driver_;
+  TxnIdSource ids_;
+  TxnState txn_;
 
   bool stopped_ = false;
   bool idle_ = true;
-  /// Between an abort (die/wound/timeout) and the retry actually starting:
-  /// suppresses the scheduled commit and any second wound for the same txn
-  /// (current_txn_ only changes when the retry begins).
-  bool aborting_ = false;
-  std::uint64_t completed_txns_ = 0;
   bool recording_ = false;
-  std::uint64_t aborts_ = 0;
-  std::uint64_t wounds_ = 0;
-  /// Sum over committed transactions of their lock-set sizes. Unlike raw
-  /// grant counts this is timing-independent on a fixed-count run, so the
-  /// cross-backend tests can compare it exactly.
-  std::uint64_t committed_lock_grants_ = 0;
-  RunMetrics metrics_;
   TimeSeries* commit_series_ = nullptr;
   /// Registry counters updated unconditionally (not gated on recording):
   /// the TimeSeriesSampler derives throughput-over-time from their deltas,

@@ -67,7 +67,10 @@ std::vector<FlightRecorder::Event> FlightRecorder::Snapshot() const {
     const std::uint64_t first =
         next > capacity_ ? next - capacity_ : 0;
     for (std::uint64_t seq = first; seq < next; ++seq) {
-      out.push_back(ring->slots[seq & ring->mask]);
+      Event& slot = ring->slots[seq & ring->mask];
+      out.push_back({Get(slot.ts), Get(slot.seq), Get(slot.lock),
+                     Get(slot.txn), Get(slot.client), Get(slot.shard),
+                     Get(slot.op), Get(slot.mode)});
     }
   }
   std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {

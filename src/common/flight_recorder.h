@@ -7,7 +7,7 @@
 // says nothing about *which* grant overlapped *which* release. The flight
 // recorder keeps the last `capacity` protocol events per core (op, lock,
 // mode, txn, timestamp, per-shard sequence) in a preallocated ring; a write
-// is a few plain stores plus one release store of the shard's cursor, so
+// is a few relaxed stores plus one release store of the shard's cursor, so
 // keeping it always-on costs a fraction of a request's work. On dump the
 // rings are merged, sorted by timestamp, and written in both a
 // human-readable text form and JSON; `tools/netlock_fr` pretty-prints
@@ -76,14 +76,15 @@ class FlightRecorder {
     Ring& ring = *rings_[static_cast<std::size_t>(shard)];
     const std::uint64_t seq = ring.next.load(std::memory_order_relaxed);
     Event& slot = ring.slots[seq & ring.mask];
-    slot.ts = ts;
-    slot.seq = seq;
-    slot.lock = lock;
-    slot.txn = txn;
-    slot.client = client;
-    slot.shard = static_cast<std::uint16_t>(shard);
-    slot.op = op;
-    slot.mode = mode;
+    // Relaxed atomic stores compile to plain moves on x86.
+    Put(slot.ts, ts);
+    Put(slot.seq, seq);
+    Put(slot.lock, lock);
+    Put(slot.txn, txn);
+    Put(slot.client, client);
+    Put(slot.shard, static_cast<std::uint16_t>(shard));
+    Put(slot.op, op);
+    Put(slot.mode, mode);
     // Publish after the slot is fully written: a concurrent Snapshot that
     // acquires `next` sees complete slots for every index below it.
     ring.next.store(seq + 1, std::memory_order_release);
@@ -129,6 +130,17 @@ class FlightRecorder {
   static void FatalDumpNow();
 
  private:
+  /// Slot fields are only touched through these, by Record and Snapshot,
+  /// so the torn read the concurrency contract allows is not a data race.
+  template <typename T>
+  static void Put(T& field, T value) {
+    std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+  }
+  template <typename T>
+  static T Get(T& field) {
+    return std::atomic_ref<T>(field).load(std::memory_order_relaxed);
+  }
+
   struct alignas(64) Ring {
     explicit Ring(std::size_t cap) : slots(cap), mask(cap - 1) {}
     std::vector<Event> slots;

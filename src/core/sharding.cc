@@ -251,25 +251,23 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
   // move it down to the source's server (pause -> drain -> TakeOwnership,
   // the control plane's own protocol), then poll until every grant has
   // been released and nothing is buffered.
-  auto poll = std::make_shared<std::function<void()>>();
   const SimTime interval = options_.rehome_poll_interval;
-  *poll = [this, lock, from_rack, finish = std::move(finish), poll,
-           interval]() {
+  auto drained = [this, lock, from_rack, finish = std::move(finish)]() {
     NetLockManager& source = *racks_[from_rack];
     LockServer& server = source.control_plane().ServerObjFor(lock);
     if (!server.QueueEmpty(lock) || server.OverflowDepth(lock) > 0) {
-      net_.sim().Schedule(interval, *poll);
-      return;
+      return false;
     }
     finish();
+    return true;
   };
   if (src.lock_switch().IsInstalled(lock)) {
     src.control_plane().MoveLockToServer(
-        lock, [this, poll, interval]() {
-          net_.sim().Schedule(interval, *poll);
+        lock, [this, interval, drained = std::move(drained)]() {
+          PollUntil(net_.sim(), interval, drained);
         });
   } else {
-    net_.sim().Schedule(interval, *poll);
+    PollUntil(net_.sim(), interval, std::move(drained));
   }
   return true;
 }

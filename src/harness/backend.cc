@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -123,29 +122,6 @@ struct RtRig {
   void Finish(BackendRunResult& result) {
     pool.Join();
     service.Stop();
-    if (std::getenv("NETLOCK_RT_DEBUG") != nullptr) {
-      const rt::RtLockService::Stats ts = service.TotalStats();
-      std::fprintf(stderr,
-                   "[rt-debug] req=%llu grants=%llu batches=%llu "
-                   "max_batch=%llu flushes=%llu staged=%llu\n",
-                   (unsigned long long)ts.requests,
-                   (unsigned long long)ts.grants,
-                   (unsigned long long)ts.batches,
-                   (unsigned long long)ts.max_batch,
-                   (unsigned long long)ts.flushes,
-                   (unsigned long long)ts.staged_completions);
-      for (int c = 0; c < service.cores(); ++c) {
-        const rt::RtExecutor::IdleStats idle =
-            service.executor().idle_stats(c);
-        std::fprintf(stderr,
-                     "[rt-debug] core%d work=%llu spins=%llu yields=%llu "
-                     "parks=%llu\n",
-                     c, (unsigned long long)idle.work_rounds,
-                     (unsigned long long)idle.spins,
-                     (unsigned long long)idle.yields,
-                     (unsigned long long)idle.parks);
-      }
-    }
     pool.PublishTelemetry(registry);
     result.metrics = pool.Collect();
     result.commits = pool.TotalCommits();

@@ -22,7 +22,7 @@ RtClientPool::RtClientPool(RtLockService& service,
   const int num_clients = service_.num_clients();
   threads_.reserve(static_cast<std::size_t>(num_clients));
   for (int c = 0; c < num_clients; ++c) {
-    auto ct = std::make_unique<ClientThread>();
+    auto ct = std::make_unique<ClientThread>(this);
     ct->index = c;
     ct->first_session = c * config_.sessions_per_client;
     ct->sessions.resize(
@@ -34,7 +34,7 @@ RtClientPool::RtClientPool(RtLockService& service,
                      static_cast<std::uint64_t>(global));
       sess.workload = factory_(global);
       NETLOCK_CHECK(sess.workload != nullptr);
-      sess.engine_id = static_cast<std::uint32_t>(global + 1);
+      sess.ids.engine_id = static_cast<std::uint32_t>(global + 1);
     }
     ct->staged.resize(static_cast<std::size_t>(service_.cores()));
     for (auto& buf : ct->staged) buf.reserve(config_.poll_batch);
@@ -61,12 +61,9 @@ void RtClientPool::Join() {
 }
 
 void RtClientPool::RunClient(ClientThread& ct) {
-  std::size_t live = 0;
-  for (Session& s : ct.sessions) {
-    s.active = true;
-    ++live;
-    BeginTxn(ct, s);
-  }
+  std::size_t live = ct.sessions.size();
+  const SimTime start = substrate_.Now();
+  for (Session& s : ct.sessions) BeginTxn(ct, s, start);
   FlushStaged(ct);  // Every session's first acquire, one flush per core.
   std::vector<RtCompletion> buf(config_.poll_batch);
   int idle = 0;
@@ -82,22 +79,32 @@ void RtClientPool::RunClient(ClientThread& ct) {
     }
     idle = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (OnGrant(ct, buf[i])) --live;
+      if (OnCompletion(ct, buf[i])) --live;
     }
-    // One flush per poll iteration: everything OnGrant staged (next
+    // One flush per poll iteration: everything OnCompletion staged (next
     // acquires, commit releases, cancels) and every resumed session's
     // first acquire goes out in per-core batches.
     FlushStaged(ct);
   }
-  // The OnGrant that idled the last session staged its final releases
+  // The OnCompletion that idled the last session staged its final releases
   // after the flush above — push them before the thread exits, or the
   // engine would leak held locks.
   FlushStaged(ct);
 }
 
-void RtClientPool::EnqueueRequest(ClientThread& ct, const RtRequest& rt) {
-  ct.staged[static_cast<std::size_t>(service_.CoreFor(rt.lock))]
-      .push_back(rt);
+void RtClientPool::StageSink::operator()(TxnOp op, const LockRequest& req,
+                                         TxnId txn) const {
+  pool->Stage(*ct,
+              op == TxnOp::kRelease ? RtRequest::Op::kRelease
+                                    : RtRequest::Op::kCancel,
+              req, txn);
+}
+
+void RtClientPool::Stage(ClientThread& ct, RtRequest::Op op,
+                         const LockRequest& req, TxnId txn) {
+  const RtRequest rt{op, req.mode, req.lock, txn,
+                     static_cast<std::uint32_t>(ct.index)};
+  ct.staged[static_cast<std::size_t>(service_.CoreFor(rt.lock))].push_back(rt);
 }
 
 void RtClientPool::FlushStaged(ClientThread& ct) {
@@ -110,146 +117,72 @@ void RtClientPool::FlushStaged(ClientThread& ct) {
   }
 }
 
-void RtClientPool::BeginTxn(ClientThread& ct, Session& s) {
-  s.current = s.workload->Next(s.rng);
-  NETLOCK_CHECK(!s.current.locks.empty());
-  // Workloads emit sorted, deduplicated lock sets (deadlock avoidance by
-  // global order) and rt conflict units are the lock ids themselves, so no
-  // re-normalization is needed here.
-  s.txn = (static_cast<TxnId>(s.engine_id) << 40) | ++s.counter;
-  s.next_lock = 0;
-  s.txn_start = substrate_.Now();
-  SubmitAcquire(ct, s);
+void RtClientPool::BeginTxn(ClientThread& ct, Session& s, SimTime now) {
+  s.txn.spec = s.workload->Next(s.rng);
+  // No OrderLockSet: rt conflict units are the lock ids, ordered workloads
+  // already emit sorted, deduplicated sets, and unordered ones are
+  // deadlock-prone on purpose (the sim runs them with
+  // preserve_workload_order).
+  ct.driver.Begin(s.txn, s.ids.Next(), now);
+  SubmitAcquire(ct, s, now);
 }
 
-void RtClientPool::SubmitAcquire(ClientThread& ct, Session& s) {
-  const LockRequest& req = s.current.locks[s.next_lock];
-  s.lock_issue = substrate_.Now();
-  if (recording_.load(std::memory_order_acquire)) {
-    ++ct.metrics.lock_requests;
-  }
-  RtRequest rt;
-  rt.op = RtRequest::Op::kAcquire;
-  rt.mode = req.mode;
-  rt.lock = req.lock;
-  rt.txn = s.txn;
-  rt.client = static_cast<std::uint32_t>(ct.index);
-  EnqueueRequest(ct, rt);
+void RtClientPool::SubmitAcquire(ClientThread& ct, Session& s, SimTime now) {
+  const LockRequest& req = ct.driver.Issue(
+      s.txn, now, recording_.load(std::memory_order_acquire));
+  Stage(ct, RtRequest::Op::kAcquire, req, s.txn.id);
 }
 
-bool RtClientPool::OnGrant(ClientThread& ct, const RtCompletion& comp) {
-  const int global = static_cast<int>(comp.txn >> 40) - 1;
+bool RtClientPool::OnCompletion(ClientThread& ct, const RtCompletion& comp) {
+  const int global = static_cast<int>(EngineOfTxn(comp.txn)) - 1;
   const int local = global - ct.first_session;
   NETLOCK_CHECK(local >= 0 &&
                 local < static_cast<int>(ct.sessions.size()));
   Session& s = ct.sessions[static_cast<std::size_t>(local)];
-  if (comp.txn != s.txn || !s.active || s.backoff) {
-    // Stale: a completion for a transaction the session already aborted.
-    // Any stale *grant*'s queue entry was covered by the abort's kCancel
-    // (or removed by the wound itself), so dropping it leaks nothing.
-    return false;
-  }
-  if (comp.status == RtCompletion::Status::kAborted) {
-    OnAbort(ct, s, comp);
-    return false;
-  }
-  NETLOCK_CHECK(s.next_lock < s.current.locks.size());
-  NETLOCK_CHECK(comp.lock == s.current.locks[s.next_lock].lock);
+  TxnState& t = s.txn;
+  // Stale: a completion for an attempt the session already ended. Any
+  // stale *grant*'s queue entry was covered by the abort's kCancel (or
+  // removed by the wound itself), so dropping it leaks nothing.
+  if (!t.Is(comp.txn)) return false;
   const bool rec = recording_.load(std::memory_order_acquire);
-  if (rec || config_.telemetry) {
-    // One clock read feeds both the windowed RunMetrics recorder and the
-    // always-on sharded histogram.
-    const SimTime now = substrate_.Now();
-    if (config_.telemetry) {
-      domain_.Record(ct.index, h_lock_latency_, now - s.lock_issue);
+  // One clock read per completion feeds the RunMetrics recorder, the
+  // always-on sharded histograms, the backoff deadline and the next issue.
+  const SimTime now = substrate_.Now();
+  if (comp.status == RtCompletion::Status::kAborted) {
+    // Per-core FIFO completion order puts a grant before any wound of the
+    // same entry, so an abort naming the pending lock refused the acquire
+    // (die, or a wound of the still-queued entry) and an abort naming any
+    // other lock wounded a held one.
+    if (comp.lock == t.pending_lock()) {
+      ct.driver.Abort(t, comp.txn, rec);
+    } else {
+      ct.driver.Wound(t, comp.txn, comp.lock, rec);
     }
-    if (rec) {
-      ++ct.metrics.lock_grants;
-      ct.metrics.lock_latency.Record(now - s.lock_issue);
-    }
+    s.backoff = true;
+    s.retry_at = now + config_.abort_backoff;
+    return false;
   }
-  ++s.next_lock;
-  if (s.next_lock < s.current.locks.size()) {
-    SubmitAcquire(ct, s);
+  NETLOCK_CHECK(comp.lock == t.pending_lock());
+  if (config_.telemetry) {
+    domain_.Record(ct.index, h_lock_latency_, now - t.lock_issued);
+  }
+  if (ct.driver.Grant(t, comp.txn, now, rec) == GrantStep::kAcquireNext) {
+    SubmitAcquire(ct, s, now);
     return false;
   }
   // All locks held: commit and release (no think time — the rt backend
   // measures the lock service, not a database).
-  for (const LockRequest& req : s.current.locks) {
-    RtRequest rt;
-    rt.op = RtRequest::Op::kRelease;
-    rt.mode = req.mode;
-    rt.lock = req.lock;
-    rt.txn = s.txn;
-    rt.client = static_cast<std::uint32_t>(ct.index);
-    EnqueueRequest(ct, rt);
-  }
-  ++ct.commits;
+  ct.driver.Commit(t, comp.txn, now, rec);
   ++s.committed;
-  ct.committed_lock_grants += s.current.locks.size();
-  if (rec || config_.telemetry) {
-    const SimTime now = substrate_.Now();
-    if (config_.telemetry) {
-      domain_.Inc(ct.index, c_commits_);
-      domain_.Record(ct.index, h_txn_latency_, now - s.txn_start);
-    }
-    if (rec) {
-      ++ct.metrics.txn_commits;
-      ct.metrics.txn_latency.Record(now - s.txn_start);
-    }
+  if (config_.telemetry) {
+    domain_.Inc(ct.index, c_commits_);
+    domain_.Record(ct.index, h_txn_latency_, now - t.started);
   }
   const bool budget_done = config_.txns_per_session != 0 &&
                            s.committed >= config_.txns_per_session;
-  if (budget_done || stop_.load(std::memory_order_acquire)) {
-    s.active = false;
-    return true;
-  }
-  BeginTxn(ct, s);
+  if (budget_done || stop_.load(std::memory_order_acquire)) return true;
+  BeginTxn(ct, s, now);
   return false;
-}
-
-void RtClientPool::OnAbort(ClientThread& ct, Session& s,
-                           const RtCompletion& comp) {
-  ++ct.aborts;
-  if (recording_.load(std::memory_order_acquire)) ++ct.metrics.retries;
-  // Was the aborted entry our still-pending acquire (die / wound of a
-  // not-yet-granted entry) or an already-held lock (wound)? Per-core FIFO
-  // completion order guarantees a grant always precedes a wound of the
-  // same entry, so this test is unambiguous.
-  const bool pending = s.next_lock < s.current.locks.size() &&
-                       comp.lock == s.current.locks[s.next_lock].lock;
-  if (!pending) ++ct.wounds;
-  // Two-phase-locking abort: release the held prefix. A wounded held lock
-  // is skipped — its queue entry is already gone, and releasing it would
-  // pop some other waiter's entry.
-  for (std::size_t i = 0; i < s.next_lock; ++i) {
-    const LockRequest& req = s.current.locks[i];
-    if (!pending && req.lock == comp.lock) continue;
-    RtRequest rt;
-    rt.op = RtRequest::Op::kRelease;
-    rt.mode = req.mode;
-    rt.lock = req.lock;
-    rt.txn = s.txn;
-    rt.client = static_cast<std::uint32_t>(ct.index);
-    EnqueueRequest(ct, rt);
-  }
-  // A wound with an acquire still in flight: that acquire can no longer be
-  // answered usefully — tell the manager to drop whatever entry it creates
-  // (idempotent if it never queued), so a doomed entry never stalls the
-  // queue. Submitted through the same mailbox as the acquire, so it is
-  // processed after it.
-  if (!pending && s.next_lock < s.current.locks.size()) {
-    const LockRequest& req = s.current.locks[s.next_lock];
-    RtRequest rt;
-    rt.op = RtRequest::Op::kCancel;
-    rt.mode = req.mode;
-    rt.lock = req.lock;
-    rt.txn = s.txn;
-    rt.client = static_cast<std::uint32_t>(ct.index);
-    EnqueueRequest(ct, rt);
-  }
-  s.backoff = true;
-  s.retry_at = substrate_.Now() + config_.abort_backoff;
 }
 
 std::size_t RtClientPool::ResumeBackoffs(ClientThread& ct,
@@ -268,16 +201,13 @@ std::size_t RtClientPool::ResumeBackoffs(ClientThread& ct,
     if (!s.backoff || now < s.retry_at) continue;
     s.backoff = false;
     if (stop_.load(std::memory_order_acquire)) {
-      s.active = false;
       ++idled;
       continue;
     }
     // Fresh (younger) txn id, same spec — mirrors the simulated TxnEngine,
     // which is what keeps fixed-count commit totals backend-identical.
-    s.txn = (static_cast<TxnId>(s.engine_id) << 40) | ++s.counter;
-    s.next_lock = 0;
-    s.txn_start = now;
-    SubmitAcquire(ct, s);
+    ct.driver.Begin(s.txn, s.ids.Next(), now);
+    SubmitAcquire(ct, s, now);
     ++resumed;
   }
   return resumed;
@@ -286,36 +216,19 @@ std::size_t RtClientPool::ResumeBackoffs(ClientThread& ct,
 RunMetrics RtClientPool::Collect() const {
   RunMetrics total;
   for (const auto& ct : threads_) {
-    total.lock_grants += ct->metrics.lock_grants;
-    total.lock_requests += ct->metrics.lock_requests;
-    total.txn_commits += ct->metrics.txn_commits;
-    total.lock_latency.Merge(ct->metrics.lock_latency);
-    total.txn_latency.Merge(ct->metrics.txn_latency);
+    const RunMetrics& m = ct->driver.metrics();
+    total.lock_grants += m.lock_grants;
+    total.lock_requests += m.lock_requests;
+    total.txn_commits += m.txn_commits;
+    total.lock_latency.Merge(m.lock_latency);
+    total.txn_latency.Merge(m.txn_latency);
   }
   return total;
 }
 
-std::uint64_t RtClientPool::TotalCommits() const {
+std::uint64_t RtClientPool::Sum(std::uint64_t TxnCounters::*counter) const {
   std::uint64_t total = 0;
-  for (const auto& ct : threads_) total += ct->commits;
-  return total;
-}
-
-std::uint64_t RtClientPool::TotalAborts() const {
-  std::uint64_t total = 0;
-  for (const auto& ct : threads_) total += ct->aborts;
-  return total;
-}
-
-std::uint64_t RtClientPool::TotalWounds() const {
-  std::uint64_t total = 0;
-  for (const auto& ct : threads_) total += ct->wounds;
-  return total;
-}
-
-std::uint64_t RtClientPool::TotalCommittedLockGrants() const {
-  std::uint64_t total = 0;
-  for (const auto& ct : threads_) total += ct->committed_lock_grants;
+  for (const auto& ct : threads_) total += ct->driver.counters().*counter;
   return total;
 }
 

@@ -1,14 +1,15 @@
 // Closed-loop client workers for the real-time backend.
 //
-// The wall-clock twin of the simulated TxnEngine: each client thread
-// multiplexes several closed-loop sessions, each drawing transactions from
-// its own workload generator + Rng (seeded exactly like the simulated
-// engines, so the per-session request streams are identical across
-// backends), acquiring the locks in order (two-phase locking, growing
-// phase), then releasing and committing. Sessions are coroutine-style
-// state machines: a thread submits an acquire, and the session advances
-// only when the matching grant appears in its completion ring — so one
-// thread drives many concurrent transactions without blocking.
+// The wall-clock closed loop over the shared 2PL TxnDriver (the simulated
+// TxnEngine runs the same driver): each client thread multiplexes several
+// closed-loop sessions, each drawing transactions from its own workload
+// generator + Rng (seeded exactly like the simulated engines, so the
+// per-session request streams are identical across backends), acquiring
+// the locks in order, then releasing and committing. Sessions advance only
+// when the matching completion appears in the thread's completion ring, so
+// one thread drives many concurrent transactions without blocking. This
+// class is the rt scheduling around the driver: threads, polling, per-core
+// staging of every request the driver emits, and abort backoff.
 #pragma once
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "client/txn_driver.h"
 #include "common/stats.h"
 #include "common/telemetry.h"
 #include "common/types.h"
@@ -78,16 +80,17 @@ class RtClientPool {
   /// Merged per-thread metrics. Call after Join().
   RunMetrics Collect() const;
 
-  /// Committed transactions across all sessions (unconditional, not gated
-  /// on recording). Call after Join().
-  std::uint64_t TotalCommits() const;
-
-  /// Policy aborts (die + wound) across all sessions. Call after Join().
-  std::uint64_t TotalAborts() const;
-  /// Held-lock revocations (wound-wait) across all sessions.
-  std::uint64_t TotalWounds() const;
-  /// Sum of committed transactions' lock-set sizes. Call after Join().
-  std::uint64_t TotalCommittedLockGrants() const;
+  /// TxnCounters summed across all sessions (unconditional, not gated on
+  /// recording). Call after Join().
+  std::uint64_t TotalCommits() const { return Sum(&TxnCounters::commits); }
+  /// Policy aborts (die + wound).
+  std::uint64_t TotalAborts() const { return Sum(&TxnCounters::aborts); }
+  /// Held-lock revocations (wound-wait).
+  std::uint64_t TotalWounds() const { return Sum(&TxnCounters::wounds); }
+  /// Sum of committed transactions' lock-set sizes.
+  std::uint64_t TotalCommittedLockGrants() const {
+    return Sum(&TxnCounters::committed_lock_grants);
+  }
 
   int num_sessions() const {
     return service_.num_clients() * config_.sessions_per_client;
@@ -108,26 +111,30 @@ class RtClientPool {
   }
 
  private:
+  struct ClientThread;
+
+  /// TxnDriver sink: stages releases and cancels for the next flush.
+  struct StageSink {
+    RtClientPool* pool;
+    ClientThread* ct;
+    void operator()(TxnOp op, const LockRequest& req, TxnId txn) const;
+  };
+
   struct Session {
     Rng rng{1};
     std::unique_ptr<WorkloadGenerator> workload;
-    std::uint32_t engine_id = 0;  ///< Global session index + 1.
-    TxnSpec current;
-    TxnId txn = kInvalidTxn;
-    std::uint64_t counter = 0;
-    std::size_t next_lock = 0;
-    SimTime txn_start = 0;
-    SimTime lock_issue = 0;
+    TxnIdSource ids;  ///< Engine id = global session index + 1.
+    TxnState txn;
     std::uint64_t committed = 0;
-    bool active = false;
-    /// Policy abort (die or wound) tore the transaction down; the session
-    /// resumes — same spec, fresh txn id — once substrate time reaches
-    /// retry_at. Completions for the aborted txn id are dropped meanwhile.
+    /// A policy abort (die or wound) ended the attempt; the session resumes
+    /// (same spec, fresh txn id) once substrate time reaches retry_at.
     bool backoff = false;
     SimTime retry_at = 0;
   };
 
   struct ClientThread {
+    explicit ClientThread(RtClientPool* pool) : driver(StageSink{pool, this}) {}
+
     int index = 0;
     int first_session = 0;  ///< Global index of sessions[0].
     std::vector<Session> sessions;
@@ -135,32 +142,26 @@ class RtClientPool {
     /// flush once per poll-loop iteration via RtLockService::SubmitBatch —
     /// one ring publish and one doorbell per flush instead of per request.
     std::vector<std::vector<RtRequest>> staged;
-    RunMetrics metrics;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;  ///< Policy aborts (die + wound).
-    std::uint64_t wounds = 0;  ///< Of those, held-lock revocations.
-    /// Sum of committed transactions' lock-set sizes (timing-independent
-    /// on fixed-count runs; the cross-backend tests compare it exactly).
-    std::uint64_t committed_lock_grants = 0;
+    /// 2PL transitions and this thread's metrics and counters.
+    TxnDriver<StageSink> driver;
     std::thread thread;
   };
 
   void RunClient(ClientThread& ct);
-  void BeginTxn(ClientThread& ct, Session& s);
-  void SubmitAcquire(ClientThread& ct, Session& s);
+  void BeginTxn(ClientThread& ct, Session& s, SimTime now);
+  void SubmitAcquire(ClientThread& ct, Session& s, SimTime now);
   /// Stages a request in its core's buffer for the next flush.
-  void EnqueueRequest(ClientThread& ct, const RtRequest& rt);
+  void Stage(ClientThread& ct, RtRequest::Op op, const LockRequest& req,
+             TxnId txn);
   /// Flushes every nonempty per-core staging buffer with SubmitBatch.
   void FlushStaged(ClientThread& ct);
   /// Returns true when the session went idle (txn budget / stop flag).
-  bool OnGrant(ClientThread& ct, const RtCompletion& comp);
-  /// Policy abort for a session's current txn: release survivors, cancel
-  /// the in-flight acquire if any, enter backoff.
-  void OnAbort(ClientThread& ct, Session& s, const RtCompletion& comp);
+  bool OnCompletion(ClientThread& ct, const RtCompletion& comp);
   /// Restarts sessions whose backoff expired (fresh txn id, same spec);
   /// sessions resumed after StopIssuing go idle and bump `idled` instead.
   /// Returns the number resumed.
   std::size_t ResumeBackoffs(ClientThread& ct, std::size_t& idled);
+  std::uint64_t Sum(std::uint64_t TxnCounters::*counter) const;
 
   RtLockService& service_;
   ExecutionSubstrate& substrate_;

@@ -101,4 +101,15 @@ class Simulator {
   MetricGauge& depth_metric_;  ///< Pending-event depth (hwm = high water).
 };
 
+/// Calls `step` every `interval`, first one interval from now, until it
+/// returns true. Each scheduled event owns `step` and moves it into the next
+/// one, so it is destroyed right after the call that returns true (the
+/// control plane's drain and re-home polls).
+template <typename Step>
+void PollUntil(Simulator& sim, SimTime interval, Step step) {
+  sim.Schedule(interval, [&sim, interval, step = std::move(step)]() mutable {
+    if (!step()) PollUntil(sim, interval, std::move(step));
+  });
+}
+
 }  // namespace netlock

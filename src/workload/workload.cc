@@ -1,23 +1,11 @@
 #include "workload/workload.h"
 
-#include <algorithm>
+#include "client/txn_driver.h"
 
 namespace netlock {
 
 void NormalizeTxn(TxnSpec& txn) {
-  std::sort(txn.locks.begin(), txn.locks.end(),
-            [](const LockRequest& a, const LockRequest& b) {
-              if (a.lock != b.lock) return a.lock < b.lock;
-              // Exclusive before shared so the merge below keeps it.
-              return a.mode == LockMode::kExclusive &&
-                     b.mode == LockMode::kShared;
-            });
-  txn.locks.erase(
-      std::unique(txn.locks.begin(), txn.locks.end(),
-                  [](const LockRequest& a, const LockRequest& b) {
-                    return a.lock == b.lock;
-                  }),
-      txn.locks.end());
+  OrderLockSet(txn.locks, [](LockId lock) { return lock; });
 }
 
 }  // namespace netlock

@@ -41,7 +41,8 @@ class WorkloadGenerator {
 };
 
 /// Sorts by lock id and merges duplicates (an exclusive request subsumes a
-/// shared one for the same lock).
+/// shared one for the same lock): the 2PL acquire order (OrderLockSet in
+/// client/txn_driver.h) with every lock its own conflict unit.
 void NormalizeTxn(TxnSpec& txn);
 
 }  // namespace netlock

@@ -182,19 +182,5 @@ TEST_F(OpenLoopTest, MixedEmptyAndNonEmptyTxnsDrainCleanly) {
   EXPECT_EQ(engine.outstanding(), 0u);
 }
 
-TEST(OpenLoopTxnIdTest, CounterStaysOutOfEngineBits) {
-  const TxnId id = OpenLoopEngine::MakeTxnId(
-      7, (std::uint64_t{1} << OpenLoopEngine::kCounterBits) - 1);
-  EXPECT_EQ(id >> OpenLoopEngine::kCounterBits, 7u);
-}
-
-TEST(OpenLoopTxnIdDeathTest, CounterOverflowIntoEngineBitsIsChecked) {
-  // Regression: (engine_id << 40) | ++counter let an overflowing counter
-  // silently corrupt the engine-id bits, aliasing txn ids across engines.
-  EXPECT_DEATH(OpenLoopEngine::MakeTxnId(
-                   1, std::uint64_t{1} << OpenLoopEngine::kCounterBits),
-               "counter");
-}
-
 }  // namespace
 }  // namespace netlock
