@@ -29,8 +29,8 @@ struct Result {
 };
 
 Result Run(bool one_rtt, int num_sessions, LockId num_locks,
-           SimTime duration) {
-  Simulator sim;
+           SimTime duration, SimContext& context) {
+  Simulator sim(&context);
   Network net(sim, /*latency=*/2500);
   LockSwitchConfig sw_config;
   LockSwitch lock_switch(net, sw_config);
@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
   Table table({"mode", "items(MTPS)", "avg(us)", "p50(us)", "p99(us)"});
   for (const bool one_rtt : {false, true}) {
     const Result r =
-        Run(one_rtt, /*num_sessions=*/32, /*num_locks=*/4096, duration);
+        Run(one_rtt, /*num_sessions=*/32, /*num_locks=*/4096, duration,
+            report.context());
     table.AddRow({one_rtt ? "one-RTT" : "basic (grant + fetch)",
                   Fmt(r.mtps, 3),
                   FmtUs(static_cast<SimTime>(r.latency.Mean())),

@@ -63,8 +63,11 @@ void AnalyticTable(BenchReport& report) {
   table.Print();
 }
 
-double RunTpcc(bool use_static, std::uint32_t fixed_slots, bool quick) {
+double RunTpcc(bool use_static, std::uint32_t fixed_slots,
+               BenchReport& report) {
+  const bool quick = report.quick();
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   config.client_machines = 10;
   config.sessions_per_machine = 32;
@@ -102,10 +105,9 @@ int main(int argc, char** argv) {
   AnalyticTable(report);
   Banner("End-to-end TPC-C lock throughput (MRPS), 3000 slots");
   Table table({"allocation", "tput(MRPS)"});
-  const bool quick = report.quick();
   auto add = [&](const char* table_name, const char* run_label,
                  bool use_static, std::uint32_t fixed_slots) {
-    const double mrps = RunTpcc(use_static, fixed_slots, quick);
+    const double mrps = RunTpcc(use_static, fixed_slots, report);
     table.AddRow({table_name, Fmt(mrps, 2)});
     report.AddRun(run_label).throughput_mrps = mrps;
   };

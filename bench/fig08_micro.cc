@@ -26,8 +26,9 @@ SimTime Measure(const BenchReport& report) {
   return report.quick() ? 5 * kMillisecond : 20 * kMillisecond;
 }
 
-TestbedConfig BaseConfig(int sessions_per_machine) {
+TestbedConfig BaseConfig(BenchReport& report, int sessions_per_machine) {
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   config.client_machines = 12;
   config.sessions_per_machine = sessions_per_machine;
@@ -44,7 +45,7 @@ void LatencyVsThroughput(const char* title, double shared_fraction,
   const std::vector<int> sweep =
       report.quick() ? std::vector<int>{8, 48} : std::vector<int>{2, 8, 24, 48, 64};
   for (const int sessions : sweep) {
-    TestbedConfig config = BaseConfig(sessions);
+    TestbedConfig config = BaseConfig(report, sessions);
     MicroConfig micro;
     micro.num_locks = 100'000;  // No contention.
     micro.shared_fraction = shared_fraction;
@@ -82,7 +83,7 @@ void OpenLoopSweep(const char* title, double shared_fraction,
                      : std::vector<double>{10.0, 40.0, 80.0, 120.0, 160.0};
   const SimTime window = report.quick() ? 3 * kMillisecond : 10 * kMillisecond;
   for (const double offered_mrps : sweep) {
-    Simulator sim;
+    Simulator sim(&report.context());
     Network net(sim, 2500);
     LockSwitchConfig sw_config;
     sw_config.queue_capacity = 200'000 + 4096;
@@ -150,7 +151,7 @@ void ContentionSweep(BenchReport& report) {
                      : std::vector<LockId>{500u, 2000u, 4000u, 6000u, 8000u,
                                            10000u};
   for (const LockId locks : sweep) {
-    TestbedConfig config = BaseConfig(/*sessions_per_machine=*/64);
+    TestbedConfig config = BaseConfig(report, /*sessions_per_machine=*/64);
     MicroConfig micro;
     micro.num_locks = locks;
     micro.shared_fraction = 0.0;

@@ -30,8 +30,9 @@ const Workload kWorkloads[] = {
 };
 
 RunMetrics RunOne(SystemKind system, const Workload& workload, int cores,
-                  SimTime measure) {
+                  SimTime measure, SimContext& context) {
   TestbedConfig config;
+  config.context = &context;
   config.system = system;
   config.client_machines = 10;
   config.sessions_per_machine = 48;
@@ -74,7 +75,8 @@ int main(int argc, char** argv) {
   {
     Table table({"workload", "tput(MRPS)"});
     for (const Workload& w : kWorkloads) {
-      const RunMetrics m = RunOne(SystemKind::kNetLock, w, 8, measure);
+      const RunMetrics m = RunOne(SystemKind::kNetLock, w, 8, measure,
+                                  report.context());
       table.AddRow({w.name, Fmt(m.LockThroughputMrps())});
       report.AddRun(std::string("switch/") + w.name, m);
     }
@@ -89,7 +91,8 @@ int main(int argc, char** argv) {
       std::vector<std::string> row{w.name};
       for (const int cores : core_sweep) {
         const RunMetrics m =
-            RunOne(SystemKind::kServerOnly, w, cores, measure);
+            RunOne(SystemKind::kServerOnly, w, cores, measure,
+                   report.context());
         best_server = std::max(best_server, m.LockThroughputMrps());
         row.push_back(Fmt(m.LockThroughputMrps()));
         report.AddRun(std::string("server/") + w.name +

@@ -26,6 +26,7 @@ void ServiceDifferentiation(bool differentiate, BenchReport& report) {
   const SimTime end_at =
       report.quick() ? 150 * kMillisecond : 300 * kMillisecond;
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   config.client_machines = 2;
   config.sessions_per_machine = 5;  // 5 clients per tenant.
@@ -86,6 +87,7 @@ void PerformanceIsolation(bool isolate, BenchReport& report) {
   const SimTime measure =
       report.quick() ? 50 * kMillisecond : 200 * kMillisecond;
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   config.client_machines = 2;
   config.sessions_per_machine = 5;

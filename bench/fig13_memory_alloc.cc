@@ -23,8 +23,10 @@ struct AllocResult {
   std::vector<std::pair<SimTime, double>> cdf;
 };
 
-AllocResult RunOne(bool random_strawman, bool quick) {
+AllocResult RunOne(bool random_strawman, BenchReport& report) {
+  const bool quick = report.quick();
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   // The paper's testbed oversubscribes the two lock servers ~5:1 (ten DPDK
   // clients at 18 MRPS vs ~36 MRPS of server capacity). Closed-loop
@@ -73,9 +75,8 @@ int main(int argc, char** argv) {
       "NetLock reproduction — Figure 13 (memory allocation mechanisms)\n"
       "TPC-C low contention, 10 clients + 2 lock servers, %u switch slots\n",
       kSwitchSlots);
-  const AllocResult random = RunOne(/*random_strawman=*/true, report.quick());
-  const AllocResult knapsack =
-      RunOne(/*random_strawman=*/false, report.quick());
+  const AllocResult random = RunOne(/*random_strawman=*/true, report);
+  const AllocResult knapsack = RunOne(/*random_strawman=*/false, report);
 
   Banner("Figure 13(a): throughput breakdown (MRPS)");
   Table table({"allocation", "switch", "server", "total"});

@@ -75,7 +75,8 @@ void RunSweep(std::vector<SweepPoint>& points, BenchReport& report,
                   std::fprintf(stderr, "  fig14 %s...\n", p.run_name.c_str());
                   p.metrics =
                       RunOne(p.slots, p.think, p.random_alloc, quick, context);
-                });
+                },
+                report.context());
   for (const SweepPoint& p : points) report.AddRun(p.run_name, p.metrics);
 }
 

@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
       static_cast<double>(kRecoverAt) / kSecond);
 
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   config.client_machines = 10;
   config.sessions_per_machine = 8;
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
                     /*profile_duration=*/40 * kMillisecond);
   // Trace the measured run, not the profiling phase: at full sampling the
   // profiling warm-up alone would eat most of the trace capacity.
-  TraceLog::Global().Clear();
+  report.context().trace().Clear();
 
   // The throughput-over-time curve comes from the registry sampler: every
   // engine bumps "client.txn_commits" unconditionally, and the sampler
@@ -119,18 +120,19 @@ int main(int argc, char** argv) {
   Table table({"t(s)", "tput(MTPS)", "phase"});
   // Per-phase aggregate rates for the machine-readable report.
   std::uint64_t phase_commits[3] = {0, 0, 0};
-  for (std::size_t b = 0; b < sampler.num_buckets(); ++b) {
+  const TimeSeriesStore& series = sampler.store();
+  for (std::size_t b = 0; b < series.num_buckets(); ++b) {
     const SimTime t = t0 + b * kBucket;
     const int phase_idx = t < kFailAt ? 0 : t < kRecoverAt ? 1 : 2;
     const char* phase = phase_idx == 0   ? "normal"
                         : phase_idx == 1 ? "FAILED"
                                          : "recovered";
-    phase_commits[phase_idx] += sampler.Delta(0, b);
-    table.AddRow({Fmt(sampler.BucketTimeSeconds(b), 2),
-                  Fmt(sampler.Value(0, b) / 1e6, 3), phase});
+    phase_commits[phase_idx] += series.Delta(0, b);
+    table.AddRow({Fmt(series.BucketTimeSeconds(b), 2),
+                  Fmt(series.Value(0, b) / 1e6, 3), phase});
   }
   table.Print();
-  report.AttachTimeSeries(sampler);
+  report.AttachTimeSeries(series);
   // The "normal" phase is measured from the sampler's (aligned) start, not
   // from t=0: buckets before t0 don't exist.
   const double phase_sec[3] = {

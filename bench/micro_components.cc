@@ -57,13 +57,13 @@ void BM_LockHeaderParse(benchmark::State& state) {
 BENCHMARK(BM_LockHeaderParse);
 
 // The google-benchmark loops run a wall-clock-adaptive number of
-// iterations, so each gets an isolated SimContext: their telemetry must
-// not leak into the report's registry dump, which stays byte-identical
-// across runs (only fixed-iteration scenarios report globally).
+// iterations, so each builds its Simulator without a context (it owns a
+// private one): their telemetry must not leak into the report's registry
+// dump, which stays byte-identical across runs (only fixed-iteration
+// scenarios report into the report's context).
 
 void BM_EventQueuePushPop(benchmark::State& state) {
-  SimContext context;
-  Simulator sim(&context);
+  Simulator sim;
   std::uint64_t t = 0;
   for (auto _ : state) {
     sim.Schedule((t++ % 64), []() {});
@@ -84,8 +84,7 @@ struct SizedEvent {
 /// Push/pop with a round-robin mix of event sizes — the arena must stay
 /// allocation-free across all of them (every size fits kInlineCapacity).
 void BM_EventQueueMixedSizes(benchmark::State& state) {
-  SimContext context;
-  Simulator sim(&context);
+  Simulator sim;
   std::uint64_t sink = 0;
   std::uint64_t t = 0;
   for (auto _ : state) {
@@ -106,8 +105,7 @@ BENCHMARK(BM_EventQueueMixedSizes);
 /// delivery (80-byte Packet + pointer, stored inline in the event arena)
 /// and the event loop delivering it.
 void BM_EventQueuePacketDelivery(benchmark::State& state) {
-  SimContext context;
-  Simulator sim(&context);
+  Simulator sim;
   Network net(sim, /*default_one_way_latency=*/1000);
   std::uint64_t delivered = 0;
   const NodeId receiver = net.AddNode([&](const Packet&) { ++delivered; });
@@ -126,8 +124,7 @@ void BM_EventQueuePacketDelivery(benchmark::State& state) {
 BENCHMARK(BM_EventQueuePacketDelivery);
 
 void BM_SwitchAcquireRelease(benchmark::State& state) {
-  SimContext context;
-  Simulator sim(&context);
+  Simulator sim;
   Network net(sim, 1000);
   LockSwitchConfig config;
   config.queue_capacity = 1024;
@@ -275,10 +272,11 @@ BENCHMARK(BM_TpccNextTxn);
 /// client RTT into per-stage spans. Traces the measured window only (the
 /// profiling phase is cleared), so means reflect steady state.
 void RunLatencyBreakdown(BenchReport& report) {
-  TraceLog& log = TraceLog::Global();
+  TraceLog& log = report.context().trace();
   const bool keep_trace = !report.options().trace_dir.empty();
 
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   config.client_machines = 4;
   config.sessions_per_machine = 4;
@@ -320,7 +318,7 @@ void RunLatencyBreakdown(BenchReport& report) {
 /// simulator-performance section of EXPERIMENTS.md track: the loop must be
 /// allocation-free (fallback delta 0) and fast.
 void RecordEventThroughput(BenchReport& report, bool quick) {
-  Simulator sim;
+  Simulator sim(&report.context());
   Network net(sim, /*default_one_way_latency=*/1000);
   std::uint64_t delivered = 0;
   const NodeId receiver = net.AddNode([&](const Packet&) { ++delivered; });
@@ -454,7 +452,7 @@ int main(int argc, char** argv) {
   // The google-benchmark loops below hammer components millions of times;
   // tracing them would flood the log with junk timestamps. Only the
   // breakdown scenario afterwards records.
-  TraceLog::Global().Disable();
+  report.context().trace().Disable();
   std::vector<char*> bench_argv;
   bench_argv.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {

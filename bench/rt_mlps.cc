@@ -45,8 +45,10 @@ RtMlpsOptions ParseRtMlpsOptions(int argc, char** argv) {
   return options;
 }
 
-BackendRunConfig BaseConfig(bool quick) {
+BackendRunConfig BaseConfig(BenchReport& report) {
+  const bool quick = report.quick();
   BackendRunConfig config;
+  config.context = &report.context();
   config.workload.num_locks = 10'000;  // Low contention: throughput mode.
   config.workload.locks_per_txn = 1;
   config.workload.shared_fraction = 0.0;
@@ -87,7 +89,7 @@ void RunRt(BenchReport& report, const RtMlpsOptions& rt_options) {
       report.quick() ? 200 * kMillisecond : 2 * kSecond;
   for (std::size_t ci = 0; ci < cores_sweep.size(); ++ci) {
     const int cores = cores_sweep[ci];
-    BackendRunConfig config = BaseConfig(report.quick());
+    BackendRunConfig config = BaseConfig(report);
     config.rt_cores = cores;
     config.rt_telemetry = rt_options.telemetry;
     config.rt_stats_socket = rt_options.stats_socket;
@@ -139,6 +141,7 @@ void RunRt(BenchReport& report, const RtMlpsOptions& rt_options) {
 void RunRtContended(BenchReport& report, const RtMlpsOptions& rt_options) {
   Banner("Real-time backend: contended Zipf workload");
   BackendRunConfig config;
+  config.context = &report.context();
   config.workload.num_locks = 512;
   config.workload.locks_per_txn = 2;
   config.workload.shared_fraction = 0.2;
@@ -177,7 +180,7 @@ void RunRtContended(BenchReport& report, const RtMlpsOptions& rt_options) {
 
 void RunSim(BenchReport& report) {
   Banner("Simulated twin: same workload, simulated-time MLPS");
-  BackendRunConfig config = BaseConfig(report.quick());
+  BackendRunConfig config = BaseConfig(report);
   const SimTime warmup = 5 * kMillisecond;
   const SimTime measure =
       report.quick() ? 10 * kMillisecond : 50 * kMillisecond;

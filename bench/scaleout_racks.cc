@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
                   RackPoint& p = points[static_cast<std::size_t>(i)];
                   std::fprintf(stderr, "  scaleout racks=%d...\n", p.racks);
                   RunOne(p, quick, context);
-                });
+                },
+                report.context());
 
   Banner("Aggregate lock throughput (MLPS) vs rack count");
   Table table({"racks", "MLPS", "speedup", "switch%", "balance"});

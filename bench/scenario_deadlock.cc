@@ -66,6 +66,7 @@ void RunRt(BenchReport& report) {
   for (std::size_t pi = 0; pi < std::size(kPolicies); ++pi) {
     const DeadlockPolicy policy = kPolicies[pi];
     BackendRunConfig config;
+    config.context = &report.context();
     // High contention on purpose: few locks, multi-lock transactions,
     // unsorted acquisition order. No-wait burns its throughput on
     // retries here; wound-wait keeps the oldest transaction moving.
@@ -123,7 +124,8 @@ struct ScenarioResult {
   SimTime window = 0;
 };
 
-ScenarioResult RunScenario(DeadlockPolicy policy, bool quick) {
+ScenarioResult RunScenario(DeadlockPolicy policy, BenchReport& report) {
+  const bool quick = report.quick();
   // Sized so the hot window stays saturated through the flash crowd but
   // the whole sweep finishes in simulated milliseconds.
   const int kMachines = 4;
@@ -133,7 +135,7 @@ ScenarioResult RunScenario(DeadlockPolicy policy, bool quick) {
   const SimTime warmup = 20 * kMillisecond;
   const SimTime window = quick ? 120 * kMillisecond : 600 * kMillisecond;
 
-  Simulator sim;
+  Simulator sim(&report.context());
   Network net(sim, /*default_latency=*/4000);
   LockServerConfig server_config;
   server_config.deadlock_policy = policy;
@@ -205,7 +207,7 @@ void RunSim(BenchReport& report) {
       DeadlockPolicy::kNone, DeadlockPolicy::kNoWait,
       DeadlockPolicy::kWaitDie, DeadlockPolicy::kWoundWait};
   for (const DeadlockPolicy policy : policies) {
-    const ScenarioResult result = RunScenario(policy, report.quick());
+    const ScenarioResult result = RunScenario(policy, report);
     const double seconds =
         static_cast<double>(result.window) / static_cast<double>(kSecond);
     const double goodput =

@@ -88,8 +88,9 @@ ControllerConfig DriftControllerConfig() {
   return config;
 }
 
-TestbedConfig DriftTestbedConfig() {
+TestbedConfig DriftTestbedConfig(BenchReport& report) {
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   config.client_machines = 4;
   config.sessions_per_machine = 4;
@@ -126,13 +127,14 @@ struct DriftResult {
   double switch_share = 0.0;
 };
 
-DriftResult RunDrift(bool controller_on, bool quick, BenchReport* report) {
+DriftResult RunDrift(bool controller_on, BenchReport& report) {
+  const bool quick = report.quick();
   const SimTime warmup = 20 * kMillisecond;
   const SimTime drift_period = 40 * kMillisecond;
   const SimTime measure = quick ? 4 * drift_period : 16 * drift_period;
 
   LockId hot_base = 0;  // Outlives the testbed's engines below.
-  TestbedConfig config = DriftTestbedConfig();
+  TestbedConfig config = DriftTestbedConfig(report);
   config.workload_factory = [&hot_base](int) {
     return std::make_unique<DriftWorkload>(&hot_base, kWindow);
   };
@@ -160,7 +162,7 @@ DriftResult RunDrift(bool controller_on, bool quick, BenchReport* report) {
   testbed.StartEngines();
   testbed.sim().RunUntil(warmup);
   testbed.SetRecording(true);
-  if (controller_on && report != nullptr) sampler.Start(measure);
+  if (controller_on) sampler.Start(measure);
   const std::uint64_t switch0 = testbed.sharded().SwitchGrants();
   const std::uint64_t server0 = testbed.sharded().ServerGrants();
   testbed.sim().RunUntil(warmup + measure);
@@ -176,9 +178,9 @@ DriftResult RunDrift(bool controller_on, bool quick, BenchReport* report) {
       static_cast<double>(result.switch_grants + result.server_grants);
   result.switch_share =
       grants > 0 ? static_cast<double>(result.switch_grants) / grants : 0.0;
-  if (controller_on && report != nullptr) {
+  if (controller_on) {
     sampler.Stop();
-    report->AttachTimeSeries(sampler);
+    report.AttachTimeSeries(sampler.store());
   }
   if (controller_on) testbed.controller().Stop();
   testbed.StopEngines(kSecond);
@@ -196,7 +198,7 @@ void RunDriftSection(BenchReport& report) {
   double static_goodput = 0.0;
   if (run_static) {
     const DriftResult result =
-        RunDrift(/*controller_on=*/false, report.quick(), nullptr);
+        RunDrift(/*controller_on=*/false, report);
     static_goodput = result.goodput_tps;
     table.AddRow({"static", Fmt(result.goodput_tps, 0),
                   std::to_string(result.metrics.txn_commits),
@@ -208,7 +210,7 @@ void RunDriftSection(BenchReport& report) {
   }
   if (run_selfdriving) {
     const DriftResult result =
-        RunDrift(/*controller_on=*/true, report.quick(), &report);
+        RunDrift(/*controller_on=*/true, report);
     table.AddRow({"selfdriving", Fmt(result.goodput_tps, 0),
                   std::to_string(result.metrics.txn_commits),
                   Fmt(result.switch_share, 3),
@@ -244,7 +246,7 @@ void RunStationarySection(BenchReport& report) {
   const SimTime measure =
       report.quick() ? 100 * kMillisecond : 400 * kMillisecond;
 
-  TestbedConfig config = DriftTestbedConfig();
+  TestbedConfig config = DriftTestbedConfig(report);
   config.switch_config.queue_capacity = 64;
   MicroConfig micro;
   micro.num_locks = 16;

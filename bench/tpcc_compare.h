@@ -21,8 +21,10 @@ struct TpccResult {
 
 inline RunMetrics RunTpcc(SystemKind system, int client_machines,
                           int lock_servers, bool high_contention,
-                          SimTime warmup, SimTime measure) {
+                          SimTime warmup, SimTime measure,
+                          SimContext& context) {
   TestbedConfig config;
+  config.context = &context;
   config.system = system;
   config.client_machines = client_machines;
   // The paper's DPDK clients oversubscribe every system's bottleneck; with
@@ -104,7 +106,7 @@ inline int RunFigure(const char* figure, const char* bench_name,
       results.push_back(TpccResult{
           system, high,
           RunTpcc(system, client_machines, lock_servers, high, warmup,
-                  measure)});
+                  measure, report.context())});
       const TpccResult& r = results.back();
       report.AddRun(std::string(high ? "high/" : "low/") +
                         ToString(r.system),

@@ -8,7 +8,9 @@
 namespace netlock {
 
 NetChainSwitch::NetChainSwitch(Network& net, NetChainConfig config)
-    : net_(net), config_(config), pipeline_(config.num_stages) {
+    : net_(net),
+      config_(config),
+      pipeline_(net.sim().context().metrics(), config.num_stages) {
   node_ = net_.AddNode([this](const Packet& pkt) { OnPacket(pkt); });
   cells_ = std::make_unique<RegisterArray<std::uint64_t>>(
       pipeline_, /*stage=*/1, config_.num_cells, 0);

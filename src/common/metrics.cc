@@ -6,11 +6,6 @@
 
 namespace netlock {
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 MetricCounter& MetricsRegistry::Counter(const std::string& name) {
   const std::string full = prefix_.empty() ? name : prefix_ + name;
   std::lock_guard<std::mutex> lock(mu_);

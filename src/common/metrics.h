@@ -108,9 +108,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry the simulator components report into.
-  static MetricsRegistry& Global();
-
   /// Resolves (creating on first use) the counter/gauge with this name.
   /// The returned reference is stable for the registry's lifetime; resolve
   /// once and keep the pointer. A name registers as either a counter or a
@@ -137,9 +134,9 @@ class MetricsRegistry {
 
   /// Folds another registry into this one: counters add their totals,
   /// gauges take the other's current value and the max of both high-water
-  /// marks. Merging per-simulation registries into the default one in task
-  /// order reproduces, byte for byte, the snapshot a serial run over the
-  /// shared registry would have produced — which is what keeps parallel
+  /// marks. Merging per-simulation registries into one target in task
+  /// order reproduces, byte for byte, the snapshot a serial run sharing the
+  /// target would have produced — which is what keeps parallel
   /// sweeps' bench reports identical to serial ones. Instruments missing
   /// here are created.
   void MergeFrom(const MetricsRegistry& other);

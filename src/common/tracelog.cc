@@ -19,11 +19,6 @@ const char* ToString(TraceTrack track) {
   return "unknown";
 }
 
-TraceLog& TraceLog::Global() {
-  static TraceLog log;
-  return log;
-}
-
 void TraceLog::Enable(std::uint32_t sample_every) {
   enabled_ = true;
   sample_every_ = sample_every == 0 ? 1 : sample_every;

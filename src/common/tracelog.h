@@ -10,8 +10,8 @@
 //
 // Design goals, in order:
 //   1. Zero cost when disabled. `enabled()` is a single branch on a plain
-//      bool; components cache the Global() pointer once (like metrics.h
-//      instruments) and guard every span computation behind it.
+//      bool; components cache their context's TraceLog pointer once (like
+//      metrics.h instruments) and guard every span computation behind it.
 //   2. Determinism. Timestamps come from Simulator::now(), sampling is a
 //      pure hash of the request id, and the exporter stable-sorts by
 //      timestamp — two identical runs produce byte-identical traces.
@@ -86,9 +86,6 @@ class TraceLog {
   TraceLog() : id_(next_id_.fetch_add(1, std::memory_order_relaxed)) {}
   TraceLog(const TraceLog&) = delete;
   TraceLog& operator=(const TraceLog&) = delete;
-
-  /// The process-wide log the simulator components record into.
-  static TraceLog& Global();
 
   /// Starts recording. `sample_every` = N records roughly 1/N of requests
   /// (selected by request-id hash, so every component keeps or drops the

@@ -55,8 +55,7 @@ LockId TraceLock() {
 LockSwitch::LockSwitch(Network& net, LockSwitchConfig config)
     : net_(net),
       config_(config),
-      pipeline_(config.num_stages, /*max_resubmits=*/0,
-                &net.sim().context()),
+      pipeline_(net.sim().context().metrics(), config.num_stages),
       trace_(&net.sim().context().trace()),
       trace_pid_(net.sim().context().trace().current_pid()),
       table_(config.max_locks, config.queue_capacity) {

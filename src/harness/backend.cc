@@ -77,9 +77,10 @@ void DrainSim(Testbed& testbed) {
 
 struct RtRig {
   explicit RtRig(const BackendRunConfig& config)
-      : registry(config.context != nullptr
-                     ? config.context->metrics()
-                     : SimContext::Default().metrics()),
+      : owned_context(config.context == nullptr
+                          ? std::make_unique<SimContext>()
+                          : nullptr),
+        context(config.context != nullptr ? *config.context : *owned_context),
         service(ServiceOptions(config), substrate),
         pool(service, substrate, ClientConfig(config),
              [config](int) { return MakeMicroWorkload(config); }) {}
@@ -106,7 +107,6 @@ struct RtRig {
     options.deadlock_policy = config.deadlock_policy;
     options.telemetry = config.rt_telemetry;
     options.recorder = config.rt_flight_recorder;
-    options.context = config.context;
     return options;
   }
 
@@ -122,7 +122,11 @@ struct RtRig {
   void Finish(BackendRunResult& result) {
     pool.Join();
     service.Stop();
-    pool.PublishTelemetry(registry);
+    // The rig owns the run, so it folds both sharded domains into the
+    // run's registry. PublishTo is delta-based: the live poller publishes
+    // every tick, and this final fold covers fixed-count runs (no poller).
+    service.telemetry_domain().PublishTo(context.metrics());
+    pool.telemetry_domain().PublishTo(context.metrics());
     result.metrics = pool.Collect();
     result.commits = pool.TotalCommits();
     result.aborts = pool.TotalAborts();
@@ -140,7 +144,8 @@ struct RtRig {
   }
 
   RtSubstrate substrate;
-  MetricsRegistry& registry;
+  std::unique_ptr<SimContext> owned_context;  ///< Set when config has none.
+  SimContext& context;
   rt::RtLockService service;
   rt::RtClientPool pool;
 };
@@ -202,10 +207,8 @@ std::unique_ptr<rt::RtStatsPoller> StartRtPoller(
   }
   po.interval = std::chrono::nanoseconds(interval);
   po.socket_path = config.rt_stats_socket;
-  SimContext& context =
-      config.context != nullptr ? *config.context : SimContext::Default();
   auto poller =
-      std::make_unique<rt::RtStatsPoller>(po, context.metrics());
+      std::make_unique<rt::RtStatsPoller>(po, rig.context.metrics());
   poller->AddDomain(&rig.service.telemetry_domain());
   poller->AddDomain(&rig.pool.telemetry_domain());
   poller->Watch("rt.requests");

@@ -83,7 +83,10 @@ struct BackendRunConfig {
   /// off).
   FlightRecorder* rt_flight_recorder = nullptr;
 
-  SimContext* context = nullptr;  ///< nullptr = process default.
+  /// Telemetry context the run reports into (the simulated testbed's, or
+  /// the rt service and client domains, published at the end of the run).
+  /// nullptr = a private context the run discards.
+  SimContext* context = nullptr;
 };
 
 struct BackendRunResult {

@@ -12,7 +12,7 @@ namespace netlock {
 
 void ParallelSweep(int num_tasks, int threads,
                    const std::function<void(int, SimContext&)>& task,
-                   SimContext* merge_into) {
+                   SimContext& merge_into) {
   NETLOCK_CHECK(num_tasks >= 0);
   NETLOCK_CHECK(task != nullptr);
   std::vector<std::unique_ptr<SimContext>> contexts;
@@ -39,10 +39,8 @@ void ParallelSweep(int num_tasks, int threads,
     for (int t = 0; t < n; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
-  MetricsRegistry& target =
-      (merge_into != nullptr ? *merge_into : SimContext::Default()).metrics();
   for (int i = 0; i < num_tasks; ++i) {
-    target.MergeFrom(contexts[i]->metrics());
+    merge_into.metrics().MergeFrom(contexts[i]->metrics());
   }
 }
 

@@ -52,9 +52,9 @@ std::vector<LockDemand> ProfileAndInstall(Testbed& testbed,
 /// threads. Each task gets its own SimContext — build the task's Testbed
 /// with `config.context = &context` so the run shares no state with its
 /// siblings. After every task finishes, each context's metrics are folded
-/// into `merge_into` (Default() when null) **in task order**, so the final
-/// registry snapshot — and therefore the bench report — is byte-identical
-/// to a serial run over the shared registry.
+/// into `merge_into` (a bench passes its report's context) **in task
+/// order**, so the final registry snapshot — and therefore the bench
+/// report — is byte-identical to a serial run sharing `merge_into`.
 ///
 /// threads <= 1 executes inline on the calling thread (no pool), which is
 /// the serial path benches take without --jobs. Tracing is per-context;
@@ -63,6 +63,6 @@ std::vector<LockDemand> ProfileAndInstall(Testbed& testbed,
 void ParallelSweep(int num_tasks, int threads,
                    const std::function<void(int task, SimContext& context)>&
                        task,
-                   SimContext* merge_into = nullptr);
+                   SimContext& merge_into);
 
 }  // namespace netlock

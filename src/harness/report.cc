@@ -178,7 +178,9 @@ BenchReport::BenchReport(std::string bench_name, BenchOptions options,
                          SimContext* context)
     : bench_name_(std::move(bench_name)),
       options_(std::move(options)),
-      context_(context != nullptr ? *context : SimContext::Default()),
+      owned_context_(context == nullptr ? std::make_unique<SimContext>()
+                                        : nullptr),
+      context_(context != nullptr ? *context : *owned_context_),
       wall_start_(std::chrono::steady_clock::now()) {
   if (!options_.trace_dir.empty()) {
     context_.trace().Enable(options_.trace_sample);
@@ -228,10 +230,6 @@ void BenchReport::AttachTimeSeries(const TimeSeriesStore& store) {
     }
     time_series_.push_back(std::move(dump));
   }
-}
-
-void BenchReport::AttachTimeSeries(const TimeSeriesSampler& sampler) {
-  AttachTimeSeries(sampler.store());
 }
 
 std::string BenchReport::ToJson() const {

@@ -1,18 +1,20 @@
 // Paper-style result reporting: aligned text tables and series printers
 // shared by the figure-reproduction benches, plus the machine-readable
 // side: every bench also writes BENCH_<name>.json (run label, throughput,
-// latency order statistics, and a dump of the global metrics registry) so
-// the perf trajectory is trackable PR over PR without parsing text tables.
+// latency order statistics, and a dump of the bench's own metrics
+// registry) so the perf trajectory is trackable PR over PR without parsing
+// text tables.
 #pragma once
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/sim_context.h"
 #include "common/stats.h"
-#include "harness/sampler.h"
+#include "common/timeseries.h"
 
 namespace netlock {
 
@@ -112,8 +114,9 @@ struct BenchRun {
 /// dumps TRACE_<name>.json next to the bench JSON.
 class BenchReport {
  public:
-  /// `context` = nullptr uses SimContext::Default(): the registry dumped
-  /// into "metrics" and the TraceLog driven by --trace-dir.
+  /// `context` is the registry dumped into "metrics" and the TraceLog
+  /// driven by --trace-dir; nullptr = the report owns a fresh one. A bench
+  /// passes `&report.context()` to every run it reports.
   BenchReport(std::string bench_name, BenchOptions options,
               SimContext* context = nullptr);
 
@@ -131,11 +134,9 @@ class BenchReport {
   BenchRun& AddRun(std::string label, double throughput_mrps,
                    const LatencyRecorder& latency);
 
-  /// Copies the sampler's buckets into the report's "time_series" section.
-  /// Call after the run completes (the sampler is not referenced later).
-  void AttachTimeSeries(const TimeSeriesSampler& sampler);
-
-  /// Same, from a raw bucket store (the rt stats poller's output).
+  /// Copies the store's buckets into the report's "time_series" section
+  /// (a TimeSeriesSampler's store(), or the rt stats poller's). Call after
+  /// the run completes (the store is not referenced later).
   void AttachTimeSeries(const TimeSeriesStore& store);
 
   std::string ToJson() const;
@@ -156,6 +157,7 @@ class BenchReport {
 
   std::string bench_name_;
   BenchOptions options_;
+  std::unique_ptr<SimContext> owned_context_;  ///< Set when none was given.
   SimContext& context_;
   std::chrono::steady_clock::time_point wall_start_;
   std::vector<BenchRun> runs_;

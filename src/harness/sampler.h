@@ -18,7 +18,6 @@
 // wall-clock thread.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -35,7 +34,7 @@ class TimeSeriesSampler {
   TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
 
   /// Tracks a counter: each bucket reports the delta over the bucket
-  /// (Delta) and the corresponding rate in events/second (Value).
+  /// (store().Delta) and the rate in events/second (store().Value).
   void Watch(const std::string& counter_name);
 
   /// Tracks a gauge: each bucket reports the level at the bucket's end.
@@ -49,36 +48,9 @@ class TimeSeriesSampler {
   /// Stops sampling early: ticks already scheduled become no-ops.
   void Stop() { stopped_ = true; }
 
-  /// The underlying bucket store (what BenchReport::AttachTimeSeries
-  /// consumes).
+  /// The bucket store: series names, per-bucket values and deltas (what
+  /// BenchReport::AttachTimeSeries consumes).
   const TimeSeriesStore& store() const { return store_; }
-
-  SimTime interval() const { return store_.interval(); }
-  std::size_t num_series() const { return store_.num_series(); }
-  std::size_t num_buckets() const { return store_.num_buckets(); }
-
-  const std::string& series_name(std::size_t s) const {
-    return store_.series_name(s);
-  }
-  bool series_is_rate(std::size_t s) const { return store_.series_is_rate(s); }
-
-  /// Midpoint of bucket `b` in seconds since Start() — the natural x
-  /// coordinate when plotting rate buckets.
-  double BucketTimeSeconds(std::size_t b) const {
-    return store_.BucketTimeSeconds(b);
-  }
-
-  /// Rate series: events/second over the bucket. Gauge series: the level
-  /// sampled at the end of the bucket.
-  double Value(std::size_t s, std::size_t b) const {
-    return store_.Value(s, b);
-  }
-
-  /// Raw per-bucket count delta (rate series) or end-of-bucket level
-  /// (gauge series).
-  std::uint64_t Delta(std::size_t s, std::size_t b) const {
-    return store_.Delta(s, b);
-  }
 
  private:
   void Tick();

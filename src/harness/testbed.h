@@ -37,9 +37,9 @@ const char* ToString(SystemKind kind);
 struct TestbedConfig {
   SystemKind system = SystemKind::kNetLock;
 
-  /// Telemetry context for this testbed's simulation. nullptr = the
-  /// process-wide default (serial use). Give each testbed of a sweep its
-  /// own SimContext to run them concurrently (see ParallelSweep).
+  /// Telemetry context for this testbed's simulation. nullptr = a private
+  /// context the simulator owns. Benches pass their report's context;
+  /// sweep tasks pass the one ParallelSweep hands them.
   SimContext* context = nullptr;
 
   // Topology (paper Section 6.1 defaults: 12-server testbed).

@@ -102,14 +102,6 @@ class RtClientPool {
   TelemetryDomain& telemetry_domain() { return domain_; }
   const TelemetryDomain& telemetry_domain() const { return domain_; }
 
-  /// Folds the domain into `registry` as deltas (commits, latency
-  /// histogram summaries). Safe to call repeatedly — the live poller does
-  /// every tick; the harness does once more after Join() so fixed-count
-  /// runs (no poller) publish too.
-  void PublishTelemetry(MetricsRegistry& registry) {
-    domain_.PublishTo(registry);
-  }
-
  private:
   struct ClientThread;
 

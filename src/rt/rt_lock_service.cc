@@ -11,8 +11,6 @@ RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
     : options_(options), substrate_(substrate), domain_(options.cores) {
   NETLOCK_CHECK(options_.cores >= 1);
   NETLOCK_CHECK(options_.num_clients >= 1);
-  publish_context_ =
-      options_.context != nullptr ? options_.context : &SimContext::Default();
 
   c_requests_ = domain_.RegisterCounter("rt.requests");
   c_grants_ = domain_.RegisterCounter("rt.grants");
@@ -96,10 +94,6 @@ void RtLockService::Stop() {
     WaitQuiesce();
     executor_->Stop();
   }
-  // Fold the sharded stats into the registry so snapshots/bench JSON see
-  // the same "rt.*" totals the shared-counter implementation produced.
-  // Delta-based, so a live poller having already published is fine.
-  domain_.PublishTo(publish_context_->metrics());
 }
 
 int RtLockService::CoreFor(LockId lock) const {

@@ -13,9 +13,10 @@
 //
 // Observability: every per-request statistic lives in a sharded
 // TelemetryDomain (one cache-line-isolated shard per core, single-writer
-// plain stores — no shared atomic RMW on the hot path); Stop() folds the
-// domain into the context registry so bench reports see the same
-// "rt.requests"/"rt.grants"/... totals as before. A FlightRecorder ring
+// plain stores — no shared atomic RMW on the hot path). The service owns no
+// registry: whoever owns the run folds the domain into its own context
+// (TelemetryDomain::PublishTo) after Stop(), as the harness's rt rig does
+// for both the service and the client pool. A FlightRecorder ring
 // (owned by default, injectable for tests) keeps the last few thousand
 // protocol events per core for crash/violation autopsy.
 #pragma once
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "common/flight_recorder.h"
-#include "common/sim_context.h"
 #include "common/telemetry.h"
 #include "common/types.h"
 #include "core/lock_engine.h"
@@ -111,9 +111,6 @@ class RtLockService {
     bool telemetry = true;
     FlightRecorder* recorder = nullptr;
     std::size_t flight_capacity = 4096;  ///< Per-core ring (owned recorder).
-    /// Telemetry context; nullptr = process default. The sharded domain is
-    /// folded into this context's registry at Stop().
-    SimContext* context = nullptr;
     /// Deadlock-handling policy applied by every core's engine.
     DeadlockPolicy deadlock_policy = DeadlockPolicy::kNone;
   };
@@ -143,8 +140,7 @@ class RtLockService {
   RtLockService& operator=(const RtLockService&) = delete;
 
   void Start();
-  /// Drains everything already submitted, stops the workers, and folds the
-  /// telemetry domain into the context registry.
+  /// Drains everything already submitted and stops the workers.
   void Stop();
 
   /// RSS hash, identical to the simulated LockServer's core dispatch.
@@ -182,7 +178,8 @@ class RtLockService {
   int cores() const { return options_.cores; }
   int num_clients() const { return options_.num_clients; }
 
-  /// The sharded per-core stats store (live readers: poller, netlock_top).
+  /// The sharded per-core stats store (live readers: poller, netlock_top;
+  /// the run's owner publishes it into its registry after Stop()).
   TelemetryDomain& telemetry_domain() { return domain_; }
   const TelemetryDomain& telemetry_domain() const { return domain_; }
 
@@ -269,7 +266,6 @@ class RtLockService {
 
   std::unique_ptr<FlightRecorder> owned_recorder_;
   FlightRecorder* recorder_ = nullptr;
-  SimContext* publish_context_ = nullptr;
 };
 
 }  // namespace netlock::rt

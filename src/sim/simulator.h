@@ -4,13 +4,14 @@
 // the programmable switch model, lock servers, RDMA NICs) schedule work here
 // and observe `now()`. Runs are fully deterministic given the workload seeds.
 //
-// Each simulator reports into a SimContext (metrics + tracing). The default
-// context wraps the process-wide globals; handing each simulator its own
-// context isolates runs completely, which is what lets sweeps execute on a
-// thread pool (see harness/experiment.h).
+// Each simulator reports into a SimContext (metrics + tracing): the one its
+// caller passes, or else a private one it owns. Runs on distinct contexts
+// share no state, which is what lets sweeps execute on a thread pool (see
+// harness/experiment.h).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -23,9 +24,11 @@ namespace netlock {
 
 class Simulator {
  public:
-  /// `context` = nullptr binds to SimContext::Default() (the globals).
+  /// `context` = nullptr gives this simulator a private context of its own.
   explicit Simulator(SimContext* context = nullptr)
-      : context_(context != nullptr ? *context : SimContext::Default()),
+      : owned_context_(context == nullptr ? std::make_unique<SimContext>()
+                                          : nullptr),
+        context_(context != nullptr ? *context : *owned_context_),
         events_metric_(context_.metrics().Counter("sim.events_processed")),
         depth_metric_(context_.metrics().Gauge("sim.pending_events")) {}
   Simulator(const Simulator&) = delete;
@@ -96,6 +99,7 @@ class Simulator {
   EventQueue queue_;
   std::uint64_t events_processed_ = 0;
   std::uint32_t pushes_since_depth_sample_ = 0;
+  std::unique_ptr<SimContext> owned_context_;
   SimContext& context_;
   MetricCounter& events_metric_;
   MetricGauge& depth_metric_;  ///< Pending-event depth (hwm = high water).

@@ -25,7 +25,6 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/sim_context.h"
 
 namespace netlock {
 
@@ -59,16 +58,15 @@ class Pipeline {
   /// grant chain in Algorithm 2 resubmits once per granted shared lock, so
   /// this must be at least the largest shared-grant batch; 0 disables the
   /// check (logically unbounded, as recirculation is in practice).
-  /// `context` = nullptr reports into SimContext::Default().
-  explicit Pipeline(int num_stages = 12, std::uint32_t max_resubmits = 0,
-                    SimContext* context = nullptr)
-      : num_stages_(num_stages), max_resubmits_(max_resubmits) {
-    MetricsRegistry& reg =
-        (context != nullptr ? *context : SimContext::Default()).metrics();
-    passes_metric_ = &reg.Counter("switchsim.passes");
-    resubmits_metric_ = &reg.Counter("switchsim.resubmits");
-    accesses_metric_ = &reg.Counter("switchsim.register_accesses");
-  }
+  /// `metrics`: the registry the pass/resubmit/access counters report into
+  /// (a switch passes its simulation's, `sim.context().metrics()`).
+  explicit Pipeline(MetricsRegistry& metrics, int num_stages = 12,
+                    std::uint32_t max_resubmits = 0)
+      : num_stages_(num_stages),
+        max_resubmits_(max_resubmits),
+        passes_metric_(&metrics.Counter("switchsim.passes")),
+        resubmits_metric_(&metrics.Counter("switchsim.resubmits")),
+        accesses_metric_(&metrics.Counter("switchsim.register_accesses")) {}
 
   int num_stages() const { return num_stages_; }
 

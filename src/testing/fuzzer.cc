@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/random.h"
-#include "common/sim_context.h"
 #include "core/failover.h"
 #include "core/lock_engine.h"
 #include "core/memory_alloc.h"
@@ -461,7 +460,6 @@ Schedule ScheduleFuzzer::Generate(std::uint64_t index) const {
 RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
                                       const FuzzOptions& options) {
   const WorkloadParams& w = schedule.workload;
-  SimContext context;
   LockOracle oracle;
   WaitsForGraph waits;
   std::vector<NetLockSession*> raw_sessions;
@@ -484,7 +482,6 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
 
   TestbedConfig config;
   config.system = SystemKind::kNetLock;
-  config.context = &context;
   config.client_machines = std::max(1, w.machines);
   config.sessions_per_machine = std::max(1, w.sessions_per_machine);
   config.lock_servers = 2;

@@ -460,7 +460,8 @@ INSTANTIATE_TEST_SUITE_P(ArrivalOrders, DataplaneOrderTest,
 // SharedQueue mapping: indices land in the right arrays and wrap helper is
 // exact at region edges.
 TEST(SharedQueueTest, IndexMappingAcrossArrays) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   SharedQueue queue(pipeline, /*first_stage=*/2, /*capacity=*/100,
                     /*array_size=*/32);
   EXPECT_EQ(queue.num_arrays(), 4u);  // 32+32+32+4.
@@ -481,7 +482,8 @@ TEST(SharedQueueTest, NextWrapsAtRegionBoundary) {
 }
 
 TEST(SharedQueueTest, DataPlaneAccessCountsAgainstOwningArrayOnly) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   SharedQueue queue(pipeline, 2, 64, 16);
   PacketPass pass = pipeline.BeginPass();
   QueueSlot slot;

@@ -53,7 +53,7 @@ std::string SweepReportJson(int threads) {
             context, /*queue_capacity=*/64u + 64u * static_cast<std::uint32_t>(
                                                        task % 3));
       },
-      &merged);
+      merged);
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     report.AddRun("point=" + std::to_string(i), metrics[i]);
   }

@@ -143,9 +143,5 @@ TEST(MetricsRegistryTest, ResetClearsHighWaterAndKeepsReferences) {
   EXPECT_EQ(registry.Gauge("r.depth").high_water(), 7u);
 }
 
-TEST(MetricsRegistryTest, GlobalIsSingleton) {
-  EXPECT_EQ(&MetricsRegistry::Global(), &MetricsRegistry::Global());
-}
-
 }  // namespace
 }  // namespace netlock

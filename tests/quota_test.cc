@@ -9,7 +9,8 @@ namespace {
 
 class QuotaTest : public ::testing::Test {
  protected:
-  Pipeline pipeline_{12};
+  MetricsRegistry metrics_;
+  Pipeline pipeline_{metrics_, 12};
 };
 
 TEST_F(QuotaTest, UnlimitedTenantsAlwaysAdmit) {

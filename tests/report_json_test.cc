@@ -165,7 +165,11 @@ TEST(BenchReportTest, WriteFailsOnMissingDirectory) {
 // RecordRun/Write path the benches use must produce a parseable file with
 // throughput, tail latencies, and a well-populated registry dump.
 TEST(BenchReportTest, EndToEndBenchStyleRun) {
+  BenchOptions opts;
+  opts.json_dir = ::testing::TempDir();
+  BenchReport report("report_json_test", opts);
   TestbedConfig config;
+  config.context = &report.context();
   config.system = SystemKind::kNetLock;
   config.client_machines = 2;
   config.sessions_per_machine = 2;
@@ -179,9 +183,6 @@ TEST(BenchReportTest, EndToEndBenchStyleRun) {
   testbed.StopEngines();
   ASSERT_GT(m.lock_grants, 0u);
 
-  BenchOptions opts;
-  opts.json_dir = ::testing::TempDir();
-  BenchReport report("report_json_test", opts);
   const BenchRun& run = report.AddRun("tiny", m);
   EXPECT_GT(run.throughput_mrps, 0.0);
   EXPECT_GT(run.p99_ns, 0u);
@@ -204,7 +205,7 @@ TEST(BenchReportTest, EndToEndBenchStyleRun) {
   // The run above exercised switch, servers, network, and simulator, so
   // the registry dump must carry a healthy set of named metrics.
   const std::vector<MetricSample> snap =
-      MetricsRegistry::Global().Snapshot();
+      report.context().metrics().Snapshot();
   EXPECT_GE(snap.size(), 10u);
   for (const char* name :
        {"sim.events_processed", "net.packets", "dataplane.acquires_granted",

@@ -1,6 +1,6 @@
 // Tests for per-simulation telemetry contexts: isolation between contexts,
-// the Default() view of the process-wide globals, and merging sweep results
-// back in task order.
+// the private context a Simulator owns when given none, and merging sweep
+// results back in task order.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,53 +8,41 @@
 
 #include "common/sim_context.h"
 #include "harness/experiment.h"
+#include "harness/testbed.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace netlock {
 namespace {
 
-TEST(SimContextTest, DefaultWrapsGlobals) {
-  SimContext& def = SimContext::Default();
-  EXPECT_TRUE(def.is_default());
-  EXPECT_EQ(&def.metrics(), &MetricsRegistry::Global());
-  EXPECT_EQ(&def.trace(), &TraceLog::Global());
-  // Default() is a singleton view.
-  EXPECT_EQ(&SimContext::Default(), &def);
-}
-
 TEST(SimContextTest, OwnedContextIsIsolated) {
   SimContext a;
   SimContext b;
-  EXPECT_FALSE(a.is_default());
   EXPECT_NE(&a.metrics(), &b.metrics());
-  EXPECT_NE(&a.metrics(), &MetricsRegistry::Global());
+  EXPECT_NE(&a.trace(), &b.trace());
   a.metrics().Counter("isolated.counter").Inc(7);
   EXPECT_EQ(a.metrics().Counter("isolated.counter").value(), 7u);
   EXPECT_EQ(b.metrics().Counter("isolated.counter").value(), 0u);
 }
 
-TEST(SimContextTest, SimulatorBindsContextAndDefaultsToGlobal) {
-  Simulator global_sim;
-  EXPECT_TRUE(global_sim.context().is_default());
-
-  SimContext context;
-  Simulator sim(&context);
-  EXPECT_EQ(&sim.context(), &context);
-
-  const std::uint64_t global_events_before =
-      MetricsRegistry::Global().Counter("sim.events_processed").value();
-  for (int i = 0; i < 5; ++i) sim.Schedule(i, []() {});
-  sim.Run();
-  EXPECT_EQ(context.metrics().Counter("sim.events_processed").value(), 5u);
-  EXPECT_EQ(
-      MetricsRegistry::Global().Counter("sim.events_processed").value(),
-      global_events_before);
+TEST(SimContextTest, SimulatorsWithoutContextCountOnlyTheirOwnEvents) {
+  Simulator a;
+  Simulator b;
+  EXPECT_NE(&a.context(), &b.context());
+  for (int i = 0; i < 5; ++i) a.Schedule(i, []() {});
+  for (int i = 0; i < 3; ++i) b.Schedule(i, []() {});
+  a.Run();
+  b.Run();
+  EXPECT_EQ(a.context().metrics().Counter("sim.events_processed").value(),
+            5u);
+  EXPECT_EQ(b.context().metrics().Counter("sim.events_processed").value(),
+            3u);
 }
 
 TEST(SimContextTest, NetworkTelemetryFollowsSimulatorContext) {
   SimContext context;
   Simulator sim(&context);
+  EXPECT_EQ(&sim.context(), &context);
   Network net(sim, 100);
   const NodeId a = net.AddNode(nullptr);
   const NodeId b = net.AddNode([](const Packet&) {});
@@ -64,6 +52,27 @@ TEST(SimContextTest, NetworkTelemetryFollowsSimulatorContext) {
   net.Send(pkt);
   sim.Run();
   EXPECT_EQ(context.metrics().Counter("net.packets").value(), 1u);
+}
+
+// The NetChain switch's pipeline reports into its simulation's context,
+// like every other component of the testbed.
+TEST(SimContextTest, NetChainPipelineCountersStayInTestbedContext) {
+  SimContext context;
+  TestbedConfig config;
+  config.context = &context;
+  config.system = SystemKind::kNetChain;
+  config.client_machines = 2;
+  config.sessions_per_machine = 2;
+  MicroConfig micro;
+  micro.num_locks = 64;
+  config.workload_factory = MicroFactory(micro);
+  Testbed testbed(config);
+  testbed.StartEngines();
+  testbed.sim().RunUntil(2 * kMillisecond);
+  testbed.StopEngines(kSecond);
+  EXPECT_GT(context.metrics().Counter("switchsim.passes").value(), 0u);
+  EXPECT_GT(
+      context.metrics().Counter("switchsim.register_accesses").value(), 0u);
 }
 
 TEST(SimContextTest, MergeFromAddsCountersAndMaxesHighWater) {
@@ -96,7 +105,7 @@ TEST(ParallelSweepTest, MergesTaskMetricsInTaskOrder) {
           context.metrics().Gauge("sweep.last_task").Set(
               static_cast<std::uint64_t>(task));
         },
-        &merged);
+        merged);
     EXPECT_EQ(merged.metrics().Counter("sweep.work").value(), 36u)
         << "threads=" << threads;
     EXPECT_EQ(merged.metrics().Gauge("sweep.last_task").value(), 7u)
@@ -115,7 +124,7 @@ TEST(ParallelSweepTest, RunsEveryTaskExactlyOnce) {
         hits[static_cast<std::size_t>(task)] += 1;
         context.metrics().Counter("n").Inc();
       },
-      &merged);
+      merged);
   for (const int h : hits) EXPECT_EQ(h, 1);
   EXPECT_EQ(merged.metrics().Counter("n").value(), 64u);
 }

@@ -9,7 +9,8 @@ namespace netlock {
 namespace {
 
 TEST(PipelineTest, ReadWriteRoundTrip) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> array(pipeline, 0, 8, -1);
   PacketPass pass = pipeline.BeginPass();
   EXPECT_EQ(array.Read(pass, 3), -1);
@@ -20,7 +21,8 @@ TEST(PipelineTest, ReadWriteRoundTrip) {
 }
 
 TEST(PipelineTest, SecondAccessSamePassAborts) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> array(pipeline, 0, 8);
   PacketPass pass = pipeline.BeginPass();
   array.Read(pass, 0);
@@ -28,7 +30,8 @@ TEST(PipelineTest, SecondAccessSamePassAborts) {
 }
 
 TEST(PipelineTest, ReadModifyWriteIsOneAccess) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> array(pipeline, 0, 8);
   PacketPass pass = pipeline.BeginPass();
   const int result =
@@ -38,7 +41,8 @@ TEST(PipelineTest, ReadModifyWriteIsOneAccess) {
 }
 
 TEST(PipelineTest, StageOrderEnforced) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> early(pipeline, 1, 4);
   RegisterArray<int> late(pipeline, 5, 4);
   PacketPass pass = pipeline.BeginPass();
@@ -47,7 +51,8 @@ TEST(PipelineTest, StageOrderEnforced) {
 }
 
 TEST(PipelineTest, SameStageDifferentArraysAllowed) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> a(pipeline, 2, 4);
   RegisterArray<int> b(pipeline, 2, 4);
   PacketPass pass = pipeline.BeginPass();
@@ -57,7 +62,8 @@ TEST(PipelineTest, SameStageDifferentArraysAllowed) {
 }
 
 TEST(PipelineTest, ResubmitResetsAccessAndStage) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> early(pipeline, 1, 4);
   RegisterArray<int> late(pipeline, 5, 4);
   PacketPass pass = pipeline.BeginPass();
@@ -70,7 +76,8 @@ TEST(PipelineTest, ResubmitResetsAccessAndStage) {
 }
 
 TEST(PipelineTest, ResubmitBoundEnforced) {
-  Pipeline pipeline(12, /*max_resubmits=*/2);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12, /*max_resubmits=*/2);
   PacketPass pass = pipeline.BeginPass();
   pipeline.Resubmit(pass);
   pipeline.Resubmit(pass);
@@ -78,7 +85,8 @@ TEST(PipelineTest, ResubmitBoundEnforced) {
 }
 
 TEST(PipelineTest, DistinctPassesDoNotInterfere) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> array(pipeline, 0, 4);
   PacketPass p1 = pipeline.BeginPass();
   PacketPass p2 = pipeline.BeginPass();
@@ -88,7 +96,8 @@ TEST(PipelineTest, DistinctPassesDoNotInterfere) {
 }
 
 TEST(PipelineTest, ControlPlaneAccessUnrestricted) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> array(pipeline, 0, 4);
   PacketPass pass = pipeline.BeginPass();
   array.Read(pass, 0);
@@ -97,14 +106,16 @@ TEST(PipelineTest, ControlPlaneAccessUnrestricted) {
 }
 
 TEST(PipelineTest, OutOfBoundsIndexAborts) {
-  Pipeline pipeline(12);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 12);
   RegisterArray<int> array(pipeline, 0, 4);
   PacketPass pass = pipeline.BeginPass();
   EXPECT_DEATH(array.Read(pass, 4), "CHECK");
 }
 
 TEST(PipelineTest, StageBeyondBudgetAborts) {
-  Pipeline pipeline(4);
+  MetricsRegistry metrics;
+  Pipeline pipeline(metrics, 4);
   EXPECT_DEATH(RegisterArray<int>(pipeline, 4, 8), "CHECK");
 }
 

@@ -148,12 +148,9 @@ bool IsValidJson(const std::string& s) { return JsonParser(s).Parse(); }
 
 // --- Trace over a real (small) NetLock rack -----------------------------
 
-/// Runs a short contended NetLock scenario with full tracing and returns
-/// the exported JSON; the global log is left cleared and disabled.
+/// Runs a short contended NetLock scenario with full tracing on the
+/// testbed's own context and returns the exported JSON.
 std::string RunTracedScenario() {
-  TraceLog& log = TraceLog::Global();
-  log.Enable(1);
-  log.Clear();
   TestbedConfig config;
   config.system = SystemKind::kNetLock;
   config.client_machines = 2;
@@ -164,16 +161,14 @@ std::string RunTracedScenario() {
   micro.zipf_alpha = 0.9;
   config.workload_factory = MicroFactory(micro);
   Testbed testbed(config);
+  testbed.sim().context().trace().Enable(1);
   ProfileAndInstall(testbed, config.switch_config.queue_capacity,
                     /*random_strawman=*/false,
                     /*profile_duration=*/2 * kMillisecond);
   testbed.StartEngines();
   testbed.sim().RunUntil(testbed.sim().now() + 5 * kMillisecond);
   testbed.StopEngines();
-  const std::string json = log.ToJson();
-  log.Disable();
-  log.Clear();
-  return json;
+  return testbed.sim().context().trace().ToJson();
 }
 
 TEST(TraceExportTest, ScenarioProducesValidJson) {
@@ -202,9 +197,6 @@ TEST(TraceExportTest, ExportedTimestampsMonotonic) {
 }
 
 TEST(TraceExportTest, AsyncBeginEndBalanced) {
-  TraceLog& log = TraceLog::Global();
-  log.Enable(1);
-  log.Clear();
   TestbedConfig config;
   config.system = SystemKind::kNetLock;
   config.client_machines = 2;
@@ -215,6 +207,8 @@ TEST(TraceExportTest, AsyncBeginEndBalanced) {
   micro.zipf_alpha = 0.9;
   config.workload_factory = MicroFactory(micro);
   Testbed testbed(config);
+  TraceLog& log = testbed.sim().context().trace();
+  log.Enable(1);
   ProfileAndInstall(testbed, config.switch_config.queue_capacity,
                     /*random_strawman=*/false,
                     /*profile_duration=*/2 * kMillisecond);
@@ -238,8 +232,6 @@ TEST(TraceExportTest, AsyncBeginEndBalanced) {
     EXPECT_EQ(count, 0) << "unbalanced async span " << key.first << " id "
                         << key.second;
   }
-  log.Disable();
-  log.Clear();
 }
 
 TEST(TraceExportTest, IdenticalRunsProduceByteIdenticalTraces) {
@@ -349,8 +341,7 @@ TEST(TraceLogTest, SamplingSelectsStableSubset) {
 
 TEST(TimeSeriesSamplerTest, BucketsCounterDeltasIntoRates) {
   Simulator sim;
-  MetricCounter& c =
-      MetricsRegistry::Global().Counter("test.sampler.rate");
+  MetricCounter& c = sim.context().metrics().Counter("test.sampler.rate");
   TimeSeriesSampler sampler(sim, 1000);  // 1 us buckets.
   sampler.Watch("test.sampler.rate");
   // 3 events in bucket 0, none in bucket 1, 5 in bucket 2.
@@ -358,71 +349,71 @@ TEST(TimeSeriesSamplerTest, BucketsCounterDeltasIntoRates) {
   sim.Schedule(2500, [&c]() { c.Inc(5); });
   sampler.Start(3000);
   sim.Run();
-  ASSERT_EQ(sampler.num_series(), 1u);
-  ASSERT_EQ(sampler.num_buckets(), 3u);
-  EXPECT_TRUE(sampler.series_is_rate(0));
-  EXPECT_EQ(sampler.Delta(0, 0), 3u);
-  EXPECT_EQ(sampler.Delta(0, 1), 0u);
-  EXPECT_EQ(sampler.Delta(0, 2), 5u);
+  const TimeSeriesStore& store = sampler.store();
+  ASSERT_EQ(store.num_series(), 1u);
+  ASSERT_EQ(store.num_buckets(), 3u);
+  EXPECT_TRUE(store.series_is_rate(0));
+  EXPECT_EQ(store.Delta(0, 0), 3u);
+  EXPECT_EQ(store.Delta(0, 1), 0u);
+  EXPECT_EQ(store.Delta(0, 2), 5u);
   // 3 events in 1 us = 3e6 events/s.
-  EXPECT_DOUBLE_EQ(sampler.Value(0, 0), 3e6);
-  EXPECT_DOUBLE_EQ(sampler.Value(0, 2), 5e6);
-  EXPECT_DOUBLE_EQ(sampler.BucketTimeSeconds(0), 0.5e-6);
+  EXPECT_DOUBLE_EQ(store.Value(0, 0), 3e6);
+  EXPECT_DOUBLE_EQ(store.Value(0, 2), 5e6);
+  EXPECT_DOUBLE_EQ(store.BucketTimeSeconds(0), 0.5e-6);
 }
 
 TEST(TimeSeriesSamplerTest, BaselineExcludesPreStartCounts) {
   Simulator sim;
-  MetricCounter& c =
-      MetricsRegistry::Global().Counter("test.sampler.baseline");
+  MetricCounter& c = sim.context().metrics().Counter("test.sampler.baseline");
   c.Inc(1000);  // Pre-existing total must not leak into bucket 0.
   TimeSeriesSampler sampler(sim, 1000);
   sampler.Watch("test.sampler.baseline");
   sampler.Start(1000);
   sim.Schedule(500, [&c]() { c.Inc(2); });
   sim.Run();
-  ASSERT_EQ(sampler.num_buckets(), 1u);
-  EXPECT_EQ(sampler.Delta(0, 0), 2u);
+  ASSERT_EQ(sampler.store().num_buckets(), 1u);
+  EXPECT_EQ(sampler.store().Delta(0, 0), 2u);
 }
 
 TEST(TimeSeriesSamplerTest, GaugeSeriesReportsLevels) {
   Simulator sim;
-  MetricGauge& g = MetricsRegistry::Global().Gauge("test.sampler.depth");
+  MetricGauge& g = sim.context().metrics().Gauge("test.sampler.depth");
   TimeSeriesSampler sampler(sim, 1000);
   sampler.WatchGauge("test.sampler.depth");
   sim.Schedule(200, [&g]() { g.Set(7); });
   sim.Schedule(1200, [&g]() { g.Set(4); });
   sampler.Start(2000);
   sim.Run();
-  ASSERT_EQ(sampler.num_buckets(), 2u);
-  EXPECT_FALSE(sampler.series_is_rate(0));
-  EXPECT_DOUBLE_EQ(sampler.Value(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(sampler.Value(0, 1), 4.0);
+  ASSERT_EQ(sampler.store().num_buckets(), 2u);
+  EXPECT_FALSE(sampler.store().series_is_rate(0));
+  EXPECT_DOUBLE_EQ(sampler.store().Value(0, 0), 7.0);
+  EXPECT_DOUBLE_EQ(sampler.store().Value(0, 1), 4.0);
 }
 
 TEST(TimeSeriesSamplerTest, HorizonBoundsTicksSoRunDrains) {
   Simulator sim;
-  MetricsRegistry::Global().Counter("test.sampler.drain");
+  sim.context().metrics().Counter("test.sampler.drain");
   TimeSeriesSampler sampler(sim, 100);
   sampler.Watch("test.sampler.drain");
   sampler.Start(1000);
   // Run() must terminate: the sampler schedules a bounded set of ticks
   // rather than self-rescheduling forever.
   sim.Run();
-  EXPECT_EQ(sampler.num_buckets(), 10u);
+  EXPECT_EQ(sampler.store().num_buckets(), 10u);
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(TimeSeriesSamplerTest, StopMakesRemainingTicksNoOps) {
   Simulator sim;
-  MetricCounter& c =
-      MetricsRegistry::Global().Counter("test.sampler.stop");
+  MetricCounter& c = sim.context().metrics().Counter("test.sampler.stop");
   TimeSeriesSampler sampler(sim, 100);
   sampler.Watch("test.sampler.stop");
   sampler.Start(1000);
   sim.Schedule(250, [&sampler]() { sampler.Stop(); });
   sim.Schedule(300, [&c]() { c.Inc(); });
   sim.Run();
-  EXPECT_EQ(sampler.num_buckets(), 2u);  // Ticks at 100 and 200 only.
+  // Ticks at 100 and 200 only.
+  EXPECT_EQ(sampler.store().num_buckets(), 2u);
 }
 
 }  // namespace
