@@ -1,5 +1,7 @@
 #include "client/client.h"
 
+#include <tuple>
+
 #include "common/check.h"
 #include "core/lock_engine.h"  // AbortReason (carried in kAbort's aux).
 
@@ -34,9 +36,7 @@ void NetLockSession::Acquire(LockId lock, LockMode mode, TxnId txn,
                        pending.issued_at, TraceLog::RequestId(lock, txn));
   }
   SendAcquire(lock, txn, pending);
-  const std::uint64_t epoch = pending.epoch;
-  pending_.emplace(key, std::move(pending));
-  ArmRetry(lock, txn, epoch, config_.retry_timeout);
+  ArmRetry(pending_.emplace(key, std::move(pending)).first->second);
 }
 
 void NetLockSession::Release(LockId lock, LockMode mode, TxnId txn) {
@@ -130,37 +130,67 @@ void NetLockSession::SendAcquire(LockId lock, TxnId txn,
   machine_.Send(MakeLockPacket(node_, RouteFor(lock), hdr));
 }
 
-void NetLockSession::ArmRetry(LockId lock, TxnId txn, std::uint64_t epoch,
-                              SimTime delay) {
-  machine_.net().sim().Schedule(delay, [this, lock, txn, epoch]() {
-    const auto it = pending_.find(std::make_pair(lock, txn));
-    if (it == pending_.end() || it->second.epoch != epoch) return;
-    Pending& pending = it->second;
-    if (pending.attempts >= config_.max_retries) {
-      AcquireCallback cb = std::move(pending.cb);
-      pending_.erase(it);
-      if (trace_->Sampled(lock, txn)) {
-        const SimTime now = machine_.net().sim().now();
-        const std::uint64_t id = TraceLog::RequestId(lock, txn);
-        trace_->Instant(TraceTrack::kClient, "client.timeout", now, id);
-        trace_->AsyncEnd(TraceTrack::kClient, "lock_request", now, id);
-      }
-      cb(AcquireResult::kTimeout);
-      return;
+void NetLockSession::ArmRetry(Pending& pending) {
+  Simulator& sim = machine_.net().sim();
+  pending.retry_at = sim.now() + config_.retry_timeout;
+  pending.retry_seq = sim.ReserveSeq();
+  if (retry_armed_) return;
+  retry_armed_ = true;
+  const std::uint64_t seq = pending.retry_seq;
+  sim.ScheduleReserved(pending.retry_at, seq,
+                       [this, seq]() { OnRetryTimer(seq); });
+}
+
+void NetLockSession::OnRetryTimer(std::uint64_t seq) {
+  retry_armed_ = false;
+  auto fired = pending_.end();
+  const Pending* next = nullptr;
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    const Pending& p = it->second;
+    if (p.retry_seq == seq) {
+      fired = it;
+    } else if (p.retry_seq != kNoRetry &&
+               (next == nullptr ||
+                std::tie(p.retry_at, p.retry_seq) <
+                    std::tie(next->retry_at, next->retry_seq))) {
+      next = &p;
     }
-    ++pending.attempts;
-    ++retransmits_;
+  }
+  // Re-arm before the callbacks below: a timeout callback may re-enter
+  // Acquire, whose later deadline must find the session armed.
+  if (next != nullptr) {
+    retry_armed_ = true;
+    const std::uint64_t next_seq = next->retry_seq;
+    machine_.net().sim().ScheduleReserved(
+        next->retry_at, next_seq,
+        [this, next_seq]() { OnRetryTimer(next_seq); });
+  }
+  if (fired == pending_.end()) return;
+  const LockId lock = fired->first.first;
+  const TxnId txn = fired->first.second;
+  Pending& pending = fired->second;
+  if (pending.attempts >= config_.max_retries) {
+    AcquireCallback cb = std::move(pending.cb);
+    pending_.erase(fired);
     if (trace_->Sampled(lock, txn)) {
-      trace_->Instant(TraceTrack::kClient, "client.retransmit",
-                      machine_.net().sim().now(),
-                      TraceLog::RequestId(lock, txn),
-                      {"attempt",
-                       static_cast<std::uint64_t>(pending.attempts)});
+      const SimTime now = machine_.net().sim().now();
+      const std::uint64_t id = TraceLog::RequestId(lock, txn);
+      trace_->Instant(TraceTrack::kClient, "client.timeout", now, id);
+      trace_->AsyncEnd(TraceTrack::kClient, "lock_request", now, id);
     }
-    pending.epoch = next_epoch_++;
-    SendAcquire(lock, txn, pending);
-    ArmRetry(lock, txn, pending.epoch, config_.retry_timeout);
-  });
+    cb(AcquireResult::kTimeout);
+    return;
+  }
+  ++pending.attempts;
+  ++retransmits_;
+  if (trace_->Sampled(lock, txn)) {
+    trace_->Instant(TraceTrack::kClient, "client.retransmit",
+                    machine_.net().sim().now(),
+                    TraceLog::RequestId(lock, txn),
+                    {"attempt", static_cast<std::uint64_t>(pending.attempts)});
+  }
+  SendAcquire(lock, txn, pending);
+  ArmRetry(pending);
 }
 
 void NetLockSession::OnPacket(const Packet& pkt) {
@@ -280,6 +310,7 @@ void NetLockSession::OnPacket(const Packet& pkt) {
     }
     ++pending.attempts;
     pending.epoch = next_epoch_++;
+    pending.retry_seq = kNoRetry;  // The backoff re-arms it.
     const std::uint64_t epoch = pending.epoch;
     const LockId lock = hdr->lock_id;
     const TxnId txn = hdr->txn_id;
@@ -288,7 +319,7 @@ void NetLockSession::OnPacket(const Packet& pkt) {
           const auto it2 = pending_.find(std::make_pair(lock, txn));
           if (it2 == pending_.end() || it2->second.epoch != epoch) return;
           SendAcquire(lock, txn, it2->second);
-          ArmRetry(lock, txn, epoch, config_.retry_timeout);
+          ArmRetry(it2->second);
         });
   }
 }

@@ -127,7 +127,9 @@ class NetLockSession : public LockSession {
     TenantId tenant = 0;
     /// Retransmit an unanswered acquire after this long. Must be on the
     /// order of the lease so duplicates are rare; queued-but-not-granted
-    /// requests legitimately wait, so this also bounds queue wait.
+    /// requests legitimately wait, so this also bounds queue wait. Fixed
+    /// for the session's lifetime: deadlines then come due in the order
+    /// they are set, which is what lets one armed event serve them all.
     SimTime retry_timeout = 5 * kMillisecond;
     /// Delay before retrying a quota-rejected request.
     SimTime reject_backoff = 20 * kMicrosecond;
@@ -184,13 +186,23 @@ class NetLockSession : public LockSession {
   std::uint64_t releases_suppressed() const { return releases_suppressed_; }
 
  private:
+  /// Sequence number of a pending acquire whose retry is not set (its
+  /// quota-reject backoff is running).
+  static constexpr std::uint64_t kNoRetry = ~std::uint64_t{0};
+
   struct Pending {
     LockMode mode;
     Priority priority;
     AcquireCallback cb;
     int attempts = 0;
+    /// Guards the reject-backoff event against a resolved or re-issued
+    /// request.
     std::uint64_t epoch = 0;
     SimTime issued_at = 0;
+    /// Retransmit deadline and the event sequence number reserved for it
+    /// (kNoRetry while a reject backoff runs instead).
+    SimTime retry_at = 0;
+    std::uint64_t retry_seq = kNoRetry;
   };
 
   /// Destination of acquires and cancels for `lock`: the switch, or the
@@ -202,7 +214,18 @@ class NetLockSession : public LockSession {
   }
   void OnPacket(const Packet& pkt);
   void SendAcquire(LockId lock, TxnId txn, const Pending& pending);
-  void ArmRetry(LockId lock, TxnId txn, std::uint64_t epoch, SimTime delay);
+  /// Sets the request's retransmit deadline to retry_timeout from now.
+  /// Retry timers are lazy: the session keeps at most one event armed, at
+  /// its earliest deadline. retry_timeout is fixed, so a new deadline is
+  /// never earlier than the armed one. The deadline's event sequence
+  /// number is reserved here, so a live retransmit fires at exactly the
+  /// (when, seq) of an event scheduled now.
+  void ArmRetry(Pending& pending);
+  /// The armed retry event: re-arms at the next live deadline, then
+  /// retransmits (or times out) the request whose deadline this was, if it
+  /// is still pending. A request resolved since arming leaves nothing to
+  /// do.
+  void OnRetryTimer(std::uint64_t seq);
   void Invalidate(LockId lock, TxnId txn);
   bool Invalidated(LockId lock, TxnId txn) const;
 
@@ -225,6 +248,8 @@ class NetLockSession : public LockSession {
   /// grant locks from the backup switch until the queue ... gets empty").
   std::map<std::pair<LockId, TxnId>, GrantInfo> grant_source_;
   std::uint64_t next_epoch_ = 1;
+  /// True while a retry event is scheduled (at most one per session).
+  bool retry_armed_ = false;
   std::uint64_t retransmits_ = 0;
   std::uint64_t releases_suppressed_ = 0;
   /// Stamped into LockHeader::aux of every release this session sends. Each

@@ -41,17 +41,26 @@ LockServer& ControlPlane::ServerObjFor(LockId lock) const {
 }
 
 void ControlPlane::InstallAllocation(const Allocation& allocation) {
-  installed_ = allocation;
+  // Only locks the switch actually took are recorded as switch-resident:
+  // failover replicates installed_.switch_slots onto the backup, and
+  // RecoverSwitch evicts their server state before reinstalling them.
+  installed_.switch_slots.clear();
+  installed_.switch_slots.reserve(allocation.switch_slots.size());
+  installed_.server_only = allocation.server_only;
+  installed_.guaranteed_rate = allocation.guaranteed_rate;
   for (const auto& [lock, slots] : allocation.switch_slots) {
     const NodeId home = ServerFor(lock);
     // The switch becomes the owner: the home server must not keep (or act
     // on) owned-lock state from before — otherwise overflow requests marked
     // buffer-only would be wrongly granted server-side (split-brain).
     ServerObjFor(lock).EvictOwnership(lock);
-    if (!switch_.InstallLock(lock, home, slots)) {
+    if (switch_.InstallLock(lock, home, slots)) {
+      installed_.switch_slots.emplace_back(lock, slots);
+    } else {
       // Switch table/memory exhausted (fragmentation): serve from the
       // server instead; routing below still covers it.
       switch_.SetHomeServer(lock, home);
+      installed_.server_only.push_back(lock);
     }
   }
   // Server-only locks need no per-lock entries: the default hash route
@@ -364,6 +373,7 @@ void ControlPlane::RecoverSwitch() {
   // pre-crash grant predates the restart, so one lease from now they have
   // all expired; Activate then (the failover backup's handshake, §4.5).
   std::vector<LockId> reinstalled;
+  std::vector<LockId> refused;
   for (const auto& [lock, slots] : installed_.switch_slots) {
     const NodeId home = ServerFor(lock);
     ServerObjFor(lock).EvictOwnership(lock);
@@ -371,8 +381,10 @@ void ControlPlane::RecoverSwitch() {
       reinstalled.push_back(lock);
     } else {
       switch_.SetHomeServer(lock, home);
+      refused.push_back(lock);
     }
   }
+  for (const LockId lock : refused) CommitSwitchRemoval(lock);
   sim_.Schedule(config_.lease,
                 [this, reinstalled = std::move(reinstalled)] {
                   for (const LockId lock : reinstalled) {

@@ -79,19 +79,7 @@ void LockEngine::WaitQueue::Reset(SlabPool& pool) {
   spilled = false;
 }
 
-// --- Flat table ---
-
-std::uint32_t LockEngine::Lookup(LockId lock) const {
-  if (buckets_.empty()) return kNone;
-  const std::size_t mask = buckets_.size() - 1;
-  std::size_t i = HashLock(lock) & mask;
-  for (;;) {
-    const Bucket& b = buckets_[i];
-    if (b.state == kEmptySlot) return kNone;
-    if (b.state != kTombstone && b.key == lock) return b.state;
-    i = (i + 1) & mask;
-  }
-}
+// --- State pool ---
 
 std::uint32_t LockEngine::AllocState() {
   if (!free_states_.empty()) {
@@ -117,67 +105,17 @@ void LockEngine::FreeState(std::uint32_t idx) {
   free_states_.push_back(idx);
 }
 
-void LockEngine::Rehash() {
-  // Rebuild at load <= 1/4 (grows as needed, also purges tombstones).
-  std::size_t cap = 16;
-  while (cap < (size_ + 1) * 4) cap <<= 1;
-  std::vector<Bucket> fresh(cap);
-  const std::size_t mask = cap - 1;
-  for (const Bucket& b : buckets_) {
-    if (b.state == kEmptySlot || b.state == kTombstone) continue;
-    std::size_t i = HashLock(b.key) & mask;
-    while (fresh[i].state != kEmptySlot) i = (i + 1) & mask;
-    fresh[i] = b;
-  }
-  buckets_ = std::move(fresh);
-  tombstones_ = 0;
-}
-
 LockEngine::LockState& LockEngine::FindOrCreate(LockId lock) {
-  if (buckets_.empty() || (size_ + tombstones_ + 1) * 2 > buckets_.size()) {
-    Rehash();
-  }
-  const std::size_t npos = static_cast<std::size_t>(-1);
-  const std::size_t mask = buckets_.size() - 1;
-  std::size_t i = HashLock(lock) & mask;
-  std::size_t first_tomb = npos;
-  for (;;) {
-    Bucket& b = buckets_[i];
-    if (b.state == kEmptySlot) {
-      const std::size_t target = first_tomb != npos ? first_tomb : i;
-      if (first_tomb != npos) --tombstones_;
-      const std::uint32_t idx = AllocState();
-      states_[idx].key = lock;
-      buckets_[target].key = lock;
-      buckets_[target].state = idx;
-      ++size_;
-      return states_[idx];
-    }
-    if (b.state == kTombstone) {
-      if (first_tomb == npos) first_tomb = i;
-    } else if (b.key == lock) {
-      return states_[b.state];
-    }
-    i = (i + 1) & mask;
-  }
+  return states_[index_.FindOrInsert(lock, [this, lock] {
+    const std::uint32_t idx = AllocState();
+    states_[idx].key = lock;
+    return idx;
+  })];
 }
 
 void LockEngine::Erase(LockId lock) {
-  if (buckets_.empty()) return;
-  const std::size_t mask = buckets_.size() - 1;
-  std::size_t i = HashLock(lock) & mask;
-  for (;;) {
-    Bucket& b = buckets_[i];
-    if (b.state == kEmptySlot) return;
-    if (b.state != kTombstone && b.key == lock) {
-      FreeState(b.state);
-      b.state = kTombstone;
-      --size_;
-      ++tombstones_;
-      return;
-    }
-    i = (i + 1) & mask;
-  }
+  const std::uint32_t idx = index_.Erase(lock);
+  if (idx != kNone) FreeState(idx);
 }
 
 // --- Protocol ---
@@ -517,17 +455,15 @@ void LockEngine::DropDrained(LockId lock) {
 }
 
 void LockEngine::Clear() {
-  buckets_.clear();
+  index_.Clear();
   states_.clear();
   free_states_.clear();
   pool_.Clear();
-  size_ = 0;
-  tombstones_ = 0;
 }
 
 std::vector<LockId> LockEngine::OwnedLocks() const {
   std::vector<LockId> locks;
-  locks.reserve(size_);
+  locks.reserve(index_.size());
   for (const LockState& st : states_) {
     if (st.key != kInvalidLock) locks.push_back(st.key);
   }

@@ -17,8 +17,8 @@
 // sources: callers pass `now` (simulated or wall-clock nanoseconds) into
 // every operation, and grant decisions come out through a GrantSink.
 //
-// Storage is a flat open-addressing table (linear probing, tombstone
-// deletion) of per-lock states, with slab-backed FIFO wait queues: a
+// Storage is a pool of per-lock states indexed through a FlatLockMap
+// (common/flat_lock_map.h), with slab-backed FIFO wait queues: a
 // queue's first kInlineSlots entries live inline in the state (the common
 // case — depth <= 4 — touches no other memory and allocates nothing), and
 // deeper queues spill into fixed-size chunks drawn from a free-list slab
@@ -32,6 +32,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/flat_lock_map.h"
 #include "common/types.h"
 #include "dataplane/slot.h"
 
@@ -185,14 +186,14 @@ class LockEngine {
   void Clear();
 
   std::vector<LockId> OwnedLocks() const;
-  std::size_t num_owned() const { return size_; }
+  std::size_t num_owned() const { return index_.size(); }
 
   /// Harvests per-lock demand counters (rates normalized by `window_sec`),
   /// appending to `out`, and resets them (§4.3).
   void HarvestDemands(double window_sec, std::vector<LockDemand>& out);
 
  private:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint32_t kNone = FlatLockMap<std::uint32_t>::kNotFound;
   /// Queue entries stored inline in the lock state (zero-indirection fast
   /// path; the paper's workloads rarely queue deeper than a handful).
   static constexpr std::uint32_t kInlineSlots = 4;
@@ -308,29 +309,8 @@ class LockEngine {
     std::uint32_t max_depth = 1;  ///< c_i demand counter.
   };
 
-  /// Open-addressing bucket: {key, state index}. `state` doubles as the
-  /// occupancy marker (kEmptySlot / kTombstone sentinels).
-  struct Bucket {
-    LockId key = 0;
-    std::uint32_t state = kEmptySlot;
-  };
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-  static constexpr std::uint32_t kTombstone = 0xfffffffeu;
-
-  /// Bucket-index mix, deliberately different from the RSS core hash so the
-  /// per-core residue classes don't cluster the probe sequence.
-  static std::uint32_t HashLock(LockId lock) {
-    std::uint32_t h = lock;
-    h ^= h >> 16;
-    h *= 0x85ebca6bu;
-    h ^= h >> 13;
-    h *= 0xc2b2ae35u;
-    h ^= h >> 16;
-    return h;
-  }
-
   /// Index of the lock's state, or kNone.
-  std::uint32_t Lookup(LockId lock) const;
+  std::uint32_t Lookup(LockId lock) const { return index_.Find(lock); }
   LockState& FindOrCreate(LockId lock);
   /// Two queue entries conflict when they belong to different transactions
   /// and at least one side is exclusive (same-txn retransmit duplicates
@@ -356,18 +336,15 @@ class LockEngine {
                               bool notify, AbortReason reason);
   /// Removes the lock if present, returning its queues' chunks to the slab.
   void Erase(LockId lock);
-  void Rehash();
   std::uint32_t AllocState();
   void FreeState(std::uint32_t idx);
 
   GrantSink& sink_;
   DeadlockPolicy policy_ = DeadlockPolicy::kNone;
-  std::vector<Bucket> buckets_;  ///< Power-of-two open-addressing table.
+  FlatLockMap<std::uint32_t> index_;  ///< Lock -> index into states_.
   std::vector<LockState> states_;
   std::vector<std::uint32_t> free_states_;
   SlabPool pool_;
-  std::size_t size_ = 0;
-  std::size_t tombstones_ = 0;
 };
 
 }  // namespace netlock

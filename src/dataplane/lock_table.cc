@@ -18,8 +18,14 @@ std::optional<Extent> RegionAllocator::Allocate(std::uint32_t slots) {
     const std::uint32_t right = it->second;
     if (right - left >= slots) {
       Extent extent{left, left + slots};
-      free_.erase(it);
-      if (extent.right < right) free_.emplace(extent.right, right);
+      // Shrink the extent from the left by re-keying its map node, so a
+      // partial allocation allocates nothing.
+      const auto next = std::next(it);
+      auto node = free_.extract(it);
+      if (extent.right < right) {
+        node.key() = extent.right;
+        free_.insert(next, std::move(node));
+      }
       free_slots_ -= slots;
       return extent;
     }
@@ -57,86 +63,92 @@ std::uint32_t RegionAllocator::LargestFreeExtent() const {
 SwitchLockTable::SwitchLockTable(std::uint32_t max_locks,
                                  std::uint32_t queue_capacity)
     : max_locks_(max_locks), allocator_(queue_capacity) {
-  free_meta_indices_.reserve(max_locks);
-  for (std::uint32_t i = max_locks; i > 0; --i) {
-    free_meta_indices_.push_back(i - 1);
-  }
+  entries_.reserve(max_locks);
 }
 
 const SwitchLockEntry* SwitchLockTable::Install(
-    LockId lock, NodeId home_server, const std::vector<std::uint32_t>& slots) {
+    LockId lock, NodeId home_server, const PerPriority<std::uint32_t>& slots) {
   NETLOCK_CHECK(!slots.empty());
-  NETLOCK_CHECK(entries_.find(lock) == entries_.end());
-  if (free_meta_indices_.empty()) return nullptr;
+  NETLOCK_CHECK(index_.Find(lock) == FlatLockMap<std::uint32_t>::kNotFound);
+  if (free_meta_indices_.empty() && entries_.size() == max_locks_) {
+    return nullptr;
+  }
 
   SwitchLockEntry entry;
   entry.lock_id = lock;
   entry.home_server = home_server;
-  std::vector<Extent> acquired;
   for (const std::uint32_t n : slots) {
     const std::optional<Extent> extent = allocator_.Allocate(n);
     if (!extent) {
-      for (const Extent& e : acquired) allocator_.Free(e);
+      for (const LockBounds& r : entry.regions) {
+        allocator_.Free(Extent{r.left, r.right});
+      }
       return nullptr;
     }
-    acquired.push_back(*extent);
     entry.regions.push_back(LockBounds{extent->left, extent->right});
   }
-  entry.meta_index = free_meta_indices_.back();
-  free_meta_indices_.pop_back();
-  home_server_[lock] = home_server;
-  auto [it, inserted] = entries_.emplace(lock, std::move(entry));
-  NETLOCK_CHECK(inserted);
-  return &it->second;
+  // The most recently freed index first, else the next fresh one.
+  if (free_meta_indices_.empty()) {
+    entry.meta_index = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back(entry);
+  } else {
+    entry.meta_index = free_meta_indices_.back();
+    free_meta_indices_.pop_back();
+    entries_[entry.meta_index] = entry;
+  }
+  index_.InsertOrAssign(lock, entry.meta_index);
+  home_server_.InsertOrAssign(lock, home_server);
+  return &entries_[entry.meta_index];
 }
 
 void SwitchLockTable::Remove(LockId lock) {
-  const auto it = entries_.find(lock);
-  NETLOCK_CHECK(it != entries_.end());
-  for (const LockBounds& region : it->second.regions) {
+  const std::uint32_t meta = index_.Erase(lock);
+  NETLOCK_CHECK(meta != FlatLockMap<std::uint32_t>::kNotFound);
+  SwitchLockEntry& entry = entries_[meta];
+  for (const LockBounds& region : entry.regions) {
     allocator_.Free(Extent{region.left, region.right});
   }
-  free_meta_indices_.push_back(it->second.meta_index);
-  entries_.erase(it);
+  entry.lock_id = kInvalidLock;
+  free_meta_indices_.push_back(meta);
 }
 
 const SwitchLockEntry* SwitchLockTable::Find(LockId lock) const {
-  const auto it = entries_.find(lock);
-  return it == entries_.end() ? nullptr : &it->second;
+  const std::uint32_t meta = index_.Find(lock);
+  return meta == FlatLockMap<std::uint32_t>::kNotFound ? nullptr
+                                                       : &entries_[meta];
 }
 
 NodeId SwitchLockTable::HomeServer(LockId lock) const {
-  const auto it = home_server_.find(lock);
-  return it == home_server_.end() ? kInvalidNode : it->second;
+  const NodeId server = home_server_.Find(lock);
+  return server == FlatLockMap<NodeId>::kNotFound ? kInvalidNode : server;
 }
 
 void SwitchLockTable::SetHomeServer(LockId lock, NodeId server) {
-  home_server_[lock] = server;
+  home_server_.InsertOrAssign(lock, server);
 }
 
 void SwitchLockTable::ReassignHomeServer(LockId lock, NodeId server) {
-  const auto it = entries_.find(lock);
-  NETLOCK_CHECK(it != entries_.end());
-  it->second.home_server = server;
-  home_server_[lock] = server;
+  const std::uint32_t meta = index_.Find(lock);
+  NETLOCK_CHECK(meta != FlatLockMap<std::uint32_t>::kNotFound);
+  entries_[meta].home_server = server;
+  home_server_.InsertOrAssign(lock, server);
 }
 
 std::vector<LockId> SwitchLockTable::InstalledLocks() const {
   std::vector<LockId> locks;
-  locks.reserve(entries_.size());
-  for (const auto& [lock, entry] : entries_) locks.push_back(lock);
+  locks.reserve(index_.size());
+  for (const SwitchLockEntry& entry : entries_) {
+    if (entry.lock_id != kInvalidLock) locks.push_back(entry.lock_id);
+  }
   std::sort(locks.begin(), locks.end());
   return locks;
 }
 
 void SwitchLockTable::Clear() {
-  for (const auto& [lock, entry] : entries_) {
-    for (const LockBounds& region : entry.regions) {
-      allocator_.Free(Extent{region.left, region.right});
-    }
-    free_meta_indices_.push_back(entry.meta_index);
-  }
+  index_.Clear();
   entries_.clear();
+  free_meta_indices_.clear();
+  allocator_ = RegionAllocator(allocator_.capacity());
   // Home-server routing state survives a data-plane restart: it mirrors the
   // directory service, which is external to the switch.
 }

@@ -8,12 +8,15 @@
 // layout ... periodically reorganized to alleviate memory fragmentation").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
+#include "common/flat_lock_map.h"
 #include "common/types.h"
 #include "dataplane/slot.h"
 
@@ -51,13 +54,39 @@ class RegionAllocator {
   std::map<std::uint32_t, std::uint32_t> free_;  ///< left -> right.
 };
 
+/// One value per priority class, at most kMaxPriorities, stored inline so
+/// installing a lock allocates nothing.
+template <typename T>
+class PerPriority {
+ public:
+  PerPriority() = default;
+  PerPriority(std::initializer_list<T> values) {
+    for (const T& v : values) push_back(v);
+  }
+
+  void push_back(const T& v) {
+    NETLOCK_CHECK(size_ < static_cast<std::uint32_t>(kMaxPriorities));
+    items_[size_++] = v;
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  T& operator[](std::size_t i) { return items_[i]; }
+  const T& operator[](std::size_t i) const { return items_[i]; }
+  const T* begin() const { return items_; }
+  const T* end() const { return items_ + size_; }
+
+ private:
+  T items_[kMaxPriorities] = {};
+  std::uint32_t size_ = 0;
+};
+
 /// Per-lock entry installed in the switch.
 struct SwitchLockEntry {
   LockId lock_id = kInvalidLock;
   std::uint32_t meta_index = 0;      ///< Index into the meta register arrays.
   NodeId home_server = kInvalidNode; ///< Server holding this lock's q2.
   /// Region per priority class (single-element for the default path).
-  std::vector<LockBounds> regions;
+  PerPriority<LockBounds> regions;
 };
 
 /// Directory of switch-resident locks plus the home-server map for locks the
@@ -70,8 +99,9 @@ class SwitchLockTable {
 
   /// Installs a lock with one region of `slots` per priority class.
   /// Returns nullptr when the meta table or the shared queue is exhausted.
+  /// The entry stays at the returned address until the lock is removed.
   const SwitchLockEntry* Install(LockId lock, NodeId home_server,
-                                 const std::vector<std::uint32_t>& slots);
+                                 const PerPriority<std::uint32_t>& slots);
 
   /// Removes an installed lock, freeing its regions. The caller must have
   /// drained its queues first.
@@ -86,7 +116,7 @@ class SwitchLockTable {
   /// Rewrites an installed lock's home server (server failover).
   void ReassignHomeServer(LockId lock, NodeId server);
 
-  std::size_t num_installed() const { return entries_.size(); }
+  std::size_t num_installed() const { return index_.size(); }
   std::uint32_t free_slots() const { return allocator_.free_slots(); }
   std::uint32_t LargestFreeExtent() const {
     return allocator_.LargestFreeExtent();
@@ -102,9 +132,13 @@ class SwitchLockTable {
  private:
   std::uint32_t max_locks_;
   RegionAllocator allocator_;
-  std::unordered_map<LockId, SwitchLockEntry> entries_;
-  std::unordered_map<LockId, NodeId> home_server_;
-  std::vector<std::uint32_t> free_meta_indices_;
+  FlatLockMap<std::uint32_t> index_;  ///< Installed lock -> meta_index.
+  /// Entries by meta_index (free ones have lock_id == kInvalidLock).
+  /// Reserved to max_locks so addresses stay put; only the indices handed
+  /// out are ever touched, lowest first.
+  std::vector<SwitchLockEntry> entries_;
+  std::vector<std::uint32_t> free_meta_indices_;  ///< Below entries_.size().
+  FlatLockMap<NodeId> home_server_;
 };
 
 }  // namespace netlock

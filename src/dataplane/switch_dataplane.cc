@@ -116,7 +116,7 @@ bool LockSwitch::InstallLock(LockId lock, NodeId home_server,
                              std::uint32_t slots, bool suspended) {
   NETLOCK_CHECK(slots >= 1);
   NETLOCK_CHECK(!suspended || config_.num_priorities == 1);
-  std::vector<std::uint32_t> split;
+  PerPriority<std::uint32_t> split;
   if (config_.num_priorities == 1) {
     split.push_back(slots);
   } else {
@@ -132,7 +132,7 @@ bool LockSwitch::InstallLock(LockId lock, NodeId home_server,
     std::uint32_t allocated = 0;
     for (std::uint32_t i = 0; i < p; ++i) {
       split.push_back(base + (i < remainder ? 1 : 0));
-      allocated += split.back();
+      allocated += split[i];
     }
     NETLOCK_CHECK(allocated == total);
   }

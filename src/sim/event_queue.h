@@ -5,6 +5,15 @@
 // grant ordering, which the FCFS policy depends on — would be
 // nondeterministic. A sequence number provides the total order.
 //
+// Events cannot be cancelled. A component with many deadlines of which few
+// ever fire live (a client session's retransmit timers) reserves each
+// deadline's sequence number when it sets the deadline (ReserveSeq) and
+// keeps a single event armed at the earliest one; when that event fires it
+// pushes the next live deadline under its reserved number (PushReserved).
+// Surviving deadlines fire at exactly the (when, seq) they would have had
+// as events of their own, and the heap holds one event per component
+// instead of one per deadline.
+//
 // The hot path is allocation-free: events are stored as InlineEvent — a
 // move-only, small-buffer callable whose inline capacity (kInlineCapacity
 // bytes) fits a full packet-delivery closure (an 80-byte Packet plus the
@@ -168,12 +177,23 @@ class EventQueue {
  public:
   /// Schedules fn to run at absolute time `when`, constructing the callable
   /// directly in its arena slot (one move/copy from the caller's argument;
-  /// no intermediate InlineEvent hops). Returns the event's unique sequence
-  /// id (usable for debugging; cancellation is intentionally not supported —
-  /// components use epoch counters instead, which is cheaper and avoids
-  /// dangling handles).
+  /// no intermediate InlineEvent hops). Returns the event's sequence number.
   template <typename F>
   std::uint64_t Push(SimTime when, F&& fn) {
+    const std::uint64_t seq = ReserveSeq();
+    PushReserved(when, seq, std::forward<F>(fn));
+    return seq;
+  }
+
+  /// Takes the next sequence number without scheduling anything (see the
+  /// file comment). A reservation that is never pushed costs nothing.
+  std::uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// Schedules fn at (`when`, `seq`), where `seq` came from ReserveSeq and
+  /// has not been pushed yet. It fires in exactly the position an event
+  /// pushed at reservation time would have.
+  template <typename F>
+  void PushReserved(SimTime when, std::uint64_t seq, F&& fn) {
     std::uint32_t slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -183,10 +203,8 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back(std::forward<F>(fn));
     }
-    const std::uint64_t seq = next_seq_++;
     heap_.push(Entry{when, seq, slot});
     if (heap_.size() > max_depth_) max_depth_ = heap_.size();
-    return seq;
   }
 
   bool Empty() const { return heap_.empty(); }

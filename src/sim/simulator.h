@@ -56,6 +56,20 @@ class Simulator {
     MaybeSampleDepth();
   }
 
+  /// Reserves a place in the event order without scheduling; see
+  /// EventQueue::ReserveSeq.
+  std::uint64_t ReserveSeq() { return queue_.ReserveSeq(); }
+
+  /// Schedules fn at absolute time `when` (>= now()) under a sequence
+  /// number from ReserveSeq, so it fires where an event scheduled at
+  /// reservation time would have.
+  template <typename F>
+  void ScheduleReserved(SimTime when, std::uint64_t seq, F&& fn) {
+    NETLOCK_CHECK(when >= now_);
+    queue_.PushReserved(when, seq, std::forward<F>(fn));
+    MaybeSampleDepth();
+  }
+
   /// Runs events until the queue empties.
   void Run();
 

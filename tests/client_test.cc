@@ -5,9 +5,15 @@
 // run once per route.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "client/client.h"
 #include "client/txn.h"
 #include "dataplane/switch_dataplane.h"
+#include "harness/experiment.h"
+#include "harness/testbed.h"
 #include "server/lock_server.h"
 #include "test_util.h"
 #include "workload/micro.h"
@@ -309,6 +315,94 @@ TEST_F(ClientTest, MachineTxRateCapsThroughput) {
   // Only ~50 packets could leave the NIC in 50 us.
   EXPECT_LE(server_->received().size(), 51u);
   EXPECT_GE(server_->received().size(), 48u);
+}
+
+// Retry timers are lazy (one armed event per session), yet each pending
+// acquire still retransmits exactly retry_timeout after its previous send
+// and times out after max_retries retransmissions. Two acquires staggered
+// by a third of the timeout interleave their deadlines; a third, cancelled
+// acquire leaves a dead deadline at the front that must not delay them.
+TEST_F(ClientTest, LazyRetryTimersFireAtExactDeadlines) {
+  constexpr SimTime kTimeout = 300 * kMicrosecond;
+  constexpr int kMaxRetries = 3;
+  std::map<TxnId, std::vector<SimTime>> sends;
+  const NodeId silent = net_.AddNode([&](const Packet& pkt) {
+    const auto hdr = LockHeader::Parse(pkt);
+    if (hdr && hdr->op == LockOp::kAcquire) {
+      sends[hdr->txn_id].push_back(sim_.now());
+    }
+  });
+  NetLockSession::Config config;
+  config.switch_node = silent;  // The switch is unreachable.
+  config.retry_timeout = kTimeout;
+  config.max_retries = kMaxRetries;
+  NetLockSession session(*machine_, config);
+  std::map<TxnId, std::pair<AcquireResult, SimTime>> results;
+  auto acquire_at = [&](SimTime when, LockId lock, TxnId txn) {
+    sim_.ScheduleAt(when, [&, lock, txn]() {
+      session.Acquire(lock, LockMode::kExclusive, txn, 0,
+                      [&, txn](AcquireResult r) {
+                        results[txn] = {r, sim_.now()};
+                      });
+    });
+  };
+  acquire_at(0, 1, 10);
+  acquire_at(10 * kMicrosecond, 2, 20);
+  acquire_at(kTimeout / 3, 3, 30);
+  sim_.ScheduleAt(50 * kMicrosecond, [&]() {
+    session.Cancel(1, LockMode::kExclusive, 10);
+  });
+  sim_.RunUntil(10 * kTimeout);
+
+  ASSERT_EQ(sends[10].size(), 1u);  // Cancelled before its deadline.
+  EXPECT_EQ(results.count(10), 0u);
+  for (const auto& [txn, issued_at] :
+       {std::pair<TxnId, SimTime>{20, 10 * kMicrosecond},
+        std::pair<TxnId, SimTime>{30, kTimeout / 3}}) {
+    const std::vector<SimTime>& times = sends[txn];
+    ASSERT_EQ(times.size(), static_cast<std::size_t>(kMaxRetries + 1)) << txn;
+    // Same one-way delay for every send: the NIC is idle at each deadline.
+    const SimTime wire = times[0] - issued_at;
+    for (int k = 0; k <= kMaxRetries; ++k) {
+      EXPECT_EQ(times[k], issued_at + k * kTimeout + wire) << txn << " " << k;
+    }
+    ASSERT_EQ(results.count(txn), 1u) << txn;
+    EXPECT_EQ(results[txn].first, AcquireResult::kTimeout);
+    EXPECT_EQ(results[txn].second, issued_at + (kMaxRetries + 1) * kTimeout);
+  }
+  EXPECT_EQ(session.retransmits(), 2u * kMaxRetries);
+}
+
+// A 480-session rack (sim-switch's shape on fewer locks) keeps the event
+// heap at a few events per session: one armed retry timer each plus the
+// packets in flight, not one timer per acquire of the last retry window.
+TEST(RetryTimerDepthTest, HeapDepthScalesWithSessionsNotAcquires) {
+  MicroConfig micro;
+  micro.num_locks = 10'000;
+  micro.shared_fraction = 0.0;
+  TestbedConfig config;
+  config.system = SystemKind::kNetLock;
+  config.client_machines = 10;
+  config.sessions_per_machine = 48;
+  config.lock_servers = 1;
+  config.txn_config.think_time = 0;
+  config.switch_config.queue_capacity = 2 * micro.num_locks + 4096;
+  config.workload_factory = MicroFactory(micro);
+  Testbed testbed(config);
+  testbed.netlock().InstallKnapsack(
+      UniformMicroDemands(micro, testbed.num_engines()));
+  testbed.SetRecording(true);
+  testbed.StartEngines();
+  // Past one retry timeout, so every session's armed timer has fired and
+  // re-armed at least once.
+  testbed.sim().RunUntil(config.client_retry_timeout + kMillisecond);
+  std::uint64_t commits = 0;
+  for (int i = 0; i < testbed.num_engines(); ++i) {
+    commits += testbed.engine(i).metrics().txn_commits;
+  }
+  const std::size_t sessions = 480;
+  EXPECT_GT(commits, 20 * sessions);  // Many acquires per session.
+  EXPECT_LE(testbed.sim().max_pending_events(), 4 * sessions);
 }
 
 class TxnEngineTest : public ClientTest {};

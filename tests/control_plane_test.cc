@@ -197,6 +197,33 @@ TEST_F(ControlPlaneTest, RecoverSwitchReinstallsAllocation) {
   EXPECT_TRUE(client_->HasGrantFor(2));
 }
 
+// Regression: InstallAllocation recorded every lock of the allocation as
+// switch-resident, including those the full switch table refused. Those
+// locks are served by their home server, yet RecoverSwitch evicted the
+// server's state for them (dropping a live holder) before failing to
+// reinstall them — and the next acquire was granted to a second holder.
+TEST_F(ControlPlaneTest, RecoverSwitchKeepsLocksTheSwitchRefused) {
+  Allocation alloc;
+  for (LockId lock = 1; lock <= 20; ++lock) {
+    alloc.switch_slots.emplace_back(lock, 4);  // max_locks is 16.
+  }
+  control_->InstallAllocation(alloc);
+  ASSERT_EQ(switch_->table().num_installed(), 16u);
+  EXPECT_EQ(control_->installed().switch_slots.size(), 16u);
+  EXPECT_EQ(control_->installed().server_only,
+            (std::vector<LockId>{17, 18, 19, 20}));
+  Acquire(17, 1);  // Served by the home server.
+  ASSERT_TRUE(client_->HasGrantFor(1));
+  switch_->Fail();
+  control_->RecoverSwitch();
+  EXPECT_EQ(switch_->table().num_installed(), 16u);
+  EXPECT_FALSE(switch_->IsInstalled(17));
+  Acquire(17, 2);
+  EXPECT_FALSE(client_->HasGrantFor(2));  // Txn 1 still holds lock 17.
+  Release(17, 1);
+  EXPECT_TRUE(client_->HasGrantFor(2));
+}
+
 TEST(ReallocateSequencingTest, AdditionsWaitForRemovalDrains) {
   // Regression: Reallocate launched MoveLockToSwitch additions concurrently
   // with removals. With the queue fully occupied by the outgoing lock, the

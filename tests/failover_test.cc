@@ -178,6 +178,53 @@ TEST_F(FailoverEndToEndTest, ServiceContinuesThroughFailover) {
   testbed.StopEngines(kSecond);
 }
 
+// Regression: with more locks allocated than the switch table holds, the
+// control plane recorded the refused locks as switch-resident too, and
+// FailPrimary's replication onto the (equally sized) backup aborted on
+// the first lock past its capacity. Only the locks the primary took are
+// replicated; the rest stay with their home servers throughout.
+TEST_F(FailoverEndToEndTest, FailoverReplicatesOnlyLocksThePrimaryHolds) {
+  config_.switch_config.max_locks = 8;
+  MicroConfig micro;
+  micro.num_locks = 16;
+  config_.workload_factory = MicroFactory(micro);
+  Testbed testbed(config_);
+  testbed.netlock().InstallKnapsack(
+      UniformMicroDemands(micro, testbed.num_engines()));
+  const ControlPlane& control = testbed.netlock().control_plane();
+  ASSERT_EQ(testbed.netlock().lock_switch().table().num_installed(), 8u);
+  EXPECT_EQ(control.installed().switch_slots.size(), 8u);
+  EXPECT_EQ(control.installed().server_only.size(), 8u);
+
+  LockSwitch backup(testbed.net(), config_.switch_config);
+  for (NetLockSession* s : raw_sessions_) {
+    testbed.net().SetLatency(s->node(), backup.node(), 2500);
+  }
+  for (int i = 0; i < testbed.netlock().num_servers(); ++i) {
+    testbed.net().SetLatency(backup.node(),
+                             testbed.netlock().server(i).node(), 1500);
+  }
+  FailoverManager failover(testbed.sim(), testbed.netlock().lock_switch(),
+                           backup, testbed.netlock().control_plane());
+  for (NetLockSession* s : raw_sessions_) failover.RegisterSession(s);
+  testbed.StartEngines();
+  testbed.sim().RunUntil(20 * kMillisecond);
+  failover.FailPrimary();
+  EXPECT_EQ(backup.table().num_installed(), 8u);
+  for (int i = 0; i < testbed.num_engines(); ++i) {
+    testbed.engine(i).SetRecording(true);
+  }
+  testbed.sim().RunUntil(60 * kMillisecond);
+  std::uint64_t commits = 0;
+  for (int i = 0; i < testbed.num_engines(); ++i) {
+    commits += testbed.engine(i).metrics().txn_commits;
+  }
+  EXPECT_GT(commits, 100u);  // Backup and servers keep serving.
+  EXPECT_GT(backup.stats().grants, 0u);
+  EXPECT_EQ(oracle_->violations(), 0u);
+  testbed.StopEngines(kSecond);
+}
+
 // Edge case: the primary recovers while the backup still holds non-empty
 // queues. The backup must keep granting its queued work (releases route to
 // the grantor), hand each lock back only once its queue drains, and report

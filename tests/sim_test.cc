@@ -74,6 +74,36 @@ TEST(SimulatorTest, EventCountTracked) {
   EXPECT_EQ(sim.events_processed(), 7u);
 }
 
+// A reserved sequence number keeps the place in the (when, seq) order it
+// had when reserved, however late the event is pushed.
+TEST(SimulatorTest, ReservedEventFiresInReservationOrder) {
+  EventQueue queue;
+  std::vector<int> order;
+  queue.Push(100, [&]() { order.push_back(0); });
+  const std::uint64_t seq = queue.ReserveSeq();
+  queue.Push(100, [&]() { order.push_back(2); });
+  queue.Push(100, [&]() { order.push_back(3); });
+  queue.Push(50, [&]() { order.push_back(-1); });
+  queue.PushReserved(100, seq, [&]() { order.push_back(1); });
+  while (!queue.Empty()) queue.InvokeAndRecycle(queue.PopEntry().slot);
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
+}
+
+TEST(SimulatorTest, ScheduleReservedFromInsideAnEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t seq = sim.ReserveSeq();
+  sim.ScheduleAt(20, [&]() { order.push_back(2); });
+  sim.Schedule(10, [&]() {
+    order.push_back(0);
+    // Pushed after the event at 20 but reserved before it: fires first.
+    sim.ScheduleReserved(20, seq, [&]() { order.push_back(1); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
 TEST(InlineEventTest, InvokesAndMovesInlineCallable) {
   int calls = 0;
   InlineEvent ev([&calls]() { ++calls; });
