@@ -35,7 +35,7 @@ testing::FaultPlan Fig15Plan(SimTime fail_at, SimTime recover_at) {
 void FireAction(Testbed& testbed, const testing::FaultAction& action) {
   switch (action.kind) {
     case testing::FaultKind::kSwitchCrash:
-      testbed.netlock().lock_switch().Fail();
+      testbed.netlock().control_plane().FailSwitch();
       break;
     case testing::FaultKind::kSwitchRestart:
       testbed.netlock().control_plane().RecoverSwitch();

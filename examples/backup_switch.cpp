@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/failover.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
@@ -45,9 +44,9 @@ int main() {
     testbed.net().SetLatency(backup.node(),
                              testbed.netlock().server(i).node(), 1500);
   }
-  FailoverManager failover(testbed.sim(), testbed.netlock().lock_switch(),
-                           backup, testbed.netlock().control_plane());
-  for (NetLockSession* s : sessions) failover.RegisterSession(s);
+  ControlPlane& control = testbed.netlock().control_plane();
+  control.AttachStandby(backup, ControlPlane::Standby::kCold);
+  for (NetLockSession* s : sessions) control.RegisterSession(s);
 
   TimeSeries commits(10 * kMillisecond);
   for (int i = 0; i < testbed.num_engines(); ++i) {
@@ -56,11 +55,11 @@ int main() {
   testbed.StartEngines();
   testbed.sim().RunUntil(60 * kMillisecond);
   std::printf("t=0.060s: primary switch fails -> backup takes over\n");
-  failover.FailPrimary();
+  control.FailSwitch();
   testbed.sim().RunUntil(140 * kMillisecond);
   std::printf("t=0.140s: primary restarts -> backup drains, hands back\n");
   bool done = false;
-  failover.RecoverPrimary([&]() { done = true; });
+  control.RecoverSwitch([&]() { done = true; });
   testbed.sim().RunUntil(240 * kMillisecond);
   testbed.StopEngines(kSecond);
 

@@ -37,7 +37,7 @@ int main() {
 
   testbed.sim().RunUntil(200 * kMillisecond);
   std::printf("t=0.20s: injecting switch failure (registers lost)\n");
-  testbed.netlock().lock_switch().Fail();
+  testbed.netlock().control_plane().FailSwitch();
 
   testbed.sim().RunUntil(300 * kMillisecond);
   std::printf("t=0.30s: reactivating switch; control plane reinstalls the "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "client/client.h"
 #include "common/check.h"
 #include "net/lock_wire.h"
 
@@ -42,8 +43,8 @@ LockServer& ControlPlane::ServerObjFor(LockId lock) const {
 
 void ControlPlane::InstallAllocation(const Allocation& allocation) {
   // Only locks the switch actually took are recorded as switch-resident:
-  // failover replicates installed_.switch_slots onto the backup, and
-  // RecoverSwitch evicts their server state before reinstalling them.
+  // every recovery path reinstalls installed_.switch_slots and evicts the
+  // server state of those locks first.
   installed_.switch_slots.clear();
   installed_.switch_slots.reserve(allocation.switch_slots.size());
   installed_.server_only = allocation.server_only;
@@ -58,17 +59,12 @@ void ControlPlane::InstallAllocation(const Allocation& allocation) {
       installed_.switch_slots.emplace_back(lock, slots);
     } else {
       // Switch table/memory exhausted (fragmentation): serve from the
-      // server instead; routing below still covers it.
-      switch_.SetHomeServer(lock, home);
+      // server instead; the default route below covers it.
       installed_.server_only.push_back(lock);
     }
   }
   // Server-only locks need no per-lock entries: the default hash route
   // already sends them to their home servers.
-}
-
-void ControlPlane::RegisterServerLock(LockId lock) {
-  switch_.SetHomeServer(lock, ServerFor(lock));
 }
 
 void ControlPlane::StartLeasePolling() {
@@ -77,29 +73,18 @@ void ControlPlane::StartLeasePolling() {
   PollLeases();
 }
 
-void ControlPlane::SetChain(ChainMode mode, LockSwitch* tail) {
-  NETLOCK_CHECK(mode == ChainMode::kNone || tail != nullptr);
-  chain_mode_ = mode;
-  chain_tail_ = tail;
-}
-
 void ControlPlane::PollLeases() {
   sim_.Schedule(config_.lease_poll_interval, [this]() {
-    switch (chain_mode_) {
-      case ChainMode::kNone:
-        switch_.ClearExpired(config_.lease);
-        break;
-      case ChainMode::kChained:
-        // Forced releases replicate through the head; the tail (the
-        // emitting replica) owns the overflow re-arm.
-        switch_.ClearExpired(config_.lease,
-                             LockSwitch::SweepScope::kForcedReleasesOnly);
-        chain_tail_->ClearExpired(config_.lease,
-                                  LockSwitch::SweepScope::kOverflowRearmOnly);
-        break;
-      case ChainMode::kTailPromoted:
-        chain_tail_->ClearExpired(config_.lease);
-        break;
+    // A failed switch sweeps nothing (LockSwitch::ClearExpired), so the
+    // primary's sweep is unconditional.
+    if (hot() && !switch_failed_) {
+      switch_.ClearExpired(config_.lease,
+                           LockSwitch::SweepScope::kForcedReleasesOnly);
+      standby_->ClearExpired(config_.lease,
+                             LockSwitch::SweepScope::kOverflowRearmOnly);
+    } else {
+      switch_.ClearExpired(config_.lease);
+      if (standby_active_) standby_->ClearExpired(config_.lease);
     }
     for (LockServer* server : servers_) {
       server->ClearExpired(config_.lease);
@@ -177,19 +162,29 @@ void ControlPlane::CommitSwitchRemoval(LockId lock) {
 
 void ControlPlane::MoveLockToServer(LockId lock, std::function<void()> done) {
   NETLOCK_CHECK(switch_.IsInstalled(lock));
+  NETLOCK_CHECK(!hot());  // Migrations are not replicated down a chain.
   // §4.3: pause enqueuing (new requests buffer in q2 at the home server),
   // wait until the switch queue drains, then hand ownership to the server.
+  moving_.insert(lock);
   switch_.PauseLock(lock, true);
   PollUntil(sim_, config_.drain_poll_interval,
             [this, lock, done = std::move(done)]() {
-    // A switch restart mid-drain wipes the entry (and its queue with it);
-    // converge by completing the handoff rather than polling a ghost.
     if (switch_.IsInstalled(lock)) {
+      // Re-pause: a restart mid-drain reinstalls the lock unpaused.
+      switch_.PauseLock(lock, true);
       if (!switch_.QueueEmpty(lock)) return false;
-      switch_.RemoveLock(lock);
     }
+    // A queue wiped by a crash proves nothing: its holders' leases are
+    // live until the grace is over.
+    if (sim_.now() < grace_until_) return false;
+    // A restart may also have refused the lock; then there is no entry.
+    if (switch_.IsInstalled(lock)) switch_.RemoveLock(lock);
+    // Route by the alive-server hash from now on, not by the entry's home:
+    // a pinned server can fail or lose the lock to a recovered peer.
+    switch_.ClearHomeServer(lock);
     ServerObjFor(lock).TakeOwnership(lock);
     CommitSwitchRemoval(lock);
+    moving_.erase(lock);
     if (done) done();
     return true;
   });
@@ -198,13 +193,19 @@ void ControlPlane::MoveLockToServer(LockId lock, std::function<void()> done) {
 void ControlPlane::MoveLockToSwitch(LockId lock, std::uint32_t slots,
                                     std::function<void(bool)> done) {
   NETLOCK_CHECK(!switch_.IsInstalled(lock));
+  NETLOCK_CHECK(!hot());
   LockServer& server = ServerObjFor(lock);
   // Pause the server's queue: new requests buffer server-side; existing
   // holders drain via releases.
+  moving_.insert(lock);
   server.PauseLock(lock, true);
   PollUntil(sim_, config_.drain_poll_interval,
             [this, lock, slots, &server, done = std::move(done)]() {
     if (!server.QueueEmpty(lock)) return false;
+    // A server under its takeover grace has not granted the lock yet, but
+    // the failed server it inherited the lock from may have: the switch
+    // must not grant it either until those leases expire.
+    if (sim_.now() < server.grace_until()) return false;
     const bool installed =
         !switch_.IsInstalled(lock) &&
         switch_.InstallLock(lock, server.node(), slots);
@@ -218,11 +219,10 @@ void ControlPlane::MoveLockToSwitch(LockId lock, std::uint32_t slots,
       // Could not place (fragmentation): resume serving on the server. The
       // allocation must reflect reality — the lock stays server-owned, so
       // a later RecoverSwitch() must not resurrect it on the switch.
-      server.PauseLock(lock, false);
-      server.TakeOwnership(lock);  // No-op on q2 but re-grants if needed.
-      server.ForwardBufferedToSwitch(lock);
+      ResumeOnServer(lock);
       CommitSwitchRemoval(lock);
     }
+    moving_.erase(lock);
     if (done) done(installed);
     return true;
   });
@@ -285,6 +285,7 @@ bool ControlPlane::ApplyAllocation(const Allocation& target,
   std::vector<LockId> to_remove;
   std::vector<std::pair<LockId, std::uint32_t>> to_add;
   for (const LockId lock : switch_.table().InstalledLocks()) {
+    if (!Owns(lock)) continue;
     const auto want_it = target_slots.find(lock);
     if (want_it == target_slots.end()) {
       to_remove.push_back(lock);
@@ -302,7 +303,9 @@ bool ControlPlane::ApplyAllocation(const Allocation& target,
     }
   }
   for (const auto& [lock, slots] : target.switch_slots) {
-    if (!switch_.IsInstalled(lock)) to_add.emplace_back(lock, slots);
+    if (!switch_.IsInstalled(lock) && Owns(lock)) {
+      to_add.emplace_back(lock, slots);
+    }
   }
   // Both sets come out of unordered_map iteration: fix the order so the
   // migration event sequence is independent of hash-table layout.
@@ -364,34 +367,201 @@ bool ControlPlane::ApplyAllocation(const Allocation& target,
   return true;
 }
 
-void ControlPlane::RecoverSwitch() {
-  switch_.Restart();
-  // Reinstall the committed allocation, but suspended (queue-but-don't-
-  // grant): grants issued before the crash are still live until their
-  // leases expire, and an immediate regrant would overlap them — the
-  // switch-restart analogue of the one-lease server grace below. Every
-  // pre-crash grant predates the restart, so one lease from now they have
-  // all expired; Activate then (the failover backup's handshake, §4.5).
-  std::vector<LockId> reinstalled;
+std::vector<LockId> ControlPlane::InstallCommitted(LockSwitch& sw,
+                                                   bool suspended) {
   std::vector<LockId> refused;
   for (const auto& [lock, slots] : installed_.switch_slots) {
+    // A backup still draining from an earlier failure keeps its queues.
+    if (sw.IsInstalled(lock)) continue;
     const NodeId home = ServerFor(lock);
     ServerObjFor(lock).EvictOwnership(lock);
-    if (switch_.InstallLock(lock, home, slots, /*suspended=*/true)) {
-      reinstalled.push_back(lock);
-    } else {
-      switch_.SetHomeServer(lock, home);
+    if (!sw.InstallLock(lock, home, slots, suspended)) {
+      sw.ClearHomeServer(lock);  // Served by its home server.
       refused.push_back(lock);
     }
   }
-  for (const LockId lock : refused) CommitSwitchRemoval(lock);
-  sim_.Schedule(config_.lease,
-                [this, reinstalled = std::move(reinstalled)] {
-                  for (const LockId lock : reinstalled) {
-                    // Skip locks a migration moved (or removed) meanwhile.
-                    if (switch_.IsSuspended(lock)) switch_.Activate(lock);
-                  }
-                });
+  return refused;
+}
+
+void ControlPlane::AttachStandby(LockSwitch& standby, Standby kind) {
+  NETLOCK_CHECK(standby_ == nullptr && !switch_failed_);
+  standby_ = &standby;
+  standby_kind_ = kind;
+  standby.SetDefaultRoute([this](LockId lock) { return ServerFor(lock); });
+  if (kind == Standby::kCold) return;
+  // Mirror the allocation: the identical install sequence yields identical
+  // region layout and metadata indices, the precondition for the replicas
+  // evolving in lock-step. Ops (and server pushes) enter at the head.
+  NETLOCK_CHECK(InstallCommitted(standby, /*suspended=*/false).empty());
+  switch_.ConfigureChainHead(standby.node());
+  standby.ConfigureChainTail(switch_.node());
+}
+
+void ControlPlane::RegisterSession(NetLockSession* session) {
+  NETLOCK_CHECK(session != nullptr);
+  sessions_.push_back(session);
+}
+
+NodeId ControlPlane::active_switch() const {
+  return switch_failed_ && standby_ != nullptr ? standby_->node()
+                                               : switch_.node();
+}
+
+void ControlPlane::Repoint(NodeId to, NodeId redirect_from) {
+  // Overflow (q2) traffic from the servers must reach the live switch.
+  for (LockServer* server : servers_) server->set_switch_node(to);
+  for (NetLockSession* session : sessions_) {
+    session->set_switch_node(to);
+    if (redirect_from != kInvalidNode) {
+      session->RedirectGrantSource(redirect_from, to);
+    }
+  }
+}
+
+void ControlPlane::FailSwitch() {
+  NETLOCK_CHECK(!switch_failed_);
+  switch_failed_ = true;
+  ++failures_;
+  switch_.Fail();
+  if (hot()) {
+    // The tail already holds the complete lock state: failover is a
+    // routing update, and releases recorded against the head flow to the
+    // tail, so every in-flight hold completes normally. No grace.
+    standby_->PromoteStandalone();
+    standby_active_ = true;
+    Repoint(standby_->node(), switch_.node());
+    return;
+  }
+  grace_until_ = sim_.now() + config_.lease;
+  if (standby_ == nullptr) return;
+  // Cold backup: requests queue on it at once, nothing grants before the
+  // grace. On a second failure during a drain the backup still holds the
+  // locks: re-suspend exactly those whose grant stream had moved back to
+  // the primary (its fresh grants must expire first).
+  standby_active_ = true;
+  for (const LockId lock : returned_to_primary_) {
+    if (standby_->IsInstalled(lock)) standby_->Suspend(lock);
+  }
+  returned_to_primary_.clear();
+  // The backup is empty or holds a subset; capacity matches the primary.
+  NETLOCK_CHECK(InstallCommitted(*standby_, /*suspended=*/true).empty());
+  Repoint(standby_->node());
+  // A later failure moves the grace, and its own activation supersedes
+  // this one; an early RecoverSwitch must not cancel it, or the backup's
+  // queues would never grant (and so never drain).
+  sim_.ScheduleAt(grace_until_, [this]() {
+    if (!standby_active_ || sim_.now() < grace_until_) return;
+    for (const LockId lock : standby_->table().InstalledLocks()) {
+      standby_->Activate(lock);
+    }
+  });
+}
+
+void ControlPlane::RecoverSwitch(std::function<void()> done) {
+  NETLOCK_CHECK(switch_failed_);
+  // Head recovery after a chain promotion is unsupported: the promoted
+  // tail stays the only switch.
+  NETLOCK_CHECK(!hot());
+  switch_failed_ = false;
+  switch_.Restart();
+  // Reinstall the committed allocation suspended (queue-but-don't-grant):
+  // grants issued before the crash are live until the grace is over.
+  std::vector<LockId> refused = InstallCommitted(switch_, /*suspended=*/true);
+  if (standby_active_) {
+    // The backup holds every refused lock's queue; it cannot hand back.
+    NETLOCK_CHECK(refused.empty());
+    Repoint(switch_.node());
+    PollFailBack(failures_, std::move(done));
+    return;
+  }
+  // A refused lock falls back to its home server, which holds its requests
+  // until the grace too.
+  for (const LockId lock : refused) {
+    CommitSwitchRemoval(lock);
+    ServerObjFor(lock).PauseLock(lock, true);
+  }
+  const std::uint64_t failures = failures_;
+  sim_.ScheduleAt(std::max(sim_.now(), grace_until_),
+                  [this, failures, refused = std::move(refused),
+                   done = std::move(done)]() {
+    if (failures != failures_) return;  // Failed again: superseded.
+    for (const LockId lock : switch_.table().InstalledLocks()) {
+      if (Owns(lock) && switch_.IsSuspended(lock)) switch_.Activate(lock);
+    }
+    for (const LockId lock : refused) {
+      // Skip a lock a migration moved back, or a re-home still moves.
+      if (!switch_.IsInstalled(lock) && Owns(lock)) ResumeOnServer(lock);
+    }
+    if (done) done();
+  });
+}
+
+void ControlPlane::PollFailBack(std::uint64_t failures,
+                                std::function<void()> done) {
+  PollUntil(sim_, config_.drain_poll_interval,
+            [this, failures, done = std::move(done)]() {
+    if (failures != failures_) return true;  // Superseded by a failure.
+    // Until the grace is over an empty backup queue proves nothing: the
+    // backup itself has not granted yet, the failed primary's holders have.
+    if (sim_.now() < grace_until_) return false;
+    bool all_drained = true;
+    for (const LockId lock : switch_.table().InstalledLocks()) {
+      if (!switch_.IsSuspended(lock)) continue;
+      // "Only grant from the backup until its queue gets empty": each lock
+      // returns the moment the backup's queue for it drains, which keeps
+      // one grant order per lock.
+      if (!standby_->IsInstalled(lock) || standby_->QueueEmpty(lock)) {
+        switch_.Activate(lock);
+        returned_to_primary_.insert(lock);
+      } else {
+        all_drained = false;
+      }
+    }
+    if (!all_drained) return false;
+    standby_active_ = false;
+    standby_->Restart();
+    returned_to_primary_.clear();
+    if (done) done();
+    return true;
+  });
+}
+
+void ControlPlane::StageLock(LockId lock, std::uint32_t slots) {
+  NETLOCK_CHECK(standby_ == nullptr);
+  const NodeId home = ServerFor(lock);
+  if (slots > 0 && switch_.InstallLock(lock, home, slots,
+                                       /*suspended=*/true)) {
+    CommitSwitchInstall(lock, slots);
+    return;
+  }
+  switch_.ClearHomeServer(lock);  // Drops a tombstone from an earlier move.
+  ServerObjFor(lock).PauseLock(lock, true);
+}
+
+void ControlPlane::ActivateStaged(LockId lock) {
+  if (!switch_.IsInstalled(lock)) {
+    ResumeOnServer(lock);
+    return;
+  }
+  // A down switch activates what it reinstalls when it recovers.
+  if (switch_failed_) return;
+  if (sim_.now() >= grace_until_) {
+    switch_.Activate(lock);
+    return;
+  }
+  sim_.ScheduleAt(grace_until_, [this, lock]() {
+    // A later failure moved the grace; its recovery activates the lock.
+    if (switch_failed_ || sim_.now() < grace_until_) return;
+    if (switch_.IsSuspended(lock)) switch_.Activate(lock);
+  });
+}
+
+void ControlPlane::ResumeOnServer(LockId lock) {
+  LockServer& server = ServerObjFor(lock);
+  server.PauseLock(lock, false);
+  server.TakeOwnership(lock);  // Converts any q2 buffer, grants the head.
+  // Requests buffered while paused re-enter through the switch in order.
+  server.ForwardBufferedToSwitch(lock);
 }
 
 bool ControlPlane::ServerAlive(int index) const {
@@ -401,8 +571,11 @@ bool ControlPlane::ServerAlive(int index) const {
 }
 
 void ControlPlane::ReassignInstalledHomes() {
-  for (const LockId lock : switch_.table().InstalledLocks()) {
-    switch_.table().ReassignHomeServer(lock, ServerFor(lock));
+  for (LockSwitch* sw : {&switch_, standby_}) {
+    if (sw == nullptr) continue;
+    for (const LockId lock : sw->table().InstalledLocks()) {
+      sw->table().ReassignHomeServer(lock, ServerFor(lock));
+    }
   }
 }
 

@@ -129,6 +129,11 @@ ShardedNetLock::ShardedNetLock(Network& net, ShardedNetLockOptions options)
     } else {
       racks_.push_back(std::make_unique<NetLockManager>(net_, options_.rack));
     }
+    // A rack's migrations and restart activations leave alone the locks
+    // the directory homes elsewhere and those a re-home is moving.
+    racks_.back()->control_plane().SetOwnership([this, r](LockId lock) {
+      return directory_.RackFor(lock) == r && !RehomeInFlight(lock);
+    });
   }
 }
 
@@ -184,7 +189,10 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
                                 std::function<void()> done) {
   NETLOCK_CHECK(to_rack >= 0 && to_rack < num_racks());
   const int from_rack = directory_.RackFor(lock);
-  if (from_rack == to_rack || RehomeInFlight(lock)) {
+  // The source's own migration of the lock would land behind the re-home
+  // (e.g. install it on the source switch after the directory moved on).
+  if (from_rack == to_rack || RehomeInFlight(lock) ||
+      racks_[from_rack]->control_plane().Moving(lock)) {
     if (done) done();
     return false;
   }
@@ -203,17 +211,10 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
     }
   }
   // Step 1: stage the lock at the target, suspended — requests may queue
-  // there but nothing is granted while the source still holds state.
-  const bool dst_on_switch =
-      slots > 0 && dst.lock_switch().InstallLock(
-                       lock, dst.control_plane().ServerFor(lock), slots,
-                       /*suspended=*/true);
-  if (!dst_on_switch) {
-    // Target serves it from the lock server (switch full or the lock was
-    // server-owned at the source): route it and pause the owned queue.
-    dst.control_plane().RegisterServerLock(lock);
-    dst.control_plane().ServerObjFor(lock).PauseLock(lock, true);
-  }
+  // there but nothing is granted while the source still holds state. The
+  // target's control plane places it (switch, or server when the switch
+  // is full or the lock was server-owned at the source).
+  dst.control_plane().StageLock(lock, slots);
   // Step 2: flip the directory. New acquires route to the (still
   // suspended) target; requests already in flight — and their
   // retransmissions — stay with the source, which keeps granting until its
@@ -222,8 +223,7 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
 
   // Step 4 (scheduled from step 3 below): the source is drained — drop its
   // state, tombstone-route stragglers to the target's switch, activate.
-  auto finish = [this, lock, from_rack, to_rack, dst_on_switch,
-                 done = std::move(done)]() {
+  auto finish = [this, lock, from_rack, to_rack, done = std::move(done)]() {
     NetLockManager& source = *racks_[from_rack];
     NetLockManager& target = *racks_[to_rack];
     // Any stray for this lock still addressed to the source (a duplicated
@@ -232,16 +232,7 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
     // owner.
     source.lock_switch().SetHomeServer(lock, target.lock_switch().node());
     source.control_plane().ServerObjFor(lock).DropState(lock);
-    if (dst_on_switch) {
-      target.lock_switch().Activate(lock);
-    } else {
-      LockServer& server = target.control_plane().ServerObjFor(lock);
-      server.PauseLock(lock, false);
-      server.TakeOwnership(lock);  // Converts any q2 buffer, grants head.
-      // Requests buffered while paused re-enter through the target's
-      // switch in arrival order.
-      server.ForwardBufferedToSwitch(lock);
-    }
+    target.control_plane().ActivateStaged(lock);
     rehoming_.erase(lock);
     ++rehomes_completed_;
     if (done) done();

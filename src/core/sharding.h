@@ -16,12 +16,14 @@
 //     on the wrong switch.
 //   * RehomeLock migrates one lock between racks with the same
 //     pause -> drain -> move discipline the control plane uses inside a
-//     rack (ControlPlane::MoveLockToServer / MoveLockToSwitch): install
-//     suspended at the target, flip the directory (new requests queue at
-//     the target but are not granted), drain the source, tombstone-route
-//     strays from the source to the target, then activate. Mutual
-//     exclusion holds throughout: at most one rack grants the lock at any
-//     time.
+//     rack (ControlPlane::MoveLockToServer / MoveLockToSwitch): stage it
+//     suspended through the target rack's control plane, flip the
+//     directory (new requests queue at the target but are not granted),
+//     drain the source, tombstone-route strays from the source to the
+//     target, then activate (under the target switch's restart grace).
+//     Mutual exclusion holds throughout: at most one rack grants the lock
+//     at any time. While a re-home is in flight, and after it for the
+//     source, neither rack's own migrations touch the lock.
 //
 // Per-rack observability: when `label_racks` is set (and there is more
 // than one rack) each rack's switch/server instruments resolve under a
@@ -168,9 +170,10 @@ class ShardedNetLock {
   /// Re-homes one lock onto `to_rack` using the pause -> drain -> move
   /// protocol described in the header comment. `done` fires when the lock
   /// is live on the target rack. A no-op (done fires immediately, returns
-  /// false) when the lock already lives there or a re-home for it is
-  /// already in flight — the false return lets the self-driving controller
-  /// charge its migration budget only for moves that actually launch.
+  /// false) when the lock already lives there, a re-home for it is already
+  /// in flight, or its rack is moving it between switch and server — the
+  /// false return lets the self-driving controller charge its migration
+  /// budget only for moves that actually launch.
   bool RehomeLock(LockId lock, int to_rack,
                   std::function<void()> done = nullptr);
 

@@ -112,6 +112,7 @@ class SwitchLockTable {
   /// Home server for any lock (installed or not); kInvalidNode if unmapped.
   NodeId HomeServer(LockId lock) const;
   void SetHomeServer(LockId lock, NodeId server);
+  void ClearHomeServer(LockId lock) { home_server_.Erase(lock); }
 
   /// Rewrites an installed lock's home server (server failover).
   void ReassignHomeServer(LockId lock, NodeId server);

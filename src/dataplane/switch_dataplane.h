@@ -135,6 +135,9 @@ class LockSwitch {
     table_.SetHomeServer(lock, server);
   }
 
+  /// Drops a lock's directory entry: the default route applies again.
+  void ClearHomeServer(LockId lock) { table_.ClearHomeServer(lock); }
+
   /// Fallback route for locks with no explicit directory entry — the
   /// hash-partitioning the clients' directory service uses. Keeps the
   /// switch's exact-match table small even for huge lock spaces.

@@ -100,11 +100,20 @@ void LockServer::Process(const LockHeader& hdr) {
 
 void LockServer::ProcessOwnedAcquire(const LockHeader& hdr) {
   const SimTime now = substrate_.Now();
-  if (!engine_.Owns(hdr.lock_id) && now < grace_until_) {
-    // Fresh ownership inherited from a failed peer: queue without granting
-    // until the dead server's leases have expired (§4.5).
-    engine_.SetPaused(hdr.lock_id, true);
-    graced_locks_.push_back(hdr.lock_id);
+  if (!engine_.Owns(hdr.lock_id)) {
+    if (handed_off_.count(hdr.lock_id) != 0) {
+      // Sent here before the lock moved on (in flight, or queued at a core
+      // during the handoff): granting it would re-create ownership beside
+      // the new owner's. The switch routes it to that owner.
+      ForwardToSwitch(hdr);
+      return;
+    }
+    if (now < grace_until_) {
+      // Fresh ownership inherited from a failed peer: queue without
+      // granting until the dead server's leases have expired (§4.5).
+      engine_.SetPaused(hdr.lock_id, true);
+      graced_locks_.push_back(hdr.lock_id);
+    }
   }
   QueueSlot slot;
   slot.mode = hdr.mode;
@@ -282,9 +291,13 @@ void LockServer::TakeOwnership(LockId lock) {
     q2_.erase(it);
   }
   engine_.AdoptQueue(lock, std::move(backlog), substrate_.Now());
+  handed_off_.erase(lock);
 }
 
-void LockServer::DropOwnership(LockId lock) { engine_.DropDrained(lock); }
+void LockServer::DropOwnership(LockId lock) {
+  engine_.DropDrained(lock);
+  handed_off_.insert(lock);
+}
 
 void LockServer::EvictOwnership(LockId lock) { engine_.Drop(lock); }
 
@@ -295,6 +308,7 @@ void LockServer::Fail() {
     AdjustQ2Depth(-static_cast<std::int64_t>(q2.size()));
   }
   q2_.clear();
+  handed_off_.clear();
   graced_locks_.clear();
   release_filter_.assign(release_filter_.size(), 0);
   last_push_notify_.clear();
@@ -306,6 +320,9 @@ void LockServer::Restart() { failed_ = false; }
 void LockServer::GracePeriodUntil(SimTime until) {
   NETLOCK_CHECK(until >= net_.sim().now());
   grace_until_ = until;
+  // The alive set changed, so a lock handed off may be homed here again:
+  // forwarding it would bounce between this server and the switch.
+  handed_off_.clear();
   net_.sim().ScheduleAt(until, [this]() { ActivateGraced(); });
 }
 
@@ -337,19 +354,24 @@ std::size_t LockServer::QueueDepth(LockId lock) const {
 }
 
 void LockServer::ForwardBufferedToSwitch(LockId lock) {
-  NETLOCK_CHECK(switch_node_ != kInvalidNode);
   if (!engine_.Owns(lock)) return;
   for (const QueueSlot& slot : engine_.TakePausedBuffer(lock)) {
     LockHeader req;
-    req.op = LockOp::kAcquire;
     req.lock_id = lock;
     req.mode = slot.mode;
     req.txn_id = slot.txn_id;
     req.client_node = slot.client_node;
     req.tenant = slot.tenant;
     req.timestamp = slot.timestamp;
-    net_.Send(MakeLockPacket(node_, switch_node_, req));
+    ForwardToSwitch(req);
   }
+}
+
+void LockServer::ForwardToSwitch(LockHeader req) {
+  NETLOCK_CHECK(switch_node_ != kInvalidNode);
+  req.op = LockOp::kAcquire;
+  req.flags = 0;  // A fresh acquire for the switch to admit.
+  net_.Send(MakeLockPacket(node_, switch_node_, req));
 }
 
 void LockServer::ClearExpired(SimTime lease) {
@@ -371,6 +393,7 @@ std::vector<LockId> LockServer::OwnedLocks() const {
 
 void LockServer::DropState(LockId lock) {
   engine_.Drop(lock);
+  handed_off_.insert(lock);
   const auto it = q2_.find(lock);
   if (it != q2_.end()) {
     AdjustQ2Depth(-static_cast<std::int64_t>(it->second.size()));

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/metrics.h"
@@ -72,6 +73,7 @@ class LockServer : private GrantSink {
   void TakeOwnership(LockId lock);
 
   /// Marks that the switch now owns this lock. Precondition: drained here.
+  /// The lock counts as handed off (see DropState).
   void DropOwnership(LockId lock);
 
   /// Unconditionally discards owned state for a lock the switch is taking
@@ -117,6 +119,7 @@ class LockServer : private GrantSink {
   /// expire before granting the locks" (Section 4.5), so no grant can
   /// overlap one issued by the dead server.
   void GracePeriodUntil(SimTime until);
+  SimTime grace_until() const { return grace_until_; }
 
   /// Number of requests currently buffered in q2 for a lock.
   std::size_t OverflowDepth(LockId lock) const;
@@ -131,6 +134,10 @@ class LockServer : private GrantSink {
   /// Drops all state (owned queue + q2 buffer) for one lock. Used when a
   /// recovered peer takes its locks back: waiters here recover via client
   /// retransmission, and in-flight releases become stale at the new owner.
+  /// The lock counts as handed off: until TakeOwnership (or the alive
+  /// server set changes, GracePeriodUntil), a late acquire for it that is
+  /// not buffer-only goes to the switch, which routes it to the lock's
+  /// owner, instead of re-creating ownership here.
   void DropState(LockId lock);
 
   void set_grant_observer(
@@ -190,6 +197,9 @@ class LockServer : private GrantSink {
 
   void ActivateGraced();
 
+  /// Sends `req` to the switch as a fresh acquire.
+  void ForwardToSwitch(LockHeader req);
+
   Network& net_;
   LockServerConfig config_;
   NodeId node_;
@@ -203,6 +213,8 @@ class LockServer : private GrantSink {
   /// The shared wait-queue protocol (also driven by the rt backend).
   LockEngine engine_;
   std::unordered_map<LockId, std::deque<QueueSlot>> q2_;
+  /// Locks handed off by DropOwnership or DropState, not taken back.
+  std::unordered_set<LockId> handed_off_;
   /// Release-dedup fingerprints (empty when the filter is disabled).
   std::vector<std::uint64_t> release_filter_;
   /// Per-instance nonce stamped into each grant's aux (see the switch's

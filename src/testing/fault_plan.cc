@@ -9,10 +9,11 @@ namespace {
 
 // Serialization names, indexed by FaultKind. Append-only: replay tokens
 // embedded in CI logs and bug reports must keep parsing.
-constexpr std::array<const char*, 15> kKindNames = {
+constexpr std::array<const char*, 16> kKindNames = {
     "loss",   "dup",    "reorder", "jitter", "clear",
     "part",   "burst",  "failsw",  "recsw",  "failsrv",
     "recsrv", "downsw", "upsw",    "realloc", "rehome",
+    "failhead",
 };
 
 bool ParseU64(std::string_view s, std::uint64_t* out) {
@@ -80,6 +81,13 @@ bool FaultPlan::PerturbsDelivery() const {
 bool FaultPlan::NeedsBackup() const {
   for (const FaultAction& action : actions) {
     if (action.kind == FaultKind::kFailPrimary) return true;
+  }
+  return false;
+}
+
+bool FaultPlan::NeedsChain() const {
+  for (const FaultAction& action : actions) {
+    if (action.kind == FaultKind::kFailHead) return true;
   }
   return false;
 }

@@ -1,8 +1,9 @@
 // FaultPlan: a declarative timeline of faults injected into one simulated
 // run — network adversary knobs (loss, duplication, reordering, jitter),
-// timed partitions, lease-expiry bursts, switch failover, and lock-server
-// crash/recovery. Plans serialize to a single compact token so a failing
-// fuzzer schedule can be replayed from one command-line argument.
+// timed partitions, lease-expiry bursts, switch failover (cold backup or
+// chain), and lock-server crash/recovery. Plans serialize to a single
+// compact token so a failing fuzzer schedule can be replayed from one
+// command-line argument.
 //
 // Every action is *guarded* at execution time (a RecoverPrimary with the
 // primary healthy is a no-op, and so on), so any subsequence of a valid
@@ -38,17 +39,19 @@ enum class FaultKind : std::uint8_t {
   /// expires and is force-released by the lease sweep (`duration` is
   /// clamped up to 2.5 leases by the runner).
   kLeaseExpiryBurst,
-  /// Switch failover (core/failover): fail the primary over to the backup
-  /// / drain the backup back into a recovered primary.
+  /// Switch failover to a cold backup (the runner attaches one): fail the
+  /// primary over / drain the backup back into the recovered primary.
   kFailPrimary,
   kRecoverPrimary,
   /// Lock-server crash/recovery through the control plane (§4.5 rehash +
   /// grace period). `target % num_servers` picks the server.
   kServerFail,
   kServerRecover,
-  /// Primary-switch crash and in-place restart through the control plane
+  /// Switch crash and in-place restart through the control plane
   /// (register state lost, clients retry into the lease-cleared switch) —
-  /// the Figure 15 failure model, distinct from backup failover above.
+  /// the Figure 15 failure model. With a standby attached these act like
+  /// the failover actions above: every switch failure is
+  /// ControlPlane::FailSwitch / RecoverSwitch.
   kSwitchCrash,
   kSwitchRestart,
   /// Control-plane reallocation on rack `target % racks`: re-runs the
@@ -60,6 +63,10 @@ enum class FaultKind : std::uint8_t {
   /// `value % racks` via ShardedNetLock::RehomeLock. A no-op on
   /// single-rack schedules or when a migration is already in flight.
   kRehome,
+  /// Head crash on a two-switch chain (§6.5): the runner stands up a
+  /// replicating tail, and this fails the head over to it. The head stays
+  /// down (head recovery after promotion is unsupported).
+  kFailHead,
 };
 
 const char* ToString(FaultKind kind);
@@ -86,8 +93,12 @@ struct FaultPlan {
   bool PerturbsDelivery() const;
 
   /// True if the plan ever fails the primary switch over to a backup (the
-  /// runner must stand up a backup switch + FailoverManager).
+  /// runner must attach a cold standby switch).
   bool NeedsBackup() const;
+
+  /// True if the plan ever crashes a chain head (the runner must stand up
+  /// a replicating tail).
+  bool NeedsChain() const;
 
   /// True when no action can reorder, drop, or force-release anything:
   /// switch-side FIFO checking stays sound.

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/random.h"
-#include "core/failover.h"
 #include "core/lock_engine.h"
 #include "core/memory_alloc.h"
 #include "harness/experiment.h"
@@ -42,14 +41,14 @@ struct FaultDriver {
   std::vector<std::vector<NodeId>>& session_nodes;
   std::vector<NodeId> switch_nodes;
   ControlPlane& control;
-  FailoverManager* failover;
+  /// A chain tail is attached: the head never recovers, and migrations
+  /// (not replicated down the chain) are skipped.
+  bool hot;
   int num_servers;
   int machines;
   int num_locks;
   std::uint32_t queue_capacity;
   LinkFaults current;
-  bool primary_failed = false;
-  bool switch_crashed = false;
   bool realloc_in_flight = false;
 
   void ApplyKnobs() {
@@ -117,17 +116,17 @@ struct FaultDriver {
       case FaultKind::kLeaseExpiryBurst:
         BlockMachine(action.target, start);
         break;
+      // Every switch failure goes through the control plane's one state
+      // machine: the attached standby (if any) decides what a failure
+      // means — backup failover, chain promotion, or an in-place crash.
       case FaultKind::kFailPrimary:
-        if (failover != nullptr && !primary_failed && !switch_crashed) {
-          failover->FailPrimary();
-          primary_failed = true;
-        }
+      case FaultKind::kSwitchCrash:
+      case FaultKind::kFailHead:
+        if (!control.switch_failed()) control.FailSwitch();
         break;
       case FaultKind::kRecoverPrimary:
-        if (failover != nullptr && primary_failed) {
-          failover->RecoverPrimary();
-          primary_failed = false;
-        }
+      case FaultKind::kSwitchRestart:
+        if (control.switch_failed() && !hot) control.RecoverSwitch();
         break;
       case FaultKind::kServerFail: {
         const int idx =
@@ -143,25 +142,11 @@ struct FaultDriver {
         if (!control.ServerAlive(idx)) control.RecoverServer(idx);
         break;
       }
-      // In-place crash + restart (Figure 15): only when no failover is in
-      // flight — the FailoverManager owns the primary's lifecycle then.
-      case FaultKind::kSwitchCrash:
-        if (!primary_failed && !switch_crashed) {
-          testbed.netlock().lock_switch().Fail();
-          switch_crashed = true;
-        }
-        break;
-      case FaultKind::kSwitchRestart:
-        if (switch_crashed) {
-          control.RecoverSwitch();
-          switch_crashed = false;
-        }
-        break;
       // Migration actions. Each is skipped while any other migration (a
       // reallocation, a re-home, a switch outage) is in flight, so the
       // control plane never runs two competing drains on one lock.
       case FaultKind::kReallocate:
-        if (!switch_crashed && !primary_failed && !realloc_in_flight &&
+        if (!hot && !control.switch_failed() && !realloc_in_flight &&
             testbed.sharded().rehomes_in_flight() == 0) {
           realloc_in_flight = true;
           const int rack = static_cast<int>(
@@ -172,8 +157,8 @@ struct FaultDriver {
         }
         break;
       case FaultKind::kRehome:
-        if (testbed.sharded().num_racks() > 1 && !switch_crashed &&
-            !primary_failed && !realloc_in_flight) {
+        if (testbed.sharded().num_racks() > 1 && !control.switch_failed() &&
+            !realloc_in_flight) {
           const LockId lock = static_cast<LockId>(
               action.target % static_cast<std::uint32_t>(num_locks));
           const int to = static_cast<int>(
@@ -351,13 +336,20 @@ Schedule ScheduleFuzzer::Generate(std::uint64_t index) const {
   };
   const auto add_failover = [&] {
     const SimTime fail_at = at_in(2 * kMillisecond, run / 2);
+    if (pick(4) == 0) {
+      // Hot standby: crash the head of a replicating two-switch chain.
+      // Faults stay on the client legs; the head->tail link is reliable.
+      plan.push_back({FaultKind::kFailHead, fail_at, 0, 0, 0});
+      if (pick(2) != 0) add_net_chaos();
+      return;
+    }
     plan.push_back({FaultKind::kFailPrimary, fail_at, 0, 0, 0});
     const SimTime recover_at =
         fail_at + 2 * kMillisecond + at_in(0, 2 * kFuzzLease);
     plan.push_back({FaultKind::kRecoverPrimary, recover_at, 0, 0, 0});
     if (pick(3) == 0) {
       // A second failure while the backup may still be draining — the
-      // §4.5 corner the failover epoch machinery exists for.
+      // §4.5 corner where handed-back locks are re-suspended on the backup.
       const SimTime again =
           recover_at + kMillisecond + at_in(0, 3 * kMillisecond);
       plan.push_back({FaultKind::kFailPrimary, again, 0, 0, 0});
@@ -535,7 +527,7 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
   config.session_wrapper =
       [&](std::unique_ptr<LockSession> inner) -> std::unique_ptr<LockSession> {
     // Leaf nodes for the fault driver: a single-rack testbed hands out
-    // plain NetLockSessions (also needed by the failover manager); a
+    // plain NetLockSessions (also re-pointed by a standby failover); a
     // multi-rack one hands out ShardedSessions with one node per rack.
     std::vector<NodeId> nodes;
     if (racks == 1) {
@@ -618,33 +610,38 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
     }
   }
 
-  std::unique_ptr<LockSwitch> backup;
-  std::unique_ptr<FailoverManager> failover;
+  std::unique_ptr<LockSwitch> standby;
   std::vector<NodeId> switch_nodes;
   for (int r = 0; r < racks; ++r) {
     switch_nodes.push_back(testbed.sharded().rack(r).lock_switch().node());
   }
-  // Backup-switch failover is a single-rack protocol (the FailoverManager
-  // re-points NetLockSessions); multi-rack plans leave kFailPrimary as the
-  // guarded no-op it already is.
-  if (racks == 1 && schedule.plan.NeedsBackup()) {
-    backup = std::make_unique<LockSwitch>(testbed.net(),
-                                          config.switch_config);
+  // Standby switches are a single-rack protocol (the control plane
+  // re-points NetLockSessions); multi-rack plans fail the switch in place.
+  // The chain replicates the allocation but not migrations, so it needs a
+  // rack without the controller; it takes precedence over a cold backup.
+  const bool hot = racks == 1 && !controller_on && schedule.plan.NeedsChain();
+  if (hot || (racks == 1 && schedule.plan.NeedsBackup())) {
+    standby = std::make_unique<LockSwitch>(testbed.net(),
+                                           config.switch_config);
     for (NetLockSession* session : raw_sessions) {
-      testbed.net().SetLatency(session->node(), backup->node(),
+      testbed.net().SetLatency(session->node(), standby->node(),
                                config.client_switch_latency);
     }
     for (int i = 0; i < testbed.netlock().num_servers(); ++i) {
-      testbed.net().SetLatency(backup->node(),
+      testbed.net().SetLatency(standby->node(),
                                testbed.netlock().server(i).node(),
                                config.switch_server_latency);
     }
-    failover = std::make_unique<FailoverManager>(
-        testbed.sim(), testbed.netlock().lock_switch(), *backup, control);
-    for (NetLockSession* session : raw_sessions) {
-      failover->RegisterSession(session);
+    if (hot) {
+      testbed.net().SetLatency(testbed.netlock().lock_switch().node(),
+                               standby->node(), config.switch_server_latency);
     }
-    switch_nodes.push_back(backup->node());
+    control.AttachStandby(*standby, hot ? ControlPlane::Standby::kHot
+                                        : ControlPlane::Standby::kCold);
+    for (NetLockSession* session : raw_sessions) {
+      control.RegisterSession(session);
+    }
+    switch_nodes.push_back(standby->node());
   }
 
   // Observe every switch grant: the digest makes replays comparable
@@ -692,13 +689,13 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
     observe(testbed.sharded().rack(r).lock_switch(),
             static_cast<std::uint64_t>(r) + 1);
   }
-  if (backup) observe(*backup, racks + 1);
+  if (standby) observe(*standby, racks + 1);
 
   FaultDriver driver{testbed,
                      session_nodes,
                      switch_nodes,
                      control,
-                     failover.get(),
+                     hot,
                      testbed.netlock().num_servers(),
                      config.client_machines,
                      static_cast<int>(micro.num_locks),
@@ -755,14 +752,7 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
   // debt the faults created must now clear within the settle budget.
   testbed.net().ClearFaults();
   driver.current = LinkFaults{};
-  if (failover && driver.primary_failed) {
-    failover->RecoverPrimary();
-    driver.primary_failed = false;
-  }
-  if (driver.switch_crashed) {
-    control.RecoverSwitch();
-    driver.switch_crashed = false;
-  }
+  if (control.switch_failed() && !hot) control.RecoverSwitch();
   for (int i = 0; i < driver.num_servers; ++i) {
     if (!control.ServerAlive(i)) control.RecoverServer(i);
   }
@@ -771,7 +761,8 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
     for (int i = 0; i < testbed.num_engines(); ++i) {
       if (!testbed.engine(i).idle()) return false;
     }
-    return !(failover && failover->backup_active());
+    // A drained backup goes cold; a promoted chain tail keeps serving.
+    return hot || !control.standby_active();
   };
   const SimTime settle_deadline = testbed.sim().now() + options.settle_budget;
   while (!settled() && testbed.sim().now() < settle_deadline) {
@@ -789,7 +780,7 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
                                 " never went idle");
     }
   }
-  if (failover && failover->backup_active()) {
+  if (!hot && control.standby_active()) {
     report.problems.push_back("liveness: backup switch never drained");
   }
   // Waits-for liveness: on a benign plan every wait should clear within a

@@ -4,7 +4,7 @@
 // already holds the state.
 #include <gtest/gtest.h>
 
-#include "core/chain.h"
+#include "core/control_plane.h"
 #include "harness/experiment.h"
 #include "harness/testbed.h"
 #include "testing/lock_oracle.h"
@@ -169,9 +169,8 @@ TEST(ChainFailoverTest, TailContinuesInstantlyWithHeldLocks) {
   }
   testbed.net().SetLatency(testbed.netlock().lock_switch().node(),
                            tail.node(), 1000);
-  ChainManager chain(testbed.sim(), testbed.netlock().lock_switch(), tail,
-                     testbed.netlock().control_plane());
-  chain.Enable();
+  ControlPlane& chain = testbed.netlock().control_plane();
+  chain.AttachStandby(tail, ControlPlane::Standby::kHot);
   for (NetLockSession* s : raw_sessions) chain.RegisterSession(s);
 
   testbed.StartEngines();
@@ -182,7 +181,7 @@ TEST(ChainFailoverTest, TailContinuesInstantlyWithHeldLocks) {
     commits_before += testbed.engine(i).metrics().txn_commits;
   }
 
-  chain.FailHead();
+  chain.FailSwitch();
   EXPECT_EQ(chain.active_switch(), tail.node());
   // Within a small fraction of the 50 ms lease, service is back at full
   // rate: the tail had the state, no lease expiry was needed.

@@ -184,7 +184,7 @@ TEST_F(ControlPlaneTest, RecoverSwitchReinstallsAllocation) {
   control_->InstallAllocation(alloc);
   Acquire(1, 1);  // Pre-crash grant: its lease outlives the switch.
   EXPECT_TRUE(client_->HasGrantFor(1));
-  switch_->Fail();
+  control_->FailSwitch();
   control_->RecoverSwitch();
   EXPECT_TRUE(switch_->IsInstalled(1));
   EXPECT_TRUE(switch_->IsInstalled(2));
@@ -214,7 +214,7 @@ TEST_F(ControlPlaneTest, RecoverSwitchKeepsLocksTheSwitchRefused) {
             (std::vector<LockId>{17, 18, 19, 20}));
   Acquire(17, 1);  // Served by the home server.
   ASSERT_TRUE(client_->HasGrantFor(1));
-  switch_->Fail();
+  control_->FailSwitch();
   control_->RecoverSwitch();
   EXPECT_EQ(switch_->table().num_installed(), 16u);
   EXPECT_FALSE(switch_->IsInstalled(17));
@@ -222,6 +222,158 @@ TEST_F(ControlPlaneTest, RecoverSwitchKeepsLocksTheSwitchRefused) {
   EXPECT_FALSE(client_->HasGrantFor(2));  // Txn 1 still holds lock 17.
   Release(17, 1);
   EXPECT_TRUE(client_->HasGrantFor(2));
+}
+
+// Regression (fuzz find): an acquire the switch forwarded to the home
+// server before MoveLockToSwitch landed (in flight, or queued at a server
+// core) reached the server after DropOwnership. The server took it as
+// owned, re-created the lock's ownership, and granted it beside the
+// switch's holder. It must reach the switch's queue instead.
+TEST_F(ControlPlaneTest, LateServerAcquireAfterMoveToSwitchQueuesAtSwitch) {
+  Allocation alloc;
+  alloc.server_only = {1};
+  control_->InstallAllocation(alloc);
+  Acquire(1, 1);  // Server-owned: the home server grants it.
+  ASSERT_TRUE(client_->HasGrantFor(1));
+  Release(1, 1);
+  bool installed = false;
+  control_->MoveLockToSwitch(1, 8, [&](bool ok) { installed = ok; });
+  sim_.RunUntil(sim_.now() + kMillisecond);
+  ASSERT_TRUE(installed);
+  Acquire(1, 2);  // The switch grants txn 2.
+  ASSERT_TRUE(client_->HasGrantFor(2));
+  // A late copy of an acquire the switch forwarded before the move.
+  LockHeader late = MakeAcquire(1, LockMode::kExclusive, 3, client_->node());
+  late.flags = kFlagServerOwned;
+  net_.Send(MakeLockPacket(switch_->node(), server_->node(), late));
+  Settle();
+  EXPECT_FALSE(client_->HasGrantFor(3));  // Granted pre-fix: overlap.
+  Release(1, 2);
+  EXPECT_TRUE(client_->HasGrantFor(3));  // Queued at the switch.
+  EXPECT_EQ(server_->stats().grants, 1u);
+}
+
+// Regression (fuzz find): a migration out of a restarted switch found the
+// wiped queue empty and handed the lock to its server at once, inside the
+// lease of a grant the switch issued before it crashed.
+TEST_F(ControlPlaneTest, MoveLockToServerAfterRestartWaitsOutCrashLeases) {
+  Allocation alloc;
+  alloc.switch_slots = {{1, 8}};
+  control_->InstallAllocation(alloc);
+  Acquire(1, 1);  // Pre-crash grant; its release dies with the switch.
+  ASSERT_TRUE(client_->HasGrantFor(1));
+  const SimTime crash = sim_.now();
+  control_->FailSwitch();
+  sim_.RunUntil(crash + 10 * kMillisecond);
+  control_->RecoverSwitch();
+  bool moved = false;
+  control_->MoveLockToServer(1, [&]() { moved = true; });
+  Acquire(1, 2);  // Buffered at the server while the switch is paused.
+  const SimTime grace = crash + control_->config().lease;
+  EXPECT_EQ(control_->grace_until(), grace);
+  sim_.RunUntil(grace - kMillisecond);
+  EXPECT_FALSE(moved);
+  EXPECT_FALSE(client_->HasGrantFor(2));  // Granted pre-fix at ~10 ms.
+  sim_.RunUntil(grace + kMillisecond);
+  EXPECT_TRUE(moved);
+  EXPECT_TRUE(client_->HasGrantFor(2));
+}
+
+// §4.5's grace runs from the crash: a switch restarted more than a lease
+// after it failed has no live pre-crash grant left and serves at once.
+TEST_F(ControlPlaneTest, RestartAfterOneLeaseGrantsAtOnce) {
+  Allocation alloc;
+  alloc.switch_slots = {{1, 8}};
+  control_->InstallAllocation(alloc);
+  Acquire(1, 1);
+  ASSERT_TRUE(client_->HasGrantFor(1));
+  control_->FailSwitch();
+  sim_.RunUntil(sim_.now() + control_->config().lease + kMillisecond);
+  bool recovered = false;
+  control_->RecoverSwitch([&]() { recovered = true; });
+  Acquire(1, 2);
+  EXPECT_TRUE(recovered);
+  EXPECT_TRUE(client_->HasGrantFor(2));  // Pre-fix: one more lease.
+}
+
+// A rack with two lock servers and a lock homed on the second, which the
+// tests crash: its locks re-hash onto the first (the substitute).
+class ServerRecoveryTest : public ::testing::Test {
+ protected:
+  ServerRecoveryTest()
+      : net_(sim_, /*latency=*/1000),
+        switch_(net_, SwitchConfig()),
+        substitute_(net_, LockServerConfig{}),
+        home_(net_, LockServerConfig{}),
+        control_(sim_, switch_, {&substitute_, &home_}, ControlPlaneConfig{}),
+        client_(net_) {
+    while (control_.ServerFor(lock_) != home_.node()) ++lock_;
+  }
+
+  static LockSwitchConfig SwitchConfig() {
+    LockSwitchConfig sw;
+    sw.queue_capacity = 128;
+    sw.array_size = 64;
+    sw.max_locks = 16;
+    return sw;
+  }
+
+  void Acquire(TxnId txn) {
+    net_.Send(MakeLockPacket(client_.node(), switch_.node(),
+                             MakeAcquire(lock_, LockMode::kExclusive, txn,
+                                         client_.node())));
+    sim_.RunUntil(sim_.now() + kMillisecond);
+  }
+
+  Simulator sim_;
+  Network net_;
+  LockSwitch switch_;
+  LockServer substitute_;
+  LockServer home_;
+  ControlPlane control_;
+  PacketCatcher client_;
+  LockId lock_ = 0;
+};
+
+// Regression (fuzz find): when a failed server recovered, the substitute
+// that had served its locks dropped their state, but an acquire already in
+// flight to it (or queued at one of its cores) re-created ownership there
+// and was granted while the substitute's last holder still held the lock.
+TEST_F(ServerRecoveryTest, LateAcquireAtSubstituteGoesToTheRecoveredServer) {
+  control_.FailServer(1);
+  sim_.RunUntil(sim_.now() + 60 * kMillisecond);  // Past the takeover grace.
+  Acquire(1);
+  ASSERT_TRUE(client_.HasGrantFor(1));  // Granted by the substitute.
+  control_.RecoverServer(1);
+  LockHeader late =
+      MakeAcquire(lock_, LockMode::kExclusive, 2, client_.node());
+  late.flags = kFlagServerOwned;
+  net_.Send(MakeLockPacket(switch_.node(), substitute_.node(), late));
+  sim_.RunUntil(sim_.now() + kMillisecond);
+  EXPECT_FALSE(client_.HasGrantFor(2));  // Granted pre-fix: overlap.
+  EXPECT_EQ(substitute_.stats().grants, 1u);
+  // The recovered home server queues it and grants after its grace.
+  sim_.RunUntil(sim_.now() + 60 * kMillisecond);
+  EXPECT_TRUE(client_.HasGrantFor(2));
+  EXPECT_EQ(home_.stats().grants, 1u);
+}
+
+// Regression (fuzz find): a lock whose server had just crashed moved to the
+// switch at once, and the switch granted it inside the lease of a grant the
+// crashed server had issued. The move waits out the takeover grace.
+TEST_F(ServerRecoveryTest, MoveToSwitchWaitsOutTheTakeoverGrace) {
+  Acquire(1);
+  ASSERT_TRUE(client_.HasGrantFor(1));  // Granted by the home server.
+  control_.FailServer(1);
+  const SimTime grace = sim_.now() + control_.config().lease;
+  bool installed = false;
+  control_.MoveLockToSwitch(lock_, 8, [&](bool ok) { installed = ok; });
+  Acquire(2);
+  sim_.RunUntil(grace - kMillisecond);
+  EXPECT_FALSE(client_.HasGrantFor(2));  // Granted pre-fix at ~1 ms.
+  sim_.RunUntil(grace + kMillisecond);
+  EXPECT_TRUE(installed);
+  EXPECT_TRUE(client_.HasGrantFor(2));
 }
 
 TEST(ReallocateSequencingTest, AdditionsWaitForRemovalDrains) {
@@ -409,7 +561,7 @@ TEST_F(ControlPlaneTest, RecoverSwitchMidReallocateKeepsServerOwnership) {
       control_->Reallocate(/*switch_capacity=*/64, [&]() { done = true; }));
   sim_.RunUntil(sim_.now() + 2 * kMillisecond);
   EXPECT_FALSE(done);  // Drain stalls: txn 1 still holds lock 2.
-  switch_->Fail();
+  control_->FailSwitch();
   control_->RecoverSwitch();
   // The migration has not landed, so recovery must not put lock 2 on the
   // switch; a new request routes to the server and waits behind txn 1.

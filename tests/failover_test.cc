@@ -4,7 +4,7 @@
 // continuity of service with the safety oracle attached.
 #include <gtest/gtest.h>
 
-#include "core/failover.h"
+#include "core/control_plane.h"
 #include "core/netlock.h"
 #include "harness/experiment.h"
 #include "harness/testbed.h"
@@ -133,8 +133,8 @@ TEST_F(FailoverEndToEndTest, ServiceContinuesThroughFailover) {
     testbed.net().SetLatency(backup.node(),
                              testbed.netlock().server(i).node(), 1500);
   }
-  FailoverManager failover(testbed.sim(), testbed.netlock().lock_switch(),
-                           backup, testbed.netlock().control_plane());
+  ControlPlane& failover = testbed.netlock().control_plane();
+  failover.AttachStandby(backup, ControlPlane::Standby::kCold);
   for (NetLockSession* s : raw_sessions_) failover.RegisterSession(s);
 
   testbed.StartEngines();
@@ -150,7 +150,7 @@ TEST_F(FailoverEndToEndTest, ServiceContinuesThroughFailover) {
   (void)commits_before;
 
   // Fail over to the backup.
-  failover.FailPrimary();
+  failover.FailSwitch();
   EXPECT_EQ(failover.active_switch(), backup.node());
   testbed.sim().RunUntil(80 * kMillisecond);
   std::uint64_t commits_backup = 0;
@@ -162,10 +162,10 @@ TEST_F(FailoverEndToEndTest, ServiceContinuesThroughFailover) {
 
   // Recover the primary; the backup drains then goes cold.
   bool recovered = false;
-  failover.RecoverPrimary([&]() { recovered = true; });
+  failover.RecoverSwitch([&]() { recovered = true; });
   testbed.sim().RunUntil(150 * kMillisecond);
   EXPECT_TRUE(recovered);
-  EXPECT_FALSE(failover.backup_active());
+  EXPECT_FALSE(failover.standby_active());
   EXPECT_EQ(failover.active_switch(),
             testbed.netlock().lock_switch().node());
 
@@ -180,7 +180,7 @@ TEST_F(FailoverEndToEndTest, ServiceContinuesThroughFailover) {
 
 // Regression: with more locks allocated than the switch table holds, the
 // control plane recorded the refused locks as switch-resident too, and
-// FailPrimary's replication onto the (equally sized) backup aborted on
+// FailSwitch's replication onto the (equally sized) backup aborted on
 // the first lock past its capacity. Only the locks the primary took are
 // replicated; the rest stay with their home servers throughout.
 TEST_F(FailoverEndToEndTest, FailoverReplicatesOnlyLocksThePrimaryHolds) {
@@ -204,12 +204,12 @@ TEST_F(FailoverEndToEndTest, FailoverReplicatesOnlyLocksThePrimaryHolds) {
     testbed.net().SetLatency(backup.node(),
                              testbed.netlock().server(i).node(), 1500);
   }
-  FailoverManager failover(testbed.sim(), testbed.netlock().lock_switch(),
-                           backup, testbed.netlock().control_plane());
+  ControlPlane& failover = testbed.netlock().control_plane();
+  failover.AttachStandby(backup, ControlPlane::Standby::kCold);
   for (NetLockSession* s : raw_sessions_) failover.RegisterSession(s);
   testbed.StartEngines();
   testbed.sim().RunUntil(20 * kMillisecond);
-  failover.FailPrimary();
+  failover.FailSwitch();
   EXPECT_EQ(backup.table().num_installed(), 8u);
   for (int i = 0; i < testbed.num_engines(); ++i) {
     testbed.engine(i).SetRecording(true);
@@ -244,25 +244,25 @@ TEST_F(FailoverEndToEndTest, RecoveryWithNonEmptyBackupQueuesDrainsInOrder) {
     testbed.net().SetLatency(backup.node(),
                              testbed.netlock().server(i).node(), 1500);
   }
-  FailoverManager failover(testbed.sim(), testbed.netlock().lock_switch(),
-                           backup, testbed.netlock().control_plane());
+  ControlPlane& failover = testbed.netlock().control_plane();
+  failover.AttachStandby(backup, ControlPlane::Standby::kCold);
   for (NetLockSession* s : raw_sessions_) failover.RegisterSession(s);
   testbed.StartEngines();
   testbed.sim().RunUntil(10 * kMillisecond);
-  failover.FailPrimary();
+  failover.FailSwitch();
   testbed.sim().RunUntil(25 * kMillisecond);  // Past the lease: serving.
   const std::uint64_t grants_at_recovery = backup.stats().grants;
   EXPECT_GT(grants_at_recovery, 0u);
   bool drained = false;
-  failover.RecoverPrimary([&]() { drained = true; });
+  failover.RecoverSwitch([&]() { drained = true; });
   // New acquires go to the primary immediately, but the backup stays
   // active until its queues empty.
   EXPECT_EQ(failover.active_switch(),
             testbed.netlock().lock_switch().node());
-  EXPECT_TRUE(failover.backup_active());
+  EXPECT_TRUE(failover.standby_active());
   testbed.sim().RunUntil(150 * kMillisecond);
   EXPECT_TRUE(drained);
-  EXPECT_FALSE(failover.backup_active());
+  EXPECT_FALSE(failover.standby_active());
   // The backup granted queued work during the drain window.
   EXPECT_GT(backup.stats().grants, grants_at_recovery);
   EXPECT_EQ(oracle_->violations(), 0u);
@@ -288,32 +288,32 @@ TEST_F(FailoverEndToEndTest, SecondFailureDuringDrainSupersedesRecovery) {
     testbed.net().SetLatency(backup.node(),
                              testbed.netlock().server(i).node(), 1500);
   }
-  FailoverManager failover(testbed.sim(), testbed.netlock().lock_switch(),
-                           backup, testbed.netlock().control_plane());
+  ControlPlane& failover = testbed.netlock().control_plane();
+  failover.AttachStandby(backup, ControlPlane::Standby::kCold);
   for (NetLockSession* s : raw_sessions_) failover.RegisterSession(s);
   testbed.StartEngines();
   testbed.sim().RunUntil(10 * kMillisecond);
-  failover.FailPrimary();
+  failover.FailSwitch();
   testbed.sim().RunUntil(25 * kMillisecond);
   bool first_recovery_done = false;
-  failover.RecoverPrimary([&]() { first_recovery_done = true; });
+  failover.RecoverSwitch([&]() { first_recovery_done = true; });
   // Let part of the drain happen: the backup serves queued work while new
   // acquires already target the restarted primary. Stay inside the first
-  // drain poll (1 ms) so the recovery is still pending.
-  testbed.sim().RunUntil(testbed.sim().now() + 200 * kMicrosecond);
-  ASSERT_TRUE(failover.backup_active());  // Mid-drain, not after it.
+  // drain poll (100 us) so the recovery is still pending.
+  testbed.sim().RunUntil(testbed.sim().now() + 50 * kMicrosecond);
+  ASSERT_TRUE(failover.standby_active());  // Mid-drain, not after it.
   // ...then the primary dies again mid-drain.
-  failover.FailPrimary();
+  failover.FailSwitch();
   EXPECT_EQ(failover.active_switch(), backup.node());
   testbed.sim().RunUntil(60 * kMillisecond);
   EXPECT_FALSE(first_recovery_done);  // Superseded: must never fire.
-  EXPECT_TRUE(failover.backup_active());
+  EXPECT_TRUE(failover.standby_active());
   // The second recovery completes normally.
   bool second_recovery_done = false;
-  failover.RecoverPrimary([&]() { second_recovery_done = true; });
+  failover.RecoverSwitch([&]() { second_recovery_done = true; });
   testbed.sim().RunUntil(200 * kMillisecond);
   EXPECT_TRUE(second_recovery_done);
-  EXPECT_FALSE(failover.backup_active());
+  EXPECT_FALSE(failover.standby_active());
   EXPECT_EQ(failover.active_switch(),
             testbed.netlock().lock_switch().node());
   EXPECT_EQ(oracle_->violations(), 0u);
@@ -330,12 +330,12 @@ TEST_F(FailoverEndToEndTest, BackupActivationWaitsForLease) {
   for (NetLockSession* s : raw_sessions_) {
     testbed.net().SetLatency(s->node(), backup.node(), 2500);
   }
-  FailoverManager failover(testbed.sim(), testbed.netlock().lock_switch(),
-                           backup, testbed.netlock().control_plane());
+  ControlPlane& failover = testbed.netlock().control_plane();
+  failover.AttachStandby(backup, ControlPlane::Standby::kCold);
   for (NetLockSession* s : raw_sessions_) failover.RegisterSession(s);
   testbed.StartEngines();
   testbed.sim().RunUntil(10 * kMillisecond);
-  failover.FailPrimary();
+  failover.FailSwitch();
   // Within the lease window the backup must not have granted anything.
   testbed.sim().RunUntil(testbed.sim().now() + 3 * kMillisecond);
   EXPECT_EQ(backup.stats().grants, 0u);
@@ -347,7 +347,7 @@ TEST_F(FailoverEndToEndTest, BackupActivationWaitsForLease) {
 }
 
 TEST_F(FailoverEndToEndTest, EarlyRecoveryInheritsPrimaryLeaseGrace) {
-  // Regression: RecoverPrimary issued before FailPrimary's one-lease grace
+  // Regression: RecoverSwitch issued before FailSwitch's one-lease grace
   // elapsed found the (never-activated) backup's queues empty and activated
   // the primary's locks immediately — overlapping grants the old primary
   // issued just before the failure, whose releases died with it. The
@@ -361,16 +361,16 @@ TEST_F(FailoverEndToEndTest, EarlyRecoveryInheritsPrimaryLeaseGrace) {
   for (NetLockSession* s : raw_sessions_) {
     testbed.net().SetLatency(s->node(), backup.node(), 2500);
   }
-  FailoverManager failover(testbed.sim(), testbed.netlock().lock_switch(),
-                           backup, testbed.netlock().control_plane());
+  ControlPlane& failover = testbed.netlock().control_plane();
+  failover.AttachStandby(backup, ControlPlane::Standby::kCold);
   for (NetLockSession* s : raw_sessions_) failover.RegisterSession(s);
   testbed.StartEngines();
   testbed.sim().RunUntil(10 * kMillisecond);
-  failover.FailPrimary();
+  failover.FailSwitch();
   // Fail back long before the 5 ms lease grace is up.
   testbed.sim().RunUntil(testbed.sim().now() + 500 * kMicrosecond);
   bool recovered = false;
-  failover.RecoverPrimary([&]() { recovered = true; });
+  failover.RecoverSwitch([&]() { recovered = true; });
   const std::uint64_t grants_at_recovery =
       testbed.netlock().lock_switch().stats().grants;
   // Within the remaining grace the primary must not grant: leases of the

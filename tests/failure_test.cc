@@ -111,7 +111,7 @@ TEST(FailureTest, SwitchFailureAndReactivation) {
   testbed.StartEngines();
   testbed.sim().RunUntil(100 * kMillisecond);
   const std::size_t fail_bucket = 10;
-  testbed.netlock().lock_switch().Fail();
+  testbed.netlock().control_plane().FailSwitch();
   testbed.sim().RunUntil(150 * kMillisecond);
   testbed.netlock().control_plane().RecoverSwitch();
   testbed.sim().RunUntil(300 * kMillisecond);

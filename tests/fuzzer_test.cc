@@ -4,6 +4,9 @@
 // schedule.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "testing/fault_plan.h"
 #include "testing/fuzzer.h"
 
@@ -346,6 +349,100 @@ TEST(ScheduleFuzzerTest, SeededAlwaysWaitDeadlockIsCaughtByWaitsForOracle) {
   const RunReport healthy = ScheduleFuzzer::RunSchedule(sched);
   EXPECT_TRUE(healthy.ok) << healthy.Summary();
   EXPECT_EQ(healthy.stuck_cycles, 0u);
+}
+
+TEST(FaultPlanTest, ChainHeadCrashNeedsAChain) {
+  FaultPlan chain;
+  chain.actions = {{FaultKind::kFailHead, 1000, 0, 0, 0}};
+  EXPECT_TRUE(chain.NeedsChain());
+  EXPECT_FALSE(chain.NeedsBackup());
+  EXPECT_FALSE(chain.Benign());
+  FaultPlan parsed;
+  ASSERT_TRUE(FaultPlan::Parse("failhead:1000:0:0:0", &parsed));
+  EXPECT_EQ(parsed, chain);
+  FaultPlan backup;
+  backup.actions = {{FaultKind::kFailPrimary, 1000, 0, 0, 0}};
+  EXPECT_FALSE(backup.NeedsChain());
+}
+
+// Replays a schedule exactly as `netlock_fuzz --seed=SEED --plan=PARAMS`.
+RunReport Replay(std::uint64_t seed, std::string_view params) {
+  Schedule sched;
+  sched.seed = seed;
+  EXPECT_TRUE(Schedule::Parse(params, &sched));
+  return ScheduleFuzzer::RunSchedule(sched);
+}
+
+// Fuzz find: a server-owned acquire that reached the home server just after
+// MoveLockToSwitch handed the lock to the switch re-created server
+// ownership; server and switch then both granted lock 2.
+TEST(FuzzFindTest, ServerAcquireRacingMoveToSwitch) {
+  const RunReport report = Replay(
+      10240499549820507791ull,
+      "m=3;spm=3;locks=4;cap=8;shared=0;lpt=2;racks=1;unord=0;policy=0;"
+      "ctrl=1;run=10000000;plan=");
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// Fuzz find: the controller moved lock 0 out of a just-restarted switch
+// while a grant from before the crash was still inside its lease.
+TEST(FuzzFindTest, MigrationOutOfRestartedSwitchWaitsForGrace) {
+  const RunReport report = Replay(
+      13755867275257657699ull,
+      "m=3;spm=3;locks=10;cap=4;shared=0;lpt=2;racks=1;unord=0;policy=0;"
+      "ctrl=1;run=10000000;plan=downsw:7696029:0:0:0,upsw:14880851:0:0:0");
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// Fuzz find: a re-home staged a lock on a switch that was down and then
+// restarted (the process aborted activating the wiped entry); run longer,
+// the source rack moved a re-homed lock back onto its own switch (the
+// process aborted re-homing it there again).
+TEST(FuzzFindTest, RehomeAcrossTargetSwitchRestart) {
+  for (const char* run : {"10000000", "46000000"}) {
+    const RunReport report = Replay(
+        613874754775496721ull,
+        std::string("m=1;spm=1;locks=4;cap=16;shared=0;lpt=1;racks=2;"
+                    "unord=0;policy=0;ctrl=1;run=") +
+            run + ";plan=downsw:5403468:0:0:0,upsw:11420123:0:0:0");
+    EXPECT_TRUE(report.ok) << "run=" << run << " " << report.Summary();
+  }
+}
+
+// Fuzz find: when the crashed server recovered, an acquire queued at the
+// substitute's core re-created ownership of a lock the substitute had just
+// handed back, and granted it beside the substitute's last holder.
+TEST(FuzzFindTest, LateAcquireAtSubstituteAfterServerRecovery) {
+  const RunReport report = Replay(
+      14408843416990279343ull,
+      "m=3;spm=3;locks=4;cap=8;shared=0;lpt=1;racks=1;unord=0;policy=0;"
+      "ctrl=0;run=20500000;plan=failsrv:6907716:0:1:0,"
+      "recsrv:19814229:0:1:0");
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// Fuzz find: the controller moved a lock to the switch while the lock's
+// crashed server still had a live grant out; the switch granted it again.
+TEST(FuzzFindTest, MoveToSwitchAfterServerCrashWaitsForGrace) {
+  const RunReport report = Replay(
+      11912243840874113951ull,
+      "m=2;spm=3;locks=7;cap=4;shared=0;lpt=2;racks=1;unord=0;policy=0;"
+      "ctrl=1;run=10000000;plan=failsrv:7626291:0:1:0");
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// A generated chain schedule: the head crashes under client-side
+// reordering, duplication and jitter; the promoted tail keeps every grant.
+TEST(ScheduleFuzzerTest, ChainHeadCrashStaysSafeAndReplays) {
+  const std::string params =
+      "m=1;spm=3;locks=6;cap=4;shared=0;lpt=2;racks=1;unord=0;policy=0;"
+      "ctrl=0;run=25000000;plan=jitter:7643504:0:0:608,"
+      "reorder:7809049:9720400:0:313,failhead:8568895:0:0:0,"
+      "dup:8886885:0:0:127";
+  const RunReport first = Replay(15577060265091414427ull, params);
+  EXPECT_TRUE(first.ok) << first.Summary();
+  EXPECT_GT(first.grants, 0u);
+  EXPECT_EQ(Replay(15577060265091414427ull, params).digest, first.digest);
 }
 
 TEST(ScheduleFuzzerTest, GeneratedSweepIsCleanOnTheSeedTree) {

@@ -292,6 +292,94 @@ TEST(RehomeTest, RehomeToSameRackOrDuplicateIsANoOp) {
   testbed.StopEngines();
 }
 
+// Regression (fuzz find): a re-home staged a lock on a switch that was
+// down, then the switch restarted. The restart reinstalled only the locks
+// its control plane knew of, so the staged lock vanished, and activating it
+// at the end of the re-home aborted the process. Staging now goes through
+// the target's control plane: the restart reinstalls the lock suspended and
+// leaves its activation to the re-home, under the restart grace.
+TEST(RehomeTest, RehomeOntoARestartingSwitchSurvivesTheRestart) {
+  SimContext context;
+  TestbedConfig config = ShardedConfig(/*num_racks=*/2, &context);
+  config.lease = 5 * kMillisecond;
+  config.lease_poll_interval = kMillisecond;
+  config.client_retry_timeout = kMillisecond;
+  MicroConfig micro;
+  micro.num_locks = 16;
+  config.workload_factory = MicroFactory(micro);
+  auto oracle = std::make_shared<LockOracle>();
+  config.session_wrapper = [oracle](std::unique_ptr<LockSession> inner) {
+    return std::make_unique<OracleSession>(std::move(inner), *oracle);
+  };
+  Testbed testbed(config);
+  ShardedNetLock& sharded = testbed.sharded();
+  sharded.InstallKnapsack(
+      UniformMicroDemands(micro, testbed.num_engines()));
+  LockId lock = 0;
+  while (sharded.directory().RackFor(lock) != 1) ++lock;
+  ASSERT_TRUE(sharded.rack(1).lock_switch().IsInstalled(lock));
+  ControlPlane& target = sharded.rack(0).control_plane();
+
+  testbed.StartEngines();
+  testbed.sim().RunUntil(testbed.sim().now() + 5 * kMillisecond);
+  target.FailSwitch();
+  bool done = false;
+  sharded.RehomeLock(lock, 0, [&]() { done = true; });
+  target.RecoverSwitch();  // Restarts while the source still drains.
+  testbed.sim().RunUntil(testbed.sim().now() + 30 * kMillisecond);
+  EXPECT_TRUE(done);
+  LockSwitch& target_switch = sharded.rack(0).lock_switch();
+  EXPECT_TRUE(target_switch.IsInstalled(lock));
+  EXPECT_FALSE(target_switch.IsSuspended(lock));
+  testbed.StopEngines();
+  EXPECT_EQ(oracle->violations(), 0u);
+}
+
+// Regression (fuzz find): after a lock was re-homed away, the source rack's
+// control plane still planned it (its demand model remembered the lock) and
+// moved it back onto its own switch. A later re-home back to that rack then
+// found it already installed there and aborted. A rack's migrations only
+// touch the locks the directory homes on it.
+TEST(RehomeTest, SourceRackLeavesARehomedLockAlone) {
+  SimContext context;
+  TestbedConfig config = ShardedConfig(/*num_racks=*/2, &context);
+  MicroConfig micro;
+  micro.num_locks = 16;
+  config.workload_factory = MicroFactory(micro);
+  Testbed testbed(config);
+  ShardedNetLock& sharded = testbed.sharded();
+  sharded.InstallKnapsack(
+      UniformMicroDemands(micro, testbed.num_engines()));
+  LockId lock = 0;
+  while (sharded.directory().RackFor(lock) != 1) ++lock;
+  ASSERT_TRUE(sharded.rack(1).lock_switch().IsInstalled(lock));
+
+  testbed.StartEngines();
+  testbed.sim().RunUntil(testbed.sim().now() + 5 * kMillisecond);
+  int done_count = 0;
+  sharded.RehomeLock(lock, 0, [&]() { ++done_count; });
+  testbed.sim().RunUntil(testbed.sim().now() + 20 * kMillisecond);
+  ASSERT_EQ(done_count, 1);
+  ASSERT_FALSE(sharded.rack(1).lock_switch().IsInstalled(lock));
+
+  // The source rack's plan still wants the lock on its switch.
+  ControlPlane& source = sharded.rack(1).control_plane();
+  Allocation plan = source.installed();
+  plan.switch_slots.emplace_back(lock, 4);
+  bool applied = false;
+  ASSERT_TRUE(source.ApplyAllocation(plan, [&]() { applied = true; }));
+  testbed.sim().RunUntil(testbed.sim().now() + 20 * kMillisecond);
+  EXPECT_TRUE(applied);
+  EXPECT_FALSE(sharded.rack(1).lock_switch().IsInstalled(lock));
+
+  // So the lock can move back.
+  sharded.RehomeLock(lock, 1, [&]() { ++done_count; });
+  testbed.sim().RunUntil(testbed.sim().now() + 20 * kMillisecond);
+  EXPECT_EQ(done_count, 2);
+  EXPECT_TRUE(sharded.rack(1).lock_switch().IsInstalled(lock));
+  testbed.StopEngines();
+}
+
 TEST(ShardedTestbedTest, ProfileAndInstallCoversEveryRack) {
   SimContext context;
   TestbedConfig config = ShardedConfig(/*num_racks=*/2, &context);
