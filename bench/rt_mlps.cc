@@ -3,7 +3,7 @@
 //
 // Every other bench reports simulated-time throughput; this one runs the
 // identical micro workload through the same compiled LockEngine on real
-// threads (RtLockService behind the execution-substrate seam) and measures
+// threads (RtLockService, clocked by RtSubstrate's wall clock) and measures
 // grants per wall-clock second — the number the paper's testbed would
 // print. Methodology (see EXPERIMENTS.md): closed-loop sessions, a warm-up
 // window excluded from measurement, then a timed measurement window; the

@@ -6,15 +6,23 @@
 
 namespace netlock {
 
-DrtmManager::DrtmManager(Network& net, int num_servers, LockId lock_space,
-                         RdmaNicConfig nic_config, DrtmConfig config)
-    : net_(net), config_(config) {
+namespace {
+/// Exponential retry backoff: full jitter under base << attempt, capped.
+constexpr SimTime kBackoffBase = 4 * kMicrosecond;
+constexpr SimTime kBackoffCap = 512 * kMicrosecond;
+/// CAS-retry budget before reporting failure: fail-and-retry cannot
+/// detect deadlock, so the transaction layer must abort and release.
+constexpr std::uint32_t kMaxAttempts = 512;
+}  // namespace
+
+DrtmManager::DrtmManager(Network& net, int num_servers, LockId lock_space)
+    : net_(net) {
   NETLOCK_CHECK(num_servers >= 1);
   const std::size_t words_per_server =
       static_cast<std::size_t>(lock_space) / num_servers + 1;
   for (int i = 0; i < num_servers; ++i) {
     nics_.push_back(
-        std::make_unique<RdmaNic>(net_, words_per_server, nic_config));
+        std::make_unique<RdmaNic>(net_, words_per_server));
   }
 }
 
@@ -42,9 +50,7 @@ DrtmSession::DrtmSession(ClientMachine& machine, DrtmManager& manager,
 SimTime DrtmSession::Backoff(std::uint32_t attempt) {
   // Exponential with full jitter, capped.
   const SimTime ceiling = std::min<SimTime>(
-      manager_.config_.backoff_cap,
-      manager_.config_.backoff_base
-          << std::min<std::uint32_t>(attempt, 10));
+      kBackoffCap, kBackoffBase << std::min<std::uint32_t>(attempt, 10));
   return 1 + rng_.NextBounded(ceiling);
 }
 
@@ -59,7 +65,7 @@ void DrtmSession::Acquire(LockId lock, LockMode mode, TxnId /*txn*/,
 
 void DrtmSession::TryExclusive(LockId lock, std::uint32_t attempt,
                                AcquireCallback cb) {
-  if (attempt > manager_.config_.max_attempts) {
+  if (attempt > kMaxAttempts) {
     cb(AcquireResult::kTimeout);
     return;
   }
@@ -83,7 +89,7 @@ void DrtmSession::TryExclusive(LockId lock, std::uint32_t attempt,
 
 void DrtmSession::TryShared(LockId lock, std::uint32_t attempt,
                             AcquireCallback cb) {
-  if (attempt > manager_.config_.max_attempts) {
+  if (attempt > kMaxAttempts) {
     cb(AcquireResult::kTimeout);
     return;
   }

@@ -24,25 +24,14 @@
 
 namespace netlock {
 
-struct DrtmConfig {
-  SimTime backoff_base = 4 * kMicrosecond;
-  SimTime backoff_cap = 512 * kMicrosecond;
-  /// CAS-retry budget before reporting failure: fail-and-retry cannot
-  /// detect deadlock, so the transaction layer must abort and release.
-  std::uint32_t max_attempts = 512;
-};
-
 class DrtmManager {
  public:
-  DrtmManager(Network& net, int num_servers, LockId lock_space,
-              RdmaNicConfig nic_config = RdmaNicConfig{},
-              DrtmConfig config = DrtmConfig{});
+  DrtmManager(Network& net, int num_servers, LockId lock_space);
 
   std::unique_ptr<LockSession> CreateSession(ClientMachine& machine);
 
   NodeId NicNodeFor(LockId lock) const;
   std::uint32_t AddrFor(LockId lock) const;
-  const DrtmConfig& config() const { return config_; }
 
   RdmaNic& nic(int i) { return *nics_[i]; }
   int num_servers() const { return static_cast<int>(nics_.size()); }
@@ -53,7 +42,6 @@ class DrtmManager {
   friend class DrtmSession;
 
   Network& net_;
-  DrtmConfig config_;
   std::vector<std::unique_ptr<RdmaNic>> nics_;
   std::uint64_t total_retries_ = 0;
   std::uint32_t next_owner_id_ = 1;

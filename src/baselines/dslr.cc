@@ -4,15 +4,26 @@
 
 namespace netlock {
 
+namespace {
+/// Report kTimeout to the caller after this many polls (so deadlocked
+/// transactions can abort), but keep polling detached: a bakery ticket
+/// must still be consumed and released when its turn comes, or every
+/// ticket behind it waits forever. DSLR proper uses leases for this.
+constexpr std::uint32_t kMaxPolls = 512;
+/// Hard cap on detached polling (gives up entirely; the line stalls —
+/// the no-lease equivalent of a crashed client).
+constexpr std::uint32_t kMaxDetachedPolls = 1u << 16;
+}  // namespace
+
 DslrManager::DslrManager(Network& net, int num_servers, LockId lock_space,
-                         RdmaNicConfig nic_config, DslrConfig config)
+                         DslrConfig config)
     : net_(net), config_(config) {
   NETLOCK_CHECK(num_servers >= 1);
   const std::size_t words_per_server =
       static_cast<std::size_t>(lock_space) / num_servers + 1;
   for (int i = 0; i < num_servers; ++i) {
     nics_.push_back(
-        std::make_unique<RdmaNic>(net_, words_per_server, nic_config));
+        std::make_unique<RdmaNic>(net_, words_per_server));
   }
 }
 
@@ -89,7 +100,7 @@ void DslrSession::OnTicket(std::shared_ptr<Wait> wait,
 
 void DslrSession::Poll(std::shared_ptr<Wait> wait) {
   ++wait->polls;
-  if (!wait->detached && wait->polls > manager_.config_.max_polls) {
+  if (!wait->detached && wait->polls > kMaxPolls) {
     // Report failure so the transaction can abort, but keep polling
     // detached: the ticket must be consumed and released when granted or
     // the bakery line behind it stalls forever.
@@ -97,7 +108,7 @@ void DslrSession::Poll(std::shared_ptr<Wait> wait) {
     AcquireCallback cb = std::move(wait->cb);
     cb(AcquireResult::kTimeout);
   }
-  if (wait->detached && wait->polls > manager_.config_.max_detached_polls) {
+  if (wait->detached && wait->polls > kMaxDetachedPolls) {
     return;  // Equivalent of a crashed client; DSLR would need a lease.
   }
   ++manager_.total_polls_;

@@ -41,14 +41,6 @@ struct DslrConfig {
   SimTime per_hold_estimate = 8 * kMicrosecond;
   /// Backoff while waiting out a counter reset.
   SimTime reset_backoff = 20 * kMicrosecond;
-  /// Report kTimeout to the caller after this many polls (so deadlocked
-  /// transactions can abort), but keep polling detached: a bakery ticket
-  /// must still be consumed and released when its turn comes, or every
-  /// ticket behind it waits forever. DSLR proper uses leases for this.
-  std::uint32_t max_polls = 512;
-  /// Hard cap on detached polling (gives up entirely; the line stalls —
-  /// the no-lease equivalent of a crashed client).
-  std::uint32_t max_detached_polls = 1u << 16;
 };
 
 class DslrManager {
@@ -56,7 +48,6 @@ class DslrManager {
   /// One RDMA NIC per lock server; lock l lives on server l % n at word
   /// l / n.
   DslrManager(Network& net, int num_servers, LockId lock_space,
-              RdmaNicConfig nic_config = RdmaNicConfig{},
               DslrConfig config = DslrConfig{});
 
   std::unique_ptr<LockSession> CreateSession(ClientMachine& machine);

@@ -7,6 +7,17 @@
 
 namespace netlock {
 
+namespace {
+/// Client retry backoff: full jitter under base << attempt, capped.
+constexpr SimTime kBackoffBase = 4 * kMicrosecond;
+constexpr SimTime kBackoffCap = 256 * kMicrosecond;
+/// Retry budget before reporting failure to the caller. Blind retry
+/// cannot detect deadlock (two transactions each holding a cell the
+/// other wants retry forever), so clients must abort: the transaction
+/// layer then releases its cells and restarts.
+constexpr std::uint32_t kMaxAttempts = 512;
+}  // namespace
+
 NetChainSwitch::NetChainSwitch(Network& net, NetChainConfig config)
     : net_(net),
       config_(config),
@@ -68,10 +79,8 @@ NetChainSession::NetChainSession(ClientMachine& machine, NetChainSwitch& kv,
 }
 
 SimTime NetChainSession::Backoff(std::uint32_t attempt) {
-  const SimTime ceiling =
-      std::min<SimTime>(kv_.config().backoff_cap,
-                        kv_.config().backoff_base
-                            << std::min<std::uint32_t>(attempt, 8));
+  const SimTime ceiling = std::min<SimTime>(
+      kBackoffCap, kBackoffBase << std::min<std::uint32_t>(attempt, 8));
   return 1 + rng_.NextBounded(ceiling);
 }
 
@@ -128,7 +137,7 @@ void NetChainSession::OnPacket(const Packet& pkt) {
   if (hdr->op != LockOp::kReject) return;
   // Busy: blind client-side retry with backoff.
   Pending& pending = it->second;
-  if (++pending.attempts > kv_.config().max_attempts) {
+  if (++pending.attempts > kMaxAttempts) {
     AcquireCallback cb = std::move(pending.cb);
     pending_.erase(it);
     cb(AcquireResult::kTimeout);

@@ -30,13 +30,6 @@ struct NetChainConfig {
   /// Register cells available for locks (each holds one owner id).
   std::uint32_t num_cells = 100'000;
   int num_stages = 12;
-  SimTime backoff_base = 4 * kMicrosecond;
-  SimTime backoff_cap = 256 * kMicrosecond;
-  /// Retry budget before reporting failure to the caller. Blind retry
-  /// cannot detect deadlock (two transactions each holding a cell the
-  /// other wants retry forever), so clients must abort: the transaction
-  /// layer then releases its cells and restarts.
-  std::uint32_t max_attempts = 512;
 };
 
 /// The in-switch KV lock service.
@@ -45,7 +38,6 @@ class NetChainSwitch {
   NetChainSwitch(Network& net, NetChainConfig config = NetChainConfig{});
 
   NodeId node() const { return node_; }
-  const NetChainConfig& config() const { return config_; }
 
   /// Coarse-granularity mapping of a lock id onto a cell.
   std::uint32_t CellFor(LockId lock) const;

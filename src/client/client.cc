@@ -7,13 +7,19 @@
 
 namespace netlock {
 
+namespace {
+constexpr std::size_t kGrantFilterSlots = 1024;  ///< Grant-dedup cells.
+/// Delay before retrying a quota-rejected request.
+constexpr SimTime kRejectBackoff = 20 * kMicrosecond;
+}  // namespace
+
 NetLockSession::NetLockSession(ClientMachine& machine, Config config)
     : machine_(machine),
       config_(std::move(config)),
       trace_(&machine.net().sim().context().trace()) {
   NETLOCK_CHECK(config_.switch_node != kInvalidNode ||
                 !config_.home_servers.empty());
-  grant_filter_.assign(config_.grant_filter_slots, 0);
+  grant_filter_.assign(kGrantFilterSlots, 0);
   node_ = machine_.net().AddNode(
       [this](const Packet& pkt) { OnPacket(pkt); });
 }
@@ -196,16 +202,15 @@ void NetLockSession::OnRetryTimer(std::uint64_t seq) {
 void NetLockSession::OnPacket(const Packet& pkt) {
   const std::optional<LockHeader> hdr = LockHeader::Parse(pkt);
   if (!hdr) return;
-  if ((hdr->op == LockOp::kGrant || hdr->op == LockOp::kData) &&
-      !grant_filter_.empty()) {
+  if (hdr->op == LockOp::kGrant || hdr->op == LockOp::kData) {
     // Drop network-duplicated grant copies first. The second copy of an
     // already-consumed grant would otherwise take the unsolicited-grant
     // path below and ghost-release a queue entry that was never double-
     // created — blind-popping some other waiter and handing the lock to
     // two holders at once.
     const std::uint64_t fp = GrantFingerprint(*hdr, pkt.src);
-    std::uint64_t& reg = grant_filter_[static_cast<std::size_t>(
-        fp % grant_filter_.size())];
+    std::uint64_t& reg =
+        grant_filter_[static_cast<std::size_t>(fp % kGrantFilterSlots)];
     if (reg == fp) return;
     reg = fp;  // Collisions just evict: the filter is best-effort.
   }
@@ -315,7 +320,7 @@ void NetLockSession::OnPacket(const Packet& pkt) {
     const LockId lock = hdr->lock_id;
     const TxnId txn = hdr->txn_id;
     machine_.net().sim().Schedule(
-        config_.reject_backoff, [this, lock, txn, epoch]() {
+        kRejectBackoff, [this, lock, txn, epoch]() {
           const auto it2 = pending_.find(std::make_pair(lock, txn));
           if (it2 == pending_.end() || it2->second.epoch != epoch) return;
           SendAcquire(lock, txn, it2->second);

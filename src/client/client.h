@@ -131,15 +131,8 @@ class NetLockSession : public LockSession {
     /// for the session's lifetime: deadlines then come due in the order
     /// they are set, which is what lets one armed event serve them all.
     SimTime retry_timeout = 5 * kMillisecond;
-    /// Delay before retrying a quota-rejected request.
-    SimTime reject_backoff = 20 * kMicrosecond;
     /// Give up after this many retransmissions and report kTimeout.
     int max_retries = 16;
-    /// Slots in the duplicate-grant filter (hash-indexed grant
-    /// fingerprints). Drops network-duplicated copies of a grant before
-    /// they can re-trigger the unsolicited-grant ghost release, which
-    /// would blind-pop another waiter's queue entry. 0 disables.
-    std::uint32_t grant_filter_slots = 1024;
     /// Lease duration the lock manager enforces (0 = no lease discipline).
     /// Once a grant is older than `lease - lease_release_margin`, the
     /// manager's lease sweep may already have force-released the entry, so
@@ -258,10 +251,12 @@ class NetLockSession : public LockSession {
   /// second legitimate release of the same (lock, txn) — e.g. the ghost
   /// release of a duplicate grant (fresh nonce).
   std::uint32_t release_nonce_ = 1;
-  /// Grant-dedup fingerprints (empty when the filter is disabled). Keyed by
+  /// Grant-dedup fingerprints, hash-indexed. Keyed by
   /// GrantFingerprint(lock, txn, grantor, grant nonce): a duplicated copy of
-  /// a grant matches its original and is dropped; the grant of a distinct
-  /// queue entry carries a fresh nonce and passes.
+  /// a grant matches its original and is dropped (before it can re-trigger
+  /// the unsolicited-grant ghost release, which would blind-pop another
+  /// waiter's queue entry); the grant of a distinct queue entry carries a
+  /// fresh nonce and passes.
   std::vector<std::uint64_t> grant_filter_;
   /// (lock, txn) pairs whose queue entries a deadlock-policy abort (cancel
   /// or wound) removed server-side. A grant for such a pair that was in

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace netlock {
 
@@ -81,22 +80,6 @@ inline const char* ToString(DeadlockPolicy p) {
       return "wound_wait";
   }
   return "?";
-}
-
-inline bool ParseDeadlockPolicy(const std::string& text,
-                                DeadlockPolicy* out) {
-  if (text == "none") {
-    *out = DeadlockPolicy::kNone;
-  } else if (text == "no_wait") {
-    *out = DeadlockPolicy::kNoWait;
-  } else if (text == "wait_die") {
-    *out = DeadlockPolicy::kWaitDie;
-  } else if (text == "wound_wait") {
-    *out = DeadlockPolicy::kWoundWait;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 /// Measured (or declared) demand for one lock: the r_i / c_i pair of the

@@ -8,6 +8,11 @@
 
 namespace netlock {
 
+namespace {
+/// How often a migration or fail-back polls for its queue to drain.
+constexpr SimTime kDrainPollInterval = 100 * kMicrosecond;
+}  // namespace
+
 ControlPlane::ControlPlane(Simulator& sim, LockSwitch& lock_switch,
                            std::vector<LockServer*> servers,
                            ControlPlaneConfig config)
@@ -167,7 +172,7 @@ void ControlPlane::MoveLockToServer(LockId lock, std::function<void()> done) {
   // wait until the switch queue drains, then hand ownership to the server.
   moving_.insert(lock);
   switch_.PauseLock(lock, true);
-  PollUntil(sim_, config_.drain_poll_interval,
+  PollUntil(sim_, kDrainPollInterval,
             [this, lock, done = std::move(done)]() {
     if (switch_.IsInstalled(lock)) {
       // Re-pause: a restart mid-drain reinstalls the lock unpaused.
@@ -199,7 +204,7 @@ void ControlPlane::MoveLockToSwitch(LockId lock, std::uint32_t slots,
   // holders drain via releases.
   moving_.insert(lock);
   server.PauseLock(lock, true);
-  PollUntil(sim_, config_.drain_poll_interval,
+  PollUntil(sim_, kDrainPollInterval,
             [this, lock, slots, &server, done = std::move(done)]() {
     if (!server.QueueEmpty(lock)) return false;
     // A server under its takeover grace has not granted the lock yet, but
@@ -498,7 +503,7 @@ void ControlPlane::RecoverSwitch(std::function<void()> done) {
 
 void ControlPlane::PollFailBack(std::uint64_t failures,
                                 std::function<void()> done) {
-  PollUntil(sim_, config_.drain_poll_interval,
+  PollUntil(sim_, kDrainPollInterval,
             [this, failures, done = std::move(done)]() {
     if (failures != failures_) return true;  // Superseded by a failure.
     // Until the grace is over an empty backup queue proves nothing: the

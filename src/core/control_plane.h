@@ -49,8 +49,6 @@ struct ControlPlaneConfig {
   SimTime lease = 50 * kMillisecond;
   /// How often the control plane polls the data plane for expired leases.
   SimTime lease_poll_interval = 10 * kMillisecond;
-  /// Drain-poll interval during lock migration.
-  SimTime drain_poll_interval = 100 * kMicrosecond;
 };
 
 class ControlPlane {

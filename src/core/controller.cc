@@ -10,6 +10,12 @@
 
 namespace netlock {
 
+namespace {
+/// Multi-rack: a rack whose smoothed demand exceeds this multiple of the
+/// mean sheds its hottest lock (one re-home per tick).
+constexpr double kRackImbalanceFactor = 1.5;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ControllerCore
 // ---------------------------------------------------------------------------
@@ -348,9 +354,7 @@ void SelfDrivingController::Tick() {
     if (!running_ || gen != generation_) return;
     ++stats_.ticks;
     for (int r = 0; r < sharded_.num_racks(); ++r) TickRack(r);
-    if (sharded_.num_racks() > 1 && config_.rack_imbalance_factor > 1.0) {
-      BalanceRacks();
-    }
+    if (sharded_.num_racks() > 1) BalanceRacks();
     metrics_->Publish(stats_);
     Tick();
   });
@@ -395,25 +399,20 @@ void SelfDrivingController::BalanceRacks() {
     if (rates[r] < rates[cool]) cool = r;
   }
   const double mean = total / n;
-  if (mean <= 0.0 || rates[hot] <= config_.rack_imbalance_factor * mean) {
-    return;
-  }
+  if (mean <= 0.0 || rates[hot] <= kRackImbalanceFactor * mean) return;
   const SimTime now = sim_.now();
-  for (int i = 0; i < config_.max_rehomes_per_tick; ++i) {
-    LockId lock = 0;
-    const bool found = cores_[hot]->HottestUnfrozen(
-        now,
-        [this, hot](LockId id) {
-          return sharded_.directory().RackFor(id) == hot &&
-                 !sharded_.RehomeInFlight(id);
-        },
-        &lock);
-    if (!found) return;
-    if (!sharded_.RehomeLock(lock, cool)) return;
-    cores_[hot]->MarkMoved(lock, now);
-    cores_[cool]->MarkMoved(lock, now);
-    ++stats_.rehomes;
-  }
+  LockId lock = 0;
+  const bool found = cores_[hot]->HottestUnfrozen(
+      now,
+      [this, hot](LockId id) {
+        return sharded_.directory().RackFor(id) == hot &&
+               !sharded_.RehomeInFlight(id);
+      },
+      &lock);
+  if (!found || !sharded_.RehomeLock(lock, cool)) return;
+  cores_[hot]->MarkMoved(lock, now);
+  cores_[cool]->MarkMoved(lock, now);
+  ++stats_.rehomes;
 }
 
 // ---------------------------------------------------------------------------

@@ -72,10 +72,6 @@ struct ControllerConfig {
   double drain_cost_per_entry = 2.0;
   /// ... plus a fixed pause/install charge, in request-equivalents.
   double fixed_migration_cost = 8.0;
-  /// Multi-rack: re-home the hottest lock off a rack whose smoothed demand
-  /// exceeds `rack_imbalance_factor` x the mean. <= 1 disables.
-  double rack_imbalance_factor = 1.5;
-  int max_rehomes_per_tick = 1;
 };
 
 /// Decision counters, mirrored 1:1 into "ctrl.*" registry counters.

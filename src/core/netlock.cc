@@ -1,5 +1,7 @@
 #include "core/netlock.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace netlock {
@@ -36,8 +38,12 @@ std::unique_ptr<LockSession> NetLockManager::CreateSession(
   config.tenant = tenant;
   config.retry_timeout = options_.client_retry_timeout;
   config.max_retries = options_.client_max_retries;
-  config.lease = options_.client_lease;
-  config.lease_release_margin = options_.client_lease_release_margin;
+  // The release margin covers the release's flight plus the grant's (one
+  // client<->switch leg each, with slack for jitter and NIC queueing) yet
+  // stays well under the lease, so normal releases are never suppressed.
+  config.lease = options_.control_config.lease;
+  config.lease_release_margin =
+      std::min<SimTime>(config.lease / 4, 100 * kMicrosecond);
   return std::make_unique<NetLockSession>(machine, config);
 }
 

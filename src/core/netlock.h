@@ -30,15 +30,10 @@ struct NetLockOptions {
   LockServerConfig server_config;
   int num_servers = 2;
   ControlPlaneConfig control_config;
-  /// Client session defaults (switch_node is filled in by CreateSession).
+  /// Client session defaults (switch_node is filled in by CreateSession;
+  /// the lease comes from control_config).
   SimTime client_retry_timeout = 5 * kMillisecond;
   int client_max_retries = 16;
-  /// Lease discipline (see NetLockSession::Config): sessions stop sending
-  /// releases for grants older than `lease - margin`, since the lease
-  /// sweep may already have force-released the entry. Defaults mirror the
-  /// control plane's lease with a margin that covers two one-way trips.
-  SimTime client_lease = 50 * kMillisecond;
-  SimTime client_lease_release_margin = 100 * kMicrosecond;
 };
 
 class NetLockManager {
@@ -52,7 +47,10 @@ class NetLockManager {
   /// configured switch queue capacity and install it.
   void InstallKnapsack(const std::vector<LockDemand>& demands);
 
-  /// Creates a client session bound to `machine`.
+  /// Creates a client session bound to `machine`. One lease governs the
+  /// switch and its clients (§4.5): the session holds its grants to
+  /// control_config.lease, so it never sends a release that could race
+  /// the lease sweep's forced release of the same entry.
   std::unique_ptr<LockSession> CreateSession(ClientMachine& machine,
                                              TenantId tenant = 0);
 

@@ -17,6 +17,10 @@ constexpr const char* kRackNames[] = {
 constexpr int kNumRackNames =
     static_cast<int>(sizeof(kRackNames) / sizeof(kRackNames[0]));
 
+/// Poll interval for the re-home drain (the control plane's migration
+/// drain polls at the same rate).
+constexpr SimTime kRehomePollInterval = 100 * kMicrosecond;
+
 }  // namespace
 
 // --- LockDirectory ---
@@ -109,11 +113,10 @@ void ShardedSession::set_wound_observer(
 ShardedNetLock::ShardedNetLock(Network& net, ShardedNetLockOptions options)
     : net_(net), options_(options), directory_(options.num_racks) {
   NETLOCK_CHECK(options_.num_racks >= 1);
-  const bool label = options_.label_racks && options_.num_racks > 1;
   SimContext& context = net_.sim().context();
   racks_.reserve(options_.num_racks);
   for (int r = 0; r < options_.num_racks; ++r) {
-    if (label) {
+    if (options_.num_racks > 1) {
       // Rack-owned components resolve their instruments and capture their
       // trace pid at construction; scoping both here labels everything the
       // rack allocates without touching single-rack behaviour.
@@ -242,7 +245,6 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
   // move it down to the source's server (pause -> drain -> TakeOwnership,
   // the control plane's own protocol), then poll until every grant has
   // been released and nothing is buffered.
-  const SimTime interval = options_.rehome_poll_interval;
   auto drained = [this, lock, from_rack, finish = std::move(finish)]() {
     NetLockManager& source = *racks_[from_rack];
     LockServer& server = source.control_plane().ServerObjFor(lock);
@@ -254,11 +256,11 @@ bool ShardedNetLock::RehomeLock(LockId lock, int to_rack,
   };
   if (src.lock_switch().IsInstalled(lock)) {
     src.control_plane().MoveLockToServer(
-        lock, [this, interval, drained = std::move(drained)]() {
-          PollUntil(net_.sim(), interval, drained);
+        lock, [this, drained = std::move(drained)]() {
+          PollUntil(net_.sim(), kRehomePollInterval, drained);
         });
   } else {
-    PollUntil(net_.sim(), interval, std::move(drained));
+    PollUntil(net_.sim(), kRehomePollInterval, std::move(drained));
   }
   return true;
 }

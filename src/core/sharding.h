@@ -25,10 +25,10 @@
 //     at any time. While a re-home is in flight, and after it for the
 //     source, neither rack's own migrations touch the lock.
 //
-// Per-rack observability: when `label_racks` is set (and there is more
-// than one rack) each rack's switch/server instruments resolve under a
-// "rackN." metrics prefix and its trace spans carry pid = N + 1, so the
-// existing dashboards split by rack.
+// Per-rack observability: with more than one rack, each rack's
+// switch/server instruments resolve under a "rackN." metrics prefix and its
+// trace spans carry pid = N + 1, so the existing dashboards split by rack.
+// A single rack keeps the unprefixed names.
 #pragma once
 
 #include <cstdint>
@@ -81,13 +81,6 @@ struct ShardedNetLockOptions {
   /// Per-rack configuration (every rack is built identically).
   NetLockOptions rack;
   int num_racks = 1;
-  /// Label each rack's metrics ("rackN." prefix) and trace spans
-  /// (pid = N + 1) when there is more than one rack. Single-rack
-  /// topologies always keep the unprefixed names.
-  bool label_racks = true;
-  /// Poll interval for the re-home drain (mirrors the control plane's
-  /// drain_poll_interval).
-  SimTime rehome_poll_interval = 100 * kMicrosecond;
 };
 
 /// A client session over a sharded topology: one inner per-rack session,

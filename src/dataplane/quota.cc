@@ -7,10 +7,10 @@
 namespace netlock {
 
 TenantQuota::TenantQuota(Pipeline& pipeline, int stage,
-                         std::uint16_t max_tenants, QuotaMode mode)
+                         std::uint16_t num_tenants, QuotaMode mode)
     : mode_(mode),
       cells_(std::make_unique<RegisterArray<Cell>>(pipeline, stage,
-                                                   max_tenants)) {}
+                                                   num_tenants)) {}
 
 void TenantQuota::Configure(TenantId t, double rate_per_sec,
                             std::uint32_t burst) {

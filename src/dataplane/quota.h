@@ -26,8 +26,8 @@ enum class QuotaMode : std::uint8_t {
 
 class TenantQuota {
  public:
-  /// `max_tenants` sizes the register array (one cell per tenant).
-  TenantQuota(Pipeline& pipeline, int stage, std::uint16_t max_tenants,
+  /// `num_tenants` sizes the register array (one cell per tenant).
+  TenantQuota(Pipeline& pipeline, int stage, std::uint16_t num_tenants,
               QuotaMode mode = QuotaMode::kMeter);
 
   /// Configures tenant `t`: sustained rate in requests/second and burst

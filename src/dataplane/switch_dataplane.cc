@@ -26,6 +26,10 @@ LockId TraceLock() {
       std::fprintf(stderr, __VA_ARGS__);              \
     }                                                 \
   } while (0)
+
+// Register sizes fixed when the P4 program is compiled.
+constexpr std::uint16_t kMaxTenants = 64;            ///< Quota-table cells.
+constexpr std::uint32_t kReleaseFilterSlots = 4096;  ///< Dedup-filter cells.
 }  // namespace
 
 // Overflow protocol (paper Section 4.3, "Handling overflowed requests"),
@@ -77,15 +81,12 @@ LockSwitch::LockSwitch(Network& net, LockSwitchConfig config)
   metrics_.mismatched_releases =
       &reg.Counter("dataplane.mismatched_releases");
   node_ = net_.AddNode([this](const Packet& pkt) { HandlePacket(pkt); });
-  quota_ = std::make_unique<TenantQuota>(pipeline_, /*stage=*/0,
-                                         config_.max_tenants,
-                                         config_.quota_mode);
-  if (config_.release_filter_slots > 0) {
-    // Stage 0, before the boundary registers: a release pass consults the
-    // filter first, so a retransmitted copy never reaches the queue RMW.
-    release_filter_ = std::make_unique<RegisterArray<std::uint64_t>>(
-        pipeline_, /*stage=*/0, config_.release_filter_slots);
-  }
+  quota_ = std::make_unique<TenantQuota>(pipeline_, /*stage=*/0, kMaxTenants,
+                                         QuotaMode::kMeter);
+  // Stage 0, before the boundary registers: a release pass consults the
+  // filter first, so a retransmitted copy never reaches the queue RMW.
+  release_filter_ = std::make_unique<RegisterArray<std::uint64_t>>(
+      pipeline_, /*stage=*/0, kReleaseFilterSlots);
   if (config_.num_priorities == 1) {
     bounds_ = std::make_unique<RegisterArray<LockBounds>>(
         pipeline_, /*stage=*/0, config_.max_locks);
@@ -217,10 +218,8 @@ void LockSwitch::Restart() {
   failed_ = false;
   table_.Clear();
   queue_->ControlClear();
-  if (release_filter_ != nullptr) {
-    for (std::uint32_t i = 0; i < config_.release_filter_slots; ++i) {
-      release_filter_->ControlWrite(i, 0);
-    }
+  for (std::uint32_t i = 0; i < kReleaseFilterSlots; ++i) {
+    release_filter_->ControlWrite(i, 0);
   }
   for (std::uint32_t i = 0; i < config_.max_locks; ++i) {
     if (config_.num_priorities == 1) {
@@ -686,7 +685,6 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
 }
 
 bool LockSwitch::DuplicateRelease(const LockHeader& hdr, PacketPass& pass) {
-  if (release_filter_ == nullptr) return false;
   const std::uint64_t fp = ReleaseFingerprint(hdr);
   const std::size_t idx =
       static_cast<std::size_t>(fp % release_filter_->size());
@@ -1215,12 +1213,7 @@ void LockSwitch::Emit(Packet pkt) {
     // rewrite source addresses as a matter of course).
     pkt.src = src_override_;
   }
-  if (config_.pipeline_latency == 0) {
-    net_.Send(std::move(pkt));
-    return;
-  }
-  net_.sim().Schedule(config_.pipeline_latency,
-                      [this, pkt = std::move(pkt)]() { net_.Send(pkt); });
+  net_.Send(std::move(pkt));
 }
 
 }  // namespace netlock

@@ -55,19 +55,6 @@ struct LockSwitchConfig {
   /// stage budget (paper: "the number of priorities is limited to the
   /// number of stages").
   std::uint8_t num_priorities = 1;
-  /// Tenants known to the quota table.
-  std::uint16_t max_tenants = 64;
-  QuotaMode quota_mode = QuotaMode::kMeter;
-  /// Slots in the release-dedup filter: a stage-0 register array of release
-  /// fingerprints (hash-indexed) that drops retransmitted copies of a
-  /// RELEASE before they can blind-pop someone else's queue entry (releases
-  /// do not check transaction IDs, §4.2). Power of two recommended. 0
-  /// disables deduplication (pre-adversary behaviour).
-  std::uint32_t release_filter_slots = 4096;
-  /// Extra one-way delay added to every packet the switch emits, modelling
-  /// ASIC pipeline transit. Default 0: testbed link latencies already
-  /// include it.
-  SimTime pipeline_latency = 0;
 };
 
 /// Observer invoked on every grant the switch issues (used by test oracles
@@ -297,8 +284,9 @@ class LockSwitch {
   // Priority path: 0 = quota + per-class boundaries, 1 = aggregate state,
   // 2..1+P = per-class queue metadata, 2+P.. = shared-queue arrays.
   std::unique_ptr<TenantQuota> quota_;
-  /// Release-dedup fingerprints, hash-indexed (stage 0; nullptr when
-  /// config_.release_filter_slots == 0).
+  /// Release-dedup fingerprints, hash-indexed (stage 0): drops
+  /// retransmitted copies of a RELEASE before they can blind-pop someone
+  /// else's queue entry (releases do not check transaction IDs, §4.2).
   std::unique_ptr<RegisterArray<std::uint64_t>> release_filter_;
   std::unique_ptr<RegisterArray<LockBounds>> bounds_;
   std::unique_ptr<RegisterArray<LockMeta>> meta_;

@@ -93,7 +93,6 @@ struct RtRig {
     options.cores = config.rt_cores;
     options.num_clients = config.rt_client_threads;
     options.record_events = config.rt_record_events;
-    options.pin_threads = config.rt_pin_threads;
     if (config.rt_spin_rounds >= 0) {
       options.spin_rounds = config.rt_spin_rounds;
     }

@@ -61,7 +61,6 @@ struct BackendRunConfig {
   int rt_cores = 2;
   int rt_client_threads = 2;
   bool rt_record_events = false;  ///< Keep the oracle replay log.
-  bool rt_pin_threads = false;
   /// Worker idle tuning (see RtLockService::Options). Negative = keep the
   /// service defaults (spin-aggressive dedicated-host mode).
   int rt_spin_rounds = -1;

@@ -1,10 +1,15 @@
 #include "harness/testbed.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace netlock {
+
+namespace {
+/// Per-request NIC service at a client machine (~18 MRPS at 55 ns).
+constexpr SimTime kMachineTxService = 55;
+/// Spine hop added to every leg that crosses racks.
+constexpr SimTime kCrossRackExtraLatency = 2000;
+}  // namespace
 
 const char* ToString(SystemKind kind) {
   switch (kind) {
@@ -35,8 +40,7 @@ Testbed::Testbed(TestbedConfig config)
 
   // Default latency covers the client<->server path (through the ToR);
   // client<->switch pairs are set explicitly below.
-  const SimTime client_server =
-      config_.client_switch_latency + config_.switch_server_latency;
+  const SimTime client_server = kClientSwitchLatency + kSwitchServerLatency;
   net_ = std::make_unique<Network>(sim_, client_server);
   // Fault streams (loss, duplication, reorder, jitter) follow the run seed,
   // so seeded sweeps vary their fault patterns; explicit per-test seeds via
@@ -62,18 +66,6 @@ Testbed::Testbed(TestbedConfig config)
           config_.lease_poll_interval;
       options.client_retry_timeout = config_.client_retry_timeout;
       options.client_max_retries = config_.client_max_retries;
-      // Lease discipline: suppress client releases within `margin` of the
-      // grant's lease expiring, so a release can never race the lease
-      // sweep's forced release and blind-pop another waiter's entry. The
-      // margin must cover the release's flight plus the grant's (both one
-      // client<->switch leg, plus slack for jitter/NIC queueing), but stay
-      // well under the lease so normal releases are never suppressed.
-      options.client_lease = config_.lease;
-      options.client_lease_release_margin = std::min<SimTime>(
-          config_.lease / 4,
-          std::max<SimTime>(100 * kMicrosecond,
-                            8 * (config_.client_switch_latency +
-                                 config_.switch_server_latency)));
       ShardedNetLockOptions sharded_options;
       sharded_options.rack = options;
       sharded_options.num_racks = config_.num_racks;
@@ -103,23 +95,20 @@ Testbed::Testbed(TestbedConfig config)
     }
     case SystemKind::kDslr:
       dslr_ = std::make_unique<DslrManager>(*net_, config_.lock_servers,
-                                            lock_space, config_.nic_config,
-                                            config_.dslr_config);
+                                            lock_space);
       for (int i = 0; i < dslr_->num_servers(); ++i) {
         infra_server_nodes.push_back(dslr_->nic(i).node());
       }
       break;
     case SystemKind::kDrtm:
       drtm_ = std::make_unique<DrtmManager>(*net_, config_.lock_servers,
-                                            lock_space, config_.nic_config,
-                                            config_.drtm_config);
+                                            lock_space);
       for (int i = 0; i < drtm_->num_servers(); ++i) {
         infra_server_nodes.push_back(drtm_->nic(i).node());
       }
       break;
     case SystemKind::kNetChain:
-      netchain_ = std::make_unique<NetChainSwitch>(*net_,
-                                                   config_.netchain_config);
+      netchain_ = std::make_unique<NetChainSwitch>(*net_);
       infra_switch_nodes.push_back(netchain_->node());
       break;
   }
@@ -129,7 +118,7 @@ Testbed::Testbed(TestbedConfig config)
       config_.client_machines * config_.sessions_per_machine;
   for (int m = 0; m < config_.client_machines; ++m) {
     machines_.push_back(
-        std::make_unique<ClientMachine>(*net_, config_.machine_tx_service));
+        std::make_unique<ClientMachine>(*net_, kMachineTxService));
   }
   for (int i = 0; i < total_engines; ++i) {
     ClientMachine& machine = *machines_[i % config_.client_machines];
@@ -166,12 +155,11 @@ Testbed::Testbed(TestbedConfig config)
       auto* sharded_session = static_cast<ShardedSession*>(session.get());
       const int home = (i % config_.client_machines) % sharded_->num_racks();
       for (int r = 0; r < sharded_->num_racks(); ++r) {
-        const SimTime extra =
-            (r == home) ? 0 : config_.cross_rack_extra_latency;
+        const SimTime extra = (r == home) ? 0 : kCrossRackExtraLatency;
         NetLockManager& rack = sharded_->rack(r);
         const NodeId leaf = sharded_session->rack_session(r).node();
         net_->SetLatency(leaf, rack.lock_switch().node(),
-                         config_.client_switch_latency + extra);
+                         kClientSwitchLatency + extra);
         for (int s = 0; s < rack.num_servers(); ++s) {
           net_->SetLatency(leaf, rack.server(s).node(),
                            client_server + extra);
@@ -180,7 +168,7 @@ Testbed::Testbed(TestbedConfig config)
     } else {
       // Session nodes sit one client leg from switches.
       for (const NodeId sw : infra_switch_nodes) {
-        net_->SetLatency(session->node(), sw, config_.client_switch_latency);
+        net_->SetLatency(session->node(), sw, kClientSwitchLatency);
       }
     }
     if (config_.session_wrapper) {
@@ -201,19 +189,19 @@ Testbed::Testbed(TestbedConfig config)
       NetLockManager& rack = sharded_->rack(r);
       for (int s = 0; s < rack.num_servers(); ++s) {
         net_->SetLatency(rack.lock_switch().node(), rack.server(s).node(),
-                         config_.switch_server_latency);
+                         kSwitchServerLatency);
       }
       for (int q = r + 1; q < sharded_->num_racks(); ++q) {
         net_->SetLatency(rack.lock_switch().node(),
                          sharded_->rack(q).lock_switch().node(),
-                         config_.cross_rack_extra_latency);
+                         kCrossRackExtraLatency);
       }
     }
   } else {
     // Switch <-> server legs.
     for (const NodeId sw : infra_switch_nodes) {
       for (const NodeId srv : infra_server_nodes) {
-        net_->SetLatency(sw, srv, config_.switch_server_latency);
+        net_->SetLatency(sw, srv, kSwitchServerLatency);
       }
     }
   }

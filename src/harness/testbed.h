@@ -34,6 +34,13 @@ enum class SystemKind {
 
 const char* ToString(SystemKind kind);
 
+/// One-way link latencies. Client legs include client software + NIC
+/// overhead (the paper attributes most of its 8 us median to those), so a
+/// switch-served grant takes ~2 * kClientSwitchLatency and a server-served
+/// grant a full extra switch<->server round trip.
+inline constexpr SimTime kClientSwitchLatency = 2500;
+inline constexpr SimTime kSwitchServerLatency = 1500;
+
 struct TestbedConfig {
   SystemKind system = SystemKind::kNetLock;
 
@@ -50,26 +57,12 @@ struct TestbedConfig {
   /// NetLock-only scale-out: shard the lock space across this many racks
   /// (each with its own switch, `lock_servers` servers, and control
   /// plane) behind a client-side LockDirectory. Client machines are
-  /// assigned to racks round-robin; requests to a remote rack pay
-  /// `cross_rack_extra_latency` on top of the ToR leg for the spine hop.
+  /// assigned to racks round-robin; requests to a remote rack pay an extra
+  /// spine hop on top of the ToR leg.
   int num_racks = 1;
-  SimTime cross_rack_extra_latency = 2000;
-
-  /// One-way latencies. Client legs include client software + NIC overhead
-  /// (the paper attributes most of its 8 us median to those), so a
-  /// switch-served grant takes ~2 * client_switch and a server-served grant
-  /// a full extra switch_server round trip.
-  SimTime client_switch_latency = 2500;
-  SimTime switch_server_latency = 1500;
-  /// Per-request NIC service at a client machine (~18 MRPS at 55 ns).
-  SimTime machine_tx_service = 55;
 
   LockSwitchConfig switch_config;
   LockServerConfig server_config;
-  NetChainConfig netchain_config;
-  RdmaNicConfig nic_config;
-  DslrConfig dslr_config;
-  DrtmConfig drtm_config;
   TxnEngineConfig txn_config;
 
   SimTime lease = 50 * kMillisecond;

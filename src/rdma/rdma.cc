@@ -5,6 +5,13 @@
 
 namespace netlock {
 
+namespace {
+// Verb service times, modelled on ConnectX-3 measurements.
+constexpr SimTime kAtomicServiceTime = 370;  ///< ~2.7 Mops for CAS/FAA.
+constexpr SimTime kReadServiceTime = 100;    ///< ~10 Mops for READ.
+constexpr SimTime kWriteServiceTime = 100;   ///< ~10 Mops for WRITE.
+}  // namespace
+
 bool RdmaHeader::SerializeTo(Packet& pkt) const {
   BufWriter w(pkt.mutable_payload());
   w.WriteU16(kMagic);
@@ -38,10 +45,9 @@ std::optional<RdmaHeader> RdmaHeader::Parse(const Packet& pkt) {
   return hdr;
 }
 
-RdmaNic::RdmaNic(Network& net, std::size_t memory_words, RdmaNicConfig config)
+RdmaNic::RdmaNic(Network& net, std::size_t memory_words)
     : net_(net),
-      config_(config),
-      engine_(net.sim(), config.read_service_time),
+      engine_(net.sim(), kReadServiceTime),
       memory_(memory_words, 0) {
   node_ = net_.AddNode([this](const Packet& pkt) { OnPacket(pkt); });
 }
@@ -57,9 +63,9 @@ void RdmaNic::OnPacket(const Packet& pkt) {
   const SimTime service =
       (hdr->verb == RdmaVerb::kCompareAndSwap ||
        hdr->verb == RdmaVerb::kFetchAndAdd)
-          ? config_.atomic_service_time
-          : (hdr->verb == RdmaVerb::kRead ? config_.read_service_time
-                                          : config_.write_service_time);
+          ? kAtomicServiceTime
+          : (hdr->verb == RdmaVerb::kRead ? kReadServiceTime
+                                          : kWriteServiceTime);
   // The verb executes when it reaches the head of the NIC engine queue;
   // execution and response generation happen at completion time so that
   // atomics from different clients serialize in arrival order.

@@ -47,20 +47,12 @@ struct RdmaHeader {
   static std::optional<RdmaHeader> Parse(const Packet& pkt);
 };
 
-/// Default verb service rates, modelled on ConnectX-3 measurements.
-struct RdmaNicConfig {
-  SimTime atomic_service_time = 370;  ///< ~2.7 Mops for CAS/FAA.
-  SimTime read_service_time = 100;    ///< ~10 Mops for READ.
-  SimTime write_service_time = 100;   ///< ~10 Mops for WRITE.
-};
-
 /// The target-side NIC: owns a word-addressed memory region and executes
-/// verbs against it in FIFO order at the configured rates, with no server
-/// CPU involvement (the defining property of one-sided RDMA).
+/// verbs against it in FIFO order at ConnectX-3 rates (see rdma.cc), with
+/// no server CPU involvement (the defining property of one-sided RDMA).
 class RdmaNic {
  public:
-  RdmaNic(Network& net, std::size_t memory_words,
-          RdmaNicConfig config = RdmaNicConfig{});
+  RdmaNic(Network& net, std::size_t memory_words);
 
   NodeId node() const { return node_; }
 
@@ -76,7 +68,6 @@ class RdmaNic {
 
   Network& net_;
   NodeId node_;
-  RdmaNicConfig config_;
   ServiceQueue engine_;
   std::vector<std::uint64_t> memory_;
   std::uint64_t verbs_executed_ = 0;

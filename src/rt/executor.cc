@@ -1,13 +1,6 @@
 #include "rt/executor.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace netlock::rt {
 
@@ -49,18 +42,6 @@ void RtExecutor::Stop() {
 }
 
 void RtExecutor::WorkerMain(int worker) {
-#ifdef __linux__
-  if (options_.pin_threads) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(worker) %
-                static_cast<unsigned>(
-                    std::max(1u, std::thread::hardware_concurrency())),
-            &set);
-    // Best effort: a denied affinity request is not an error.
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-  }
-#endif
   WorkerStats& stats = *stats_[static_cast<std::size_t>(worker)];
   // Single-writer counters: load+store (no RMW) keeps the increment a
   // plain cached write.

@@ -27,9 +27,6 @@ class RtExecutor {
  public:
   struct Options {
     int num_workers = 1;
-    /// Pin worker i to CPU i (best effort, Linux only). Off by default:
-    /// tests and CI runners share machines.
-    bool pin_threads = false;
     /// Empty polls before yielding, then yields before parking.
     int spin_rounds = 256;
     int yield_rounds = 16;

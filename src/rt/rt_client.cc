@@ -4,8 +4,11 @@
 
 namespace netlock::rt {
 
-RtClientPool::RtClientPool(RtLockService& service,
-                           ExecutionSubstrate& substrate,
+namespace {
+constexpr std::size_t kPollBatch = 64;  ///< Completions popped per poll.
+}  // namespace
+
+RtClientPool::RtClientPool(RtLockService& service, RtSubstrate& substrate,
                            RtClientConfig config, WorkloadFactory factory)
     : service_(service),
       substrate_(substrate),
@@ -37,7 +40,7 @@ RtClientPool::RtClientPool(RtLockService& service,
       sess.ids.engine_id = static_cast<std::uint32_t>(global + 1);
     }
     ct->staged.resize(static_cast<std::size_t>(service_.cores()));
-    for (auto& buf : ct->staged) buf.reserve(config_.poll_batch);
+    for (auto& buf : ct->staged) buf.reserve(kPollBatch);
     threads_.push_back(std::move(ct));
   }
 }
@@ -65,7 +68,7 @@ void RtClientPool::RunClient(ClientThread& ct) {
   const SimTime start = substrate_.Now();
   for (Session& s : ct.sessions) BeginTxn(ct, s, start);
   FlushStaged(ct);  // Every session's first acquire, one flush per core.
-  std::vector<RtCompletion> buf(config_.poll_batch);
+  std::vector<RtCompletion> buf(kPollBatch);
   int idle = 0;
   while (live > 0) {
     const std::size_t n =

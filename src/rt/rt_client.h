@@ -36,7 +36,6 @@ struct RtClientConfig {
   std::uint64_t txns_per_session = 0;
   /// Per-session seeds follow the simulated testbed: seed * 1000003 + i.
   std::uint64_t seed = 1;
-  std::size_t poll_batch = 64;
   /// Always-on sharded latency histograms ("rt.lock_latency",
   /// "rt.txn_latency"), one shard per client thread — what the live stats
   /// poller and netlock_top read. Off for `--telemetry=off` overhead runs;
@@ -54,7 +53,7 @@ class RtClientPool {
   using WorkloadFactory =
       std::function<std::unique_ptr<WorkloadGenerator>(int session)>;
 
-  RtClientPool(RtLockService& service, ExecutionSubstrate& substrate,
+  RtClientPool(RtLockService& service, RtSubstrate& substrate,
                RtClientConfig config, WorkloadFactory factory);
   ~RtClientPool();
 
@@ -156,7 +155,7 @@ class RtClientPool {
   std::uint64_t Sum(std::uint64_t TxnCounters::*counter) const;
 
   RtLockService& service_;
-  ExecutionSubstrate& substrate_;
+  RtSubstrate& substrate_;
   RtClientConfig config_;
   WorkloadFactory factory_;
   TelemetryDomain domain_;

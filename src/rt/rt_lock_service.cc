@@ -7,7 +7,12 @@
 
 namespace netlock::rt {
 
-RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
+namespace {
+constexpr std::size_t kRingCapacity = 8192;    ///< Each mailbox, each ring.
+constexpr std::size_t kFlightCapacity = 4096;  ///< Per core (owned recorder).
+}  // namespace
+
+RtLockService::RtLockService(Options options, RtSubstrate& substrate)
     : options_(options), substrate_(substrate), domain_(options.cores) {
   NETLOCK_CHECK(options_.cores >= 1);
   NETLOCK_CHECK(options_.num_clients >= 1);
@@ -34,7 +39,7 @@ RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
     recorder_ = options_.recorder;
   } else if (options_.telemetry) {
     owned_recorder_ = std::make_unique<FlightRecorder>(
-        options_.cores, options_.flight_capacity);
+        options_.cores, kFlightCapacity);
     recorder_ = owned_recorder_.get();
   }
 
@@ -51,7 +56,7 @@ RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
         static_cast<std::size_t>(options_.num_clients));
     for (int cl = 0; cl < options_.num_clients; ++cl) {
       req_rings_[static_cast<std::size_t>(c)].push_back(
-          std::make_unique<SpscRing<RtRequest>>(options_.ring_capacity));
+          std::make_unique<SpscRing<RtRequest>>(kRingCapacity));
     }
   }
   comp_rings_.resize(static_cast<std::size_t>(options_.num_clients));
@@ -60,7 +65,7 @@ RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
         static_cast<std::size_t>(options_.cores));
     for (int c = 0; c < options_.cores; ++c) {
       comp_rings_[static_cast<std::size_t>(cl)].push_back(
-          std::make_unique<SpscRing<RtCompletion>>(options_.ring_capacity));
+          std::make_unique<SpscRing<RtCompletion>>(kRingCapacity));
     }
   }
   drain_buf_ = std::make_unique<AlignedRegions<RtRequest>>(
@@ -77,7 +82,6 @@ RtLockService::RtLockService(Options options, ExecutionSubstrate& substrate)
 
   RtExecutor::Options exec;
   exec.num_workers = options_.cores;
-  exec.pin_threads = options_.pin_threads;
   exec.spin_rounds = options_.spin_rounds;
   exec.yield_rounds = options_.yield_rounds;
   exec.park_timeout = options_.park_timeout;

@@ -91,11 +91,9 @@ class RtLockService {
   struct Options {
     int cores = 2;
     int num_clients = 1;  ///< Client threads that will call SubmitBatch/Poll.
-    std::size_t ring_capacity = 8192;
     /// Max requests drained from one mailbox per visit.
     std::size_t drain_batch = 64;
     bool record_events = false;  ///< Oracle replay log (test builds).
-    bool pin_threads = false;
     /// Worker idle tuning, forwarded to RtExecutor::Options. The defaults
     /// spin aggressively (dedicated-host latency mode); park-eager
     /// settings (spin_rounds ~0, longer park_timeout) suit shared or
@@ -110,7 +108,6 @@ class RtLockService {
     /// (the fuzzer and violation tests inject one they keep after Stop).
     bool telemetry = true;
     FlightRecorder* recorder = nullptr;
-    std::size_t flight_capacity = 4096;  ///< Per-core ring (owned recorder).
     /// Deadlock-handling policy applied by every core's engine.
     DeadlockPolicy deadlock_policy = DeadlockPolicy::kNone;
   };
@@ -133,7 +130,7 @@ class RtLockService {
     std::uint64_t cancel_removed_granted = 0;
   };
 
-  RtLockService(Options options, ExecutionSubstrate& substrate);
+  RtLockService(Options options, RtSubstrate& substrate);
   ~RtLockService();
 
   RtLockService(const RtLockService&) = delete;
@@ -231,7 +228,7 @@ class RtLockService {
                    LockId lock, LockMode mode, TxnId txn);
 
   Options options_;
-  ExecutionSubstrate& substrate_;
+  RtSubstrate& substrate_;
   std::vector<std::unique_ptr<Core>> cores_;
   /// req_rings_[core][client]: client -> core mailboxes.
   std::vector<std::vector<std::unique_ptr<SpscRing<RtRequest>>>> req_rings_;

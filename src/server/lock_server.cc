@@ -6,10 +6,13 @@
 
 namespace netlock {
 
+namespace {
+constexpr std::size_t kReleaseFilterSlots = 4096;  ///< Release-dedup cells.
+}  // namespace
+
 LockServer::LockServer(Network& net, LockServerConfig config)
     : net_(net),
       config_(config),
-      substrate_(net.sim()),
       trace_(&net.sim().context().trace()),
       trace_pid_(net.sim().context().trace().current_pid()),
       engine_(*this) {
@@ -23,7 +26,7 @@ LockServer::LockServer(Network& net, LockServerConfig config)
   metrics_.requests = &reg.Counter("server.requests_processed");
   metrics_.q2_depth = &reg.Gauge("server.q2_depth");
   node_ = net_.AddNode([this](const Packet& pkt) { OnPacket(pkt); });
-  release_filter_.assign(config_.release_filter_slots, 0);
+  release_filter_.assign(kReleaseFilterSlots, 0);
   cores_.reserve(config_.cores);
   for (int i = 0; i < config_.cores; ++i) {
     cores_.push_back(std::make_unique<ServiceQueue>(
@@ -99,7 +102,7 @@ void LockServer::Process(const LockHeader& hdr) {
 }
 
 void LockServer::ProcessOwnedAcquire(const LockHeader& hdr) {
-  const SimTime now = substrate_.Now();
+  const SimTime now = net_.sim().now();
   if (!engine_.Owns(hdr.lock_id)) {
     if (handed_off_.count(hdr.lock_id) != 0) {
       // Sent here before the lock moved on (in flight, or queued at a core
@@ -127,19 +130,16 @@ void LockServer::ProcessOwnedRelease(const LockHeader& hdr) {
   // Retransmission dedup: the engine's queue pop does not check transaction
   // IDs for shared entries, so a duplicated RELEASE would dequeue some
   // other waiter's entry.
-  if (!release_filter_.empty()) {
-    const std::uint64_t fp = ReleaseFingerprint(hdr);
-    std::uint64_t& reg =
-        release_filter_[static_cast<std::size_t>(fp %
-                                                 release_filter_.size())];
-    if (reg == fp) {
-      ++stats_.duplicate_releases;
-      return;
-    }
-    reg = fp;  // Collisions just evict: the filter is best-effort.
+  const std::uint64_t fp = ReleaseFingerprint(hdr);
+  std::uint64_t& reg =
+      release_filter_[static_cast<std::size_t>(fp % kReleaseFilterSlots)];
+  if (reg == fp) {
+    ++stats_.duplicate_releases;
+    return;
   }
+  reg = fp;  // Collisions just evict: the filter is best-effort.
   switch (engine_.Release(hdr.lock_id, hdr.mode, hdr.txn_id,
-                          /*lease_forced=*/false, substrate_.Now())) {
+                          /*lease_forced=*/false, net_.sim().now())) {
     case ReleaseOutcome::kApplied:
       ++stats_.releases;
       metrics_.releases->Inc();
@@ -229,7 +229,7 @@ void LockServer::ProcessCancel(const LockHeader& hdr) {
   // prefix are granted by the engine as usual. Idempotent: a duplicated
   // copy finds nothing.
   const LockEngine::RemoveResult removed = engine_.RemoveTxn(
-      hdr.lock_id, hdr.txn_id, substrate_.Now(), /*notify=*/false);
+      hdr.lock_id, hdr.txn_id, net_.sim().now(), /*notify=*/false);
   stats_.cancels_removed += removed.removed;
 }
 
@@ -290,7 +290,7 @@ void LockServer::TakeOwnership(LockId lock) {
     backlog = std::move(it->second);
     q2_.erase(it);
   }
-  engine_.AdoptQueue(lock, std::move(backlog), substrate_.Now());
+  engine_.AdoptQueue(lock, std::move(backlog), net_.sim().now());
   handed_off_.erase(lock);
 }
 
@@ -310,7 +310,7 @@ void LockServer::Fail() {
   q2_.clear();
   handed_off_.clear();
   graced_locks_.clear();
-  release_filter_.assign(release_filter_.size(), 0);
+  release_filter_.assign(kReleaseFilterSlots, 0);
   last_push_notify_.clear();
   for (auto& core : cores_) core->Reset();
 }
@@ -330,7 +330,7 @@ void LockServer::ActivateGraced() {
   if (net_.sim().now() < grace_until_) return;  // Superseded by a new grace.
   std::vector<LockId> locks;
   locks.swap(graced_locks_);
-  const SimTime now = substrate_.Now();
+  const SimTime now = net_.sim().now();
   for (const LockId lock : locks) {
     if (!engine_.Owns(lock) || !engine_.IsPaused(lock)) continue;
     engine_.SetPaused(lock, false);
@@ -377,7 +377,7 @@ void LockServer::ForwardToSwitch(LockHeader req) {
 void LockServer::ClearExpired(SimTime lease) {
   TraceLog::PidScope pid_scope(*trace_, trace_pid_);
   const std::uint64_t forced =
-      engine_.ClearExpired(lease, substrate_.Now());
+      engine_.ClearExpired(lease, net_.sim().now());
   stats_.releases += forced;
   metrics_.releases->Inc(forced);
 }

@@ -32,7 +32,6 @@
 #include "net/lock_wire.h"
 #include "sim/network.h"
 #include "sim/service_queue.h"
-#include "substrate/execution_substrate.h"
 
 namespace netlock {
 
@@ -40,10 +39,6 @@ struct LockServerConfig {
   int cores = 8;
   /// Per-request CPU service time; 444 ns ~= 2.25 MRPS per core.
   SimTime per_request_service = 444;
-  /// Slots in the release-dedup filter (hash-indexed fingerprints of the
-  /// releases already applied). Drops network-retransmitted RELEASE copies
-  /// before they blind-pop another waiter's entry. 0 disables.
-  std::uint32_t release_filter_slots = 4096;
   /// Deadlock-handling policy applied by the lock engine (conflicting
   /// acquires are refused / wound per the policy instead of queueing).
   DeadlockPolicy deadlock_policy = DeadlockPolicy::kNone;
@@ -203,7 +198,6 @@ class LockServer : private GrantSink {
   Network& net_;
   LockServerConfig config_;
   NodeId node_;
-  SimSubstrate substrate_;  ///< Protocol clock (simulated time here).
   TraceLog* trace_;  ///< Request-lifecycle tracing (resolved once).
   /// Rack label captured at construction (TraceLog::current_pid); asserted
   /// while this server processes requests so shared-log spans split by rack.
@@ -215,7 +209,9 @@ class LockServer : private GrantSink {
   std::unordered_map<LockId, std::deque<QueueSlot>> q2_;
   /// Locks handed off by DropOwnership or DropState, not taken back.
   std::unordered_set<LockId> handed_off_;
-  /// Release-dedup fingerprints (empty when the filter is disabled).
+  /// Release-dedup fingerprints (hash-indexed, of the releases already
+  /// applied): drops network-retransmitted RELEASE copies before they
+  /// blind-pop another waiter's entry.
   std::vector<std::uint64_t> release_filter_;
   /// Per-instance nonce stamped into each grant's aux (see the switch's
   /// grant_nonce_): lets clients drop network-duplicated grant copies

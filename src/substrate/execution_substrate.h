@@ -1,17 +1,16 @@
-// Execution-substrate interface: the clock the protocol code runs against.
+// The rt backend's clock: monotonic wall-clock nanoseconds.
 //
 // The lock protocol (LockEngine, sessions, lease discipline) needs exactly
 // one thing from its runtime that differs between "simulated rack" and
-// "real threads": what time it is. An ExecutionSubstrate answers that in
-// nanoseconds — simulated nanoseconds advanced by the event loop, or
-// monotonic wall-clock nanoseconds since the substrate was created — so
-// the same compiled protocol code produces simulated-time numbers under
-// the Simulator and wall-clock MLPS numbers under the rt backend.
+// "real threads": what time it is. The simulator's components read
+// `Simulator::now()`; the rt backend (RtLockService, RtClientPool) reads an
+// RtSubstrate — so the same compiled protocol code produces simulated-time
+// numbers under the Simulator and wall-clock MLPS numbers under rt.
 //
-// Scheduling deliberately stays out of this interface: the sim substrate
-// schedules by event queue, the rt substrate by worker threads draining
-// SPSC mailboxes, and the protocol core (see core/lock_engine.h) is
-// written to need neither — callers drive it and pass `Now()` in.
+// Scheduling deliberately stays out of the clock: the simulator schedules
+// by event queue, the rt backend by worker threads draining SPSC
+// mailboxes, and the protocol core (see core/lock_engine.h) is written to
+// need neither — callers drive it and pass the time in.
 #pragma once
 
 #include <chrono>
@@ -20,48 +19,18 @@
 
 namespace netlock {
 
-class Simulator;
-
-class ExecutionSubstrate {
- public:
-  virtual ~ExecutionSubstrate() = default;
-
-  /// Nanoseconds since substrate start (simulated or monotonic wall).
-  virtual SimTime Now() const = 0;
-
-  /// True when Now() advances with wall-clock time (the rt backend).
-  virtual bool real_time() const = 0;
-
-  virtual const char* name() const = 0;
-};
-
-/// Simulated time: a view over a Simulator's clock.
-class SimSubstrate final : public ExecutionSubstrate {
- public:
-  explicit SimSubstrate(Simulator& sim) : sim_(sim) {}
-
-  SimTime Now() const override;
-  bool real_time() const override { return false; }
-  const char* name() const override { return "sim"; }
-
- private:
-  Simulator& sim_;
-};
-
 /// Real time: monotonic nanoseconds since construction. Thread-safe (the
 /// anchor is immutable after construction).
-class RtSubstrate final : public ExecutionSubstrate {
+class RtSubstrate {
  public:
   RtSubstrate() : start_(std::chrono::steady_clock::now()) {}
 
-  SimTime Now() const override {
+  SimTime Now() const {
     return static_cast<SimTime>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_)
             .count());
   }
-  bool real_time() const override { return true; }
-  const char* name() const override { return "rt"; }
 
  private:
   std::chrono::steady_clock::time_point start_;

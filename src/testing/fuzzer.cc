@@ -21,6 +21,10 @@ namespace {
 /// tens of simulated milliseconds.
 constexpr SimTime kFuzzLease = 5 * kMillisecond;
 
+/// How long after the workload stops the run may take to quiesce before
+/// liveness violations are reported.
+constexpr SimTime kSettleBudget = 400 * kMillisecond;
+
 std::uint64_t Fold(std::uint64_t digest, std::uint64_t v) {
   return (digest ^ v) * 0x100000001b3ull;  // FNV-1a step.
 }
@@ -625,16 +629,16 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
                                            config.switch_config);
     for (NetLockSession* session : raw_sessions) {
       testbed.net().SetLatency(session->node(), standby->node(),
-                               config.client_switch_latency);
+                               kClientSwitchLatency);
     }
     for (int i = 0; i < testbed.netlock().num_servers(); ++i) {
       testbed.net().SetLatency(standby->node(),
                                testbed.netlock().server(i).node(),
-                               config.switch_server_latency);
+                               kSwitchServerLatency);
     }
     if (hot) {
       testbed.net().SetLatency(testbed.netlock().lock_switch().node(),
-                               standby->node(), config.switch_server_latency);
+                               standby->node(), kSwitchServerLatency);
     }
     control.AttachStandby(*standby, hot ? ControlPlane::Standby::kHot
                                         : ControlPlane::Standby::kCold);
@@ -645,12 +649,11 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
   }
 
   // Observe every switch grant: the digest makes replays comparable
-  // byte-for-byte; benign plans additionally feed the FIFO oracle.
-  // Controller migrations legitimately reorder grants across the
-  // pause/drain/forward boundary, so FIFO checking is off for them just
-  // like for explicit migration plans.
-  const bool fifo =
-      options.check_fifo && schedule.plan.Benign() && !controller_on;
+  // byte-for-byte; benign plans additionally feed the FIFO oracle (faults
+  // may reorder grants). Controller migrations legitimately reorder grants
+  // across the pause/drain/forward boundary, so FIFO checking is off for
+  // them just like for explicit migration plans.
+  const bool fifo = schedule.plan.Benign() && !controller_on;
   std::uint64_t digest = 0xcbf29ce484222325ull;
   const auto observe = [&](LockSwitch& sw, std::uint64_t tag) {
     const int rec_shard =
@@ -736,7 +739,7 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
     }
   };
   if (schedule.plan.Benign()) {
-    for (SimTime t = liveness_window; t < horizon + options.settle_budget;
+    for (SimTime t = liveness_window; t < horizon + kSettleBudget;
          t += kFuzzLease) {
       testbed.sim().Schedule(t, scan_cycles);
     }
@@ -764,7 +767,7 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
     // A drained backup goes cold; a promoted chain tail keeps serving.
     return hot || !control.standby_active();
   };
-  const SimTime settle_deadline = testbed.sim().now() + options.settle_budget;
+  const SimTime settle_deadline = testbed.sim().now() + kSettleBudget;
   while (!settled() && testbed.sim().now() < settle_deadline) {
     testbed.sim().RunUntil(testbed.sim().now() + 2 * kMillisecond);
   }

@@ -95,9 +95,6 @@ struct RunReport {
 };
 
 struct FuzzOptions {
-  /// Check switch-side FIFO grant order (only applied when the plan is
-  /// benign: faults legitimately reorder grants).
-  bool check_fifo = true;
   /// Test-only seeded bug: suppress the oracle's view of releases for
   /// txns with txn % bug_txn_mod == 3, so the next grant on the same lock
   /// reports an overlap. Proves the fuzzer catches and shrinks real
@@ -109,9 +106,6 @@ struct FuzzOptions {
   /// waits-for oracle must then report a stuck cycle (and the engines
   /// never idle). Proves the liveness check catches real deadlocks.
   bool bug_always_wait = false;
-  /// How long after the workload stops the run may take to quiesce before
-  /// liveness violations are reported.
-  SimTime settle_budget = 400 * kMillisecond;
   /// Optional flight recorder: the run's protocol events (accepts, grants,
   /// client releases) are recorded into it, shard = rack (releases on
   /// shard 0). netlock_fuzz re-runs a shrunk failing schedule with one

@@ -6,9 +6,15 @@
 
 namespace netlock {
 
+namespace {
+constexpr double kHotZipfAlpha = 0.99;  ///< Skew inside the hot window.
+/// The hot window's base moves on by kDriftStep every kDriftEveryTxns.
+constexpr std::uint64_t kDriftEveryTxns = 200;
+constexpr LockId kDriftStep = 16;
+}  // namespace
+
 ScenarioWorkload::ScenarioWorkload(ScenarioConfig config)
-    : config_(config),
-      hot_zipf_(config.hot_set_size, config.hot_zipf_alpha) {
+    : config_(config), hot_zipf_(config.hot_set_size, kHotZipfAlpha) {
   NETLOCK_CHECK(config_.num_locks >= 1);
   NETLOCK_CHECK(config_.hot_set_size >= 1);
   NETLOCK_CHECK(config_.hot_set_size <= config_.num_locks);
@@ -19,10 +25,9 @@ ScenarioWorkload::ScenarioWorkload(ScenarioConfig config)
 }
 
 TxnSpec ScenarioWorkload::Next(Rng& rng) {
-  if (config_.drift_every_txns != 0 && emitted_ != 0 &&
-      emitted_ % config_.drift_every_txns == 0) {
-    hot_base_ = static_cast<LockId>(
-        (hot_base_ + config_.drift_step) % config_.num_locks);
+  if (emitted_ != 0 && emitted_ % kDriftEveryTxns == 0) {
+    hot_base_ = static_cast<LockId>((hot_base_ + kDriftStep) %
+                                    config_.num_locks);
   }
   ++emitted_;
 

@@ -19,16 +19,11 @@ struct ScenarioConfig {
   LockId num_locks = 10000;
   /// Size of the hot window the crowd chases.
   LockId hot_set_size = 16;
-  /// Probability a lock pick lands in the hot window (Zipf within it);
-  /// the rest are uniform over the whole space.
+  /// Probability a lock pick lands in the hot window (Zipf-0.99 within
+  /// it); the rest are uniform over the whole space. The window's base
+  /// moves on by 16 locks every 200 transactions this generator emits
+  /// (count-based, so replays are deterministic).
   double hot_fraction = 0.8;
-  /// Zipf skew inside the hot window; 0 = uniform within the window.
-  double hot_zipf_alpha = 0.99;
-  /// The hot window's base rotates by `drift_step` every
-  /// `drift_every_txns` transactions this generator emits (count-based so
-  /// replays are deterministic; 0 = never drift).
-  std::uint64_t drift_every_txns = 200;
-  LockId drift_step = 16;
   /// Locks per transaction (>= 2 for lock-order cycles to exist).
   std::uint32_t locks_per_txn = 4;
   /// Fraction of shared (reader) requests.

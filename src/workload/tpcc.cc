@@ -4,6 +4,13 @@
 
 namespace netlock {
 
+namespace {
+/// Probability a NewOrder order line is supplied by a remote warehouse.
+constexpr double kRemoteOrderlineProb = 0.01;
+/// Probability a Payment customer belongs to a remote warehouse.
+constexpr double kRemotePaymentProb = 0.15;
+}  // namespace
+
 TpccWorkload::TpccWorkload(TpccConfig config) : config_(config) {
   NETLOCK_CHECK(config_.warehouses >= 1);
   NETLOCK_CHECK(config_.home_warehouse < config_.warehouses);
@@ -121,8 +128,7 @@ TxnSpec TpccWorkload::NewOrder(Rng& rng) {
   for (std::uint32_t ol = 0; ol < ol_cnt; ++ol) {
     const std::uint32_t item = NonUniform(rng, 8191, kItems);
     std::uint32_t supply_w = w;
-    if (config_.warehouses > 1 &&
-        rng.NextBool(config_.remote_orderline_prob)) {
+    if (config_.warehouses > 1 && rng.NextBool(kRemoteOrderlineProb)) {
       do {
         supply_w =
             static_cast<std::uint32_t>(rng.NextBounded(config_.warehouses));
@@ -148,7 +154,7 @@ TxnSpec TpccWorkload::Payment(Rng& rng) {
       static_cast<std::uint32_t>(rng.NextBounded(kDistrictsPerWarehouse));
   std::uint32_t cw = w;
   std::uint32_t cd = d;
-  if (config_.warehouses > 1 && rng.NextBool(config_.remote_payment_prob)) {
+  if (config_.warehouses > 1 && rng.NextBool(kRemotePaymentProb)) {
     do {
       cw = static_cast<std::uint32_t>(rng.NextBounded(config_.warehouses));
     } while (cw == w);

@@ -40,10 +40,6 @@ struct TpccConfig {
   /// This generator's home warehouse (one engine per client thread; its
   /// transactions mostly touch the home warehouse, as TPC-C terminals do).
   std::uint32_t home_warehouse = 0;
-  /// Probability a NewOrder order line is supplied by a remote warehouse.
-  double remote_orderline_prob = 0.01;
-  /// Probability a Payment customer belongs to a remote warehouse.
-  double remote_payment_prob = 0.15;
   /// Lock coarsening (paper §4.5: "for uniform workload distributions, we
   /// combine multiple locks into one coarse-grained lock to increase the
   /// memory utilization"): rows per lock for the near-uniform tail tables.

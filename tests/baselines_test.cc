@@ -147,7 +147,7 @@ TEST_F(DslrTest, TicketResetProtocolSurvivesWraparound) {
   config.base_poll = 1 * kMicrosecond;
   config.per_hold_estimate = 1 * kMicrosecond;
   config.reset_backoff = 2 * kMicrosecond;
-  DslrManager manager(net_, 1, 10, RdmaNicConfig{}, config);
+  DslrManager manager(net_, 1, 10, config);
   auto session = manager.CreateSession(*machine_);
   int granted = 0;
   // 50 sequential acquire/release pairs cross the threshold of 12 several

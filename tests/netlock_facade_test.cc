@@ -1,8 +1,9 @@
 // Tests for the NetLockManager public facade: construction, allocation
-// installation, session creation, grant attribution, and the quickstart
-// usage pattern from the README.
+// installation, session creation (and the lease sessions inherit), grant
+// attribution, and the quickstart usage pattern from the README.
 #include <gtest/gtest.h>
 
+#include "client/client.h"
 #include "core/netlock.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -72,6 +73,38 @@ TEST_F(FacadeTest, TenantPlumbedThroughSessions) {
   session->Acquire(1, LockMode::kShared, 2, 0, [&](AcquireResult) {});
   sim_.RunUntil(2 * kMillisecond);
   EXPECT_GE(manager.lock_switch().stats().rejected_quota, 1u);
+}
+
+// One lease governs the switch and its clients (§4.5). A session takes the
+// control plane's lease, so a grant held past lease - margin is not
+// released by the client (its release could race the sweep's forced
+// release and pop another waiter's entry); the lease sweep reclaims it.
+TEST_F(FacadeTest, SessionsTakeTheControlPlaneLease) {
+  NetLockOptions options;
+  options.control_config.lease = 5 * kMillisecond;
+  options.control_config.lease_poll_interval = kMillisecond;
+  NetLockManager manager(net_, options);
+  manager.InstallKnapsack({{7, 2e5, 4}});
+  LockSwitch& sw = manager.lock_switch();
+  ClientMachine machine(net_);
+  auto session = manager.CreateSession(machine);
+  net_.SetLatency(session->node(), sw.node(), 2500);
+  SimTime granted_at = 0;
+  session->Acquire(7, LockMode::kExclusive, 1, 0, [&](AcquireResult r) {
+    if (r == AcquireResult::kGranted) granted_at = sim_.now();
+  });
+  sim_.RunUntil(100 * kMicrosecond);
+  ASSERT_GT(granted_at, 0u);
+
+  sim_.RunUntil(granted_at + 4950 * kMicrosecond);
+  session->Release(7, LockMode::kExclusive, 1);
+  sim_.RunUntil(sim_.now() + 50 * kMicrosecond);
+  EXPECT_EQ(static_cast<NetLockSession&>(*session).releases_suppressed(), 1u);
+  EXPECT_EQ(sw.stats().releases, 0u);
+  EXPECT_FALSE(sw.QueueEmpty(7));
+
+  sim_.RunUntil(granted_at + 7 * kMillisecond);
+  EXPECT_TRUE(sw.QueueEmpty(7));
 }
 
 TEST_F(FacadeTest, MultipleManagersCoexistOnOneNetwork) {

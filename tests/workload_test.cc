@@ -1,12 +1,13 @@
 // Tests for the workload generators: normalization, microbenchmark
-// parameters, and TPC-C structure (mix, lock-id packing, modes, contention
-// settings).
+// parameters, TPC-C structure (mix, lock-id packing, modes, contention
+// settings), and the deadlock scenario's drifting hot window.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
 #include "workload/micro.h"
+#include "workload/scenario.h"
 #include "workload/tpcc.h"
 #include "workload/ycsb.h"
 
@@ -312,6 +313,22 @@ TEST(YcsbWorkloadTest, KeyRangeAndMultiKeyTxns) {
     }
   }
   EXPECT_EQ(workload.lock_space(), 1064u);
+}
+
+TEST(ScenarioWorkloadTest, HotWindowDriftsEvery200Txns) {
+  // Every pick is hot: the first 200 transactions draw from the window at
+  // [0, 16), the next 200 from the window one drift step on, [16, 32).
+  ScenarioConfig config;
+  config.hot_fraction = 1.0;
+  ScenarioWorkload workload(config);
+  Rng rng(29);
+  for (int txn = 0; txn < 400; ++txn) {
+    const LockId base = txn < 200 ? 0 : 16;
+    for (const LockRequest& req : workload.Next(rng).locks) {
+      EXPECT_GE(req.lock, base) << "txn " << txn;
+      EXPECT_LT(req.lock, base + 16) << "txn " << txn;
+    }
+  }
 }
 
 }  // namespace
