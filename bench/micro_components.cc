@@ -248,6 +248,46 @@ void BM_LockEngineAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockEngineAcquireRelease);
 
+/// The lock-server shape: a wide space of owned, idle locks (the long tail
+/// the knapsack leaves on the servers). Each step acquires one idle lock,
+/// granted at once, and releases it; the stride scatters consecutive steps
+/// over unrelated states, so the engine's per-lock footprint shows up as
+/// cache misses.
+struct WideLockEngineLoop {
+  static constexpr LockId kLocks = 100'000;
+  static constexpr LockId kStride = 7919;  // Prime, so coprime with kLocks.
+
+  /// Primes the engine with one acquire/release of every lock.
+  WideLockEngineLoop() {
+    for (LockId i = 0; i < kLocks; ++i) Step();
+  }
+
+  void Step() {
+    QueueSlot slot;
+    slot.txn_id = txn;
+    slot.client_node = 1;
+    engine.Acquire(lock, slot, txn);
+    engine.Release(lock, LockMode::kExclusive, txn, /*lease_forced=*/false,
+                   txn);
+    ++txn;
+    lock += kStride;
+    if (lock >= kLocks) lock -= kLocks;
+  }
+
+  NullGrantSink sink;
+  LockEngine engine{sink};
+  LockId lock = 0;
+  TxnId txn = 1;
+};
+
+void BM_LockEngineWideAcquireRelease(benchmark::State& state) {
+  WideLockEngineLoop loop;
+  for (auto _ : state) loop.Step();
+  benchmark::DoNotOptimize(loop.sink.grants);
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_LockEngineWideAcquireRelease);
+
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(1'000'000, 0.99);
   Rng rng(2);
@@ -439,6 +479,25 @@ void RecordLockEngineThroughput(BenchReport& report, bool quick) {
   run.extra.emplace_back("lock_engine_ops_per_sec", ops_per_sec);
 }
 
+/// Fixed-iteration twin of BM_LockEngineWideAcquireRelease.
+void RecordLockEngineWideThroughput(BenchReport& report, bool quick) {
+  WideLockEngineLoop loop;
+  const std::uint64_t iters = quick ? 2'000'000 : 10'000'000;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) loop.Step();
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  const double ops_per_sec =
+      secs > 0.0 ? static_cast<double>(iters * 2) / secs : 0.0;
+  std::printf("lock engine wide acquire/release (%u idle locks): %.0f "
+              "ops/sec\n",
+              WideLockEngineLoop::kLocks, ops_per_sec);
+  BenchRun& run = report.AddRun("lock_engine_wide_throughput");
+  run.samples = iters * 2;
+  run.extra.emplace_back("lock_engine_wide_ops_per_sec", ops_per_sec);
+}
+
 }  // namespace
 }  // namespace netlock
 
@@ -490,6 +549,7 @@ int main(int argc, char** argv) {
   RecordEventThroughput(report, report.quick());
   RecordRingThroughput(report, report.quick());
   RecordLockEngineThroughput(report, report.quick());
+  RecordLockEngineWideThroughput(report, report.quick());
   RunLatencyBreakdown(report);
   return report.Write() ? 0 : 1;
 }

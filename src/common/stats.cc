@@ -61,7 +61,6 @@ std::vector<std::pair<SimTime, double>> LatencyRecorder::Cdf(
 void LatencyRecorder::Merge(const LatencyRecorder& other) {
   if (&other == this) {  // Self-merge would invalidate source iterators.
     const std::size_t n = samples_.size();
-    samples_.reserve(2 * n);
     for (std::size_t i = 0; i < n; ++i) samples_.push_back(samples_[i]);
     sorted_ = false;
     return;

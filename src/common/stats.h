@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,10 @@ namespace netlock {
 /// Records individual latency samples (nanoseconds) and reports exact
 /// order statistics. Samples are kept in full: even multi-second experiments
 /// in this simulator produce at most a few million samples, and the paper's
-/// figures need exact 99% / 99.9% tails.
+/// figures need exact 99% / 99.9% tails. They are stored in fixed-size
+/// blocks (a deque), so memory grows with the sample count in small steps:
+/// a doubling vector would copy the whole set at each power of two and make
+/// a run's peak memory jump when its count happens to cross one.
 class LatencyRecorder {
  public:
   // Resetting sorted_ here is load-bearing: the time-sliced policy and
@@ -52,7 +56,7 @@ class LatencyRecorder {
  private:
   void EnsureSorted() const;
 
-  mutable std::vector<SimTime> samples_;
+  mutable std::deque<SimTime> samples_;
   mutable bool sorted_ = false;
 };
 

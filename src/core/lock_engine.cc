@@ -8,75 +8,42 @@ namespace netlock {
 
 // --- WaitQueue ---
 
-void LockEngine::WaitQueue::Spill(SlabPool& pool) {
-  // Only called when the inline ring is full; kInlineSlots <= kChunkSlots,
-  // so the whole ring fits the first chunk.
-  const std::uint32_t chunk = pool.Alloc();
-  Chunk& c = pool.at(chunk);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    c.slots[i] = inline_slots[(head + i) % kInlineSlots];
-  }
-  head_chunk = tail_chunk = chunk;
-  head = 0;
-  tail_off = count;
-  spilled = true;
-}
-
 void LockEngine::WaitQueue::PushBack(const QueueSlot& slot, SlabPool& pool) {
-  if (!spilled) {
-    if (count < kInlineSlots) {
-      inline_slots[(head + count) % kInlineSlots] = slot;
-      ++count;
-      return;
-    }
-    Spill(pool);
-  }
-  if (tail_off == kChunkSlots) {
+  if (count == 0) {
+    head = tail = pool.Alloc() * kChunkSlots;
+  } else if (tail % kChunkSlots == 0) {
+    // The tail chunk is full: chain a fresh one.
     const std::uint32_t chunk = pool.Alloc();
-    pool.at(tail_chunk).next = chunk;
-    tail_chunk = chunk;
-    tail_off = 0;
+    pool.next(tail / kChunkSlots - 1) = chunk;
+    tail = chunk * kChunkSlots;
   }
-  pool.at(tail_chunk).slots[tail_off++] = slot;
+  pool.slot(tail++) = slot;
   ++count;
 }
 
 void LockEngine::WaitQueue::PopFront(SlabPool& pool) {
   NETLOCK_CHECK(count > 0);
-  --count;
-  if (!spilled) {
-    head = (head + 1) % kInlineSlots;
+  const std::uint32_t chunk = head / kChunkSlots;
+  if (--count == 0) {
+    // The front was the last entry, so its chunk is the only one.
+    pool.Free(chunk);
+    *this = WaitQueue{};
     return;
   }
-  if (++head == kChunkSlots) {
-    const std::uint32_t next = pool.at(head_chunk).next;
-    pool.Free(head_chunk);
-    head_chunk = next;
-    head = 0;
-  }
-  if (count == 0) {
-    // Revert to inline mode so a once-deep queue goes back to the
-    // zero-indirection fast path.
-    if (head_chunk != kNone) pool.Free(head_chunk);
-    head_chunk = tail_chunk = kNone;
-    head = 0;
-    tail_off = 0;
-    spilled = false;
-  }
+  head = pool.Advance(head);
+  if (head / kChunkSlots != chunk) pool.Free(chunk);
 }
 
 void LockEngine::WaitQueue::Reset(SlabPool& pool) {
-  std::uint32_t chunk = head_chunk;
-  while (chunk != kNone) {
-    const std::uint32_t next = pool.at(chunk).next;
-    pool.Free(chunk);
-    chunk = next;
+  if (count != 0) {
+    std::uint32_t chunk = head / kChunkSlots;
+    while (chunk != kNone) {
+      const std::uint32_t next = pool.next(chunk);
+      pool.Free(chunk);
+      chunk = next;
+    }
   }
-  count = 0;
-  head = 0;
-  head_chunk = tail_chunk = kNone;
-  tail_off = 0;
-  spilled = false;
+  *this = WaitQueue{};
 }
 
 // --- State pool ---
@@ -85,12 +52,6 @@ std::uint32_t LockEngine::AllocState() {
   if (!free_states_.empty()) {
     const std::uint32_t idx = free_states_.back();
     free_states_.pop_back();
-    LockState& st = states_[idx];
-    // Queues were Reset when the state was freed.
-    st.xcnt = 0;
-    st.paused = false;
-    st.req_count = 0;
-    st.max_depth = 1;
     return idx;
   }
   states_.emplace_back();
@@ -101,7 +62,7 @@ void LockEngine::FreeState(std::uint32_t idx) {
   LockState& st = states_[idx];
   st.queue.Reset(pool_);
   st.paused_buffer.Reset(pool_);
-  st.key = kInvalidLock;
+  st = LockState{};
   free_states_.push_back(idx);
 }
 
@@ -177,7 +138,7 @@ LockEngine::RemoveResult LockEngine::RemoveMatching(
     if (!found) break;
     // Remove position `pos` by rotating [0, pos) one slot towards the
     // tail and popping the (now duplicated) front — reuses PopFront's
-    // chunk-free/inline-revert logic and preserves FIFO order.
+    // chunk-free logic and preserves FIFO order.
     QueueSlot victim;
     if (pos == 0) {
       victim = q.Front(pool_);

@@ -18,14 +18,15 @@
 // every operation, and grant decisions come out through a GrantSink.
 //
 // Storage is a pool of per-lock states indexed through a FlatLockMap
-// (common/flat_lock_map.h), with slab-backed FIFO wait queues: a
-// queue's first kInlineSlots entries live inline in the state (the common
-// case — depth <= 4 — touches no other memory and allocates nothing), and
-// deeper queues spill into fixed-size chunks drawn from a free-list slab
-// owned by the engine, so steady-state acquire/release performs zero heap
-// allocations at any depth once the slab is warm. The previous
-// unordered_map<LockId, deque> representation paid a node allocation per
-// lock plus deque pointer-chasing on every operation.
+// (common/flat_lock_map.h). A state is one 64-byte record per owned lock:
+// the demand counters, the paused flag and two queue headers. Queue
+// entries live only in fixed-size chunks drawn from a LIFO free-list slab
+// owned by the engine, and only while the queue is non-empty: the first
+// entry takes a chunk, and the queue hands it back when it drains. Most
+// owned locks are idle (the lock servers own the long tail of the
+// knapsack), so they cost their record and nothing more, and steady-state
+// acquire/release performs zero heap allocations at any depth once the
+// slab is warm.
 #pragma once
 
 #include <cstdint>
@@ -194,69 +195,76 @@ class LockEngine {
 
  private:
   static constexpr std::uint32_t kNone = FlatLockMap<std::uint32_t>::kNotFound;
-  /// Queue entries stored inline in the lock state (zero-indirection fast
-  /// path; the paper's workloads rarely queue deeper than a handful).
-  static constexpr std::uint32_t kInlineSlots = 4;
-  /// Entries per slab chunk once a queue spills past the inline storage.
-  static constexpr std::uint32_t kChunkSlots = 8;
-  static_assert(kInlineSlots <= kChunkSlots,
-                "spilling copies the inline ring into one chunk");
+  /// Entries per slab chunk (a power of two: positions split by shift).
+  /// Two 32-byte slots fill one cache line. Every granted lock not yet
+  /// released holds a chunk, so a burst of grants (a worker catching up
+  /// on a backlog) costs 64 bytes per grant; deep queues chain chunks.
+  static constexpr std::uint32_t kChunkSlots = 2;
 
-  /// One slab chunk: a fixed run of slots plus the next-chunk link.
-  struct Chunk {
+  /// One slab chunk: a fixed run of slots, cache-line aligned so no slot
+  /// straddles two lines. The next-chunk links live beside the chunks.
+  struct alignas(64) Chunk {
     QueueSlot slots[kChunkSlots];
-    std::uint32_t next = kNone;
   };
 
-  /// Free-list slab of chunks. Indices are stable (vector only grows);
-  /// freed chunks are reused, so a warmed engine never allocates.
+  /// Free-list slab of chunks. A slot's position is chunk * kChunkSlots +
+  /// offset; indices are stable (vectors only grow). Freed chunks are
+  /// reused LIFO, so a warmed engine never allocates and the next queue to
+  /// fill reuses the chunk still in cache.
   class SlabPool {
    public:
     std::uint32_t Alloc() {
-      if (!free_.empty()) {
-        const std::uint32_t idx = free_.back();
-        free_.pop_back();
-        chunks_[idx].next = kNone;
-        return idx;
+      if (free_ == kNone) {
+        chunks_.emplace_back();
+        next_.push_back(kNone);
+        return static_cast<std::uint32_t>(chunks_.size() - 1);
       }
-      chunks_.emplace_back();
-      return static_cast<std::uint32_t>(chunks_.size() - 1);
+      const std::uint32_t idx = free_;
+      free_ = next_[idx];
+      next_[idx] = kNone;
+      return idx;
     }
-    void Free(std::uint32_t idx) { free_.push_back(idx); }
-    Chunk& at(std::uint32_t idx) { return chunks_[idx]; }
-    const Chunk& at(std::uint32_t idx) const { return chunks_[idx]; }
+    void Free(std::uint32_t idx) {
+      next_[idx] = free_;
+      free_ = idx;
+    }
+    QueueSlot& slot(std::uint32_t pos) {
+      return chunks_[pos / kChunkSlots].slots[pos % kChunkSlots];
+    }
+    /// The chunk after `idx` in its queue, or kNone.
+    std::uint32_t& next(std::uint32_t idx) { return next_[idx]; }
+    /// The position after `pos` along its queue's chain. Past a queue's
+    /// last entry the result is meaningless.
+    std::uint32_t Advance(std::uint32_t pos) const {
+      ++pos;
+      return pos % kChunkSlots != 0 ? pos
+                                    : next_[pos / kChunkSlots - 1] * kChunkSlots;
+    }
     void Clear() {
       chunks_.clear();
-      free_.clear();
+      next_.clear();
+      free_ = kNone;
     }
 
    private:
     std::vector<Chunk> chunks_;
-    std::vector<std::uint32_t> free_;
+    /// Chunk links: a queue's chain, or the free list for freed chunks.
+    std::vector<std::uint32_t> next_;
+    std::uint32_t free_ = kNone;  ///< Free-list head.
   };
 
-  /// FIFO wait queue: an inline ring while depth stays <= kInlineSlots,
-  /// a chunk chain after it spills (reverting to inline when it empties).
+  /// FIFO wait queue: a chain of slab chunks, held only while non-empty.
+  /// The first PushBack takes a chunk; the queue returns its last chunk
+  /// when it drains. An empty queue is a default-constructed one.
   struct WaitQueue {
-    QueueSlot inline_slots[kInlineSlots];
     std::uint32_t count = 0;
-    /// Inline mode: ring index of the front. Spilled: front offset within
-    /// the head chunk.
-    std::uint32_t head = 0;
-    std::uint32_t head_chunk = kNone;
-    std::uint32_t tail_chunk = kNone;
-    std::uint32_t tail_off = 0;  ///< Next free slot in the tail chunk.
-    bool spilled = false;
+    std::uint32_t head = 0;  ///< Position of the front entry.
+    std::uint32_t tail = 0;  ///< Position one past the back entry.
 
     bool empty() const { return count == 0; }
     std::size_t size() const { return count; }
 
-    QueueSlot& Front(SlabPool& pool) {
-      return spilled ? pool.at(head_chunk).slots[head] : inline_slots[head];
-    }
-    const QueueSlot& Front(const SlabPool& pool) const {
-      return spilled ? pool.at(head_chunk).slots[head] : inline_slots[head];
-    }
+    QueueSlot& Front(SlabPool& pool) { return pool.slot(head); }
 
     void PushBack(const QueueSlot& slot, SlabPool& pool);
     void PopFront(SlabPool& pool);
@@ -266,48 +274,31 @@ class LockEngine {
     /// Forward cursor from the front; valid while the queue is unchanged.
     struct Cursor {
       std::uint32_t remaining = 0;
-      std::uint32_t chunk = kNone;  ///< kNone in inline mode.
-      std::uint32_t off = 0;
+      std::uint32_t pos = 0;
     };
-    Cursor Begin() const {
-      Cursor c;
-      c.remaining = count;
-      c.chunk = spilled ? head_chunk : kNone;
-      c.off = head;
-      return c;
-    }
+    Cursor Begin() const { return Cursor{count, head}; }
     bool Done(const Cursor& c) const { return c.remaining == 0; }
-    QueueSlot& At(const Cursor& c, SlabPool& pool) {
-      return c.chunk == kNone ? inline_slots[c.off]
-                              : pool.at(c.chunk).slots[c.off];
-    }
+    QueueSlot& At(const Cursor& c, SlabPool& pool) { return pool.slot(c.pos); }
     void Advance(Cursor& c, const SlabPool& pool) const {
       --c.remaining;
-      if (c.chunk == kNone) {
-        c.off = (c.off + 1) % kInlineSlots;
-        return;
-      }
-      if (++c.off == kChunkSlots) {
-        c.chunk = pool.at(c.chunk).next;
-        c.off = 0;
-      }
+      c.pos = pool.Advance(c.pos);
     }
-
-   private:
-    void Spill(SlabPool& pool);
   };
 
-  /// Per-lock software queue with switch-equivalent semantics. Pool slots
-  /// with key == kInvalidLock are free.
-  struct LockState {
-    LockId key = kInvalidLock;
-    WaitQueue queue;          ///< Entries remain until released.
-    WaitQueue paused_buffer;  ///< Entries received while paused.
-    std::uint32_t xcnt = 0;   ///< Exclusive entries among queue.
-    bool paused = false;
+  /// Per-lock software queue with switch-equivalent semantics, one cache
+  /// line per owned lock: most owned locks are idle, so the record holds
+  /// only queue headers and the demand counters. Pool slots with
+  /// key == kInvalidLock are free.
+  struct alignas(64) LockState {
     std::uint64_t req_count = 0;  ///< r_i demand counter (§4.3).
+    LockId key = kInvalidLock;
+    std::uint32_t xcnt = 0;       ///< Exclusive entries among queue.
     std::uint32_t max_depth = 1;  ///< c_i demand counter.
+    WaitQueue queue;              ///< Entries remain until released.
+    WaitQueue paused_buffer;      ///< Entries received while paused.
+    bool paused = false;
   };
+  static_assert(sizeof(LockState) <= 64, "one cache line per owned lock");
 
   /// Index of the lock's state, or kNone.
   std::uint32_t Lookup(LockId lock) const { return index_.Find(lock); }

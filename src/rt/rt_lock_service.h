@@ -240,12 +240,16 @@ class RtLockService {
   std::unique_ptr<AlignedRegions<RtRequest>> drain_buf_;
   std::vector<std::unique_ptr<CoreStaging>> staging_;  ///< One per core.
   std::unique_ptr<RtExecutor> executor_;
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> processed_{0};
+  /// Clients add to submitted_ per flush and workers add to processed_ per
+  /// drain; each sits on its own cache line, away from executor_, which
+  /// every WakeWorker reads. event_seq_ is worker-written like processed_.
+  alignas(64) std::atomic<std::uint64_t> submitted_{0};
+  alignas(64) std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> event_seq_{0};
 
-  /// Sharded per-core stats (one shard per worker core).
-  TelemetryDomain domain_;
+  /// Sharded per-core stats (one shard per worker core). Starts a fresh
+  /// cache line so workers' shard lookups stay clear of processed_.
+  alignas(64) TelemetryDomain domain_;
   TelemetryCounter c_requests_;
   TelemetryCounter c_grants_;
   TelemetryCounter c_releases_;

@@ -351,16 +351,16 @@ TEST(LockEnginePolicyTest, RemoveTxnClearsWaitersAndPausedEntries) {
 }
 
 // --- Flat-table / slab-queue migration coverage ---
-// The wait queue stores up to 4 entries inline and spills the whole queue
-// into slab chunks beyond that; the table is open-addressing with
-// tombstones. These tests walk every migration edge: inline -> slab growth,
-// slab -> inline shrink, cascade runs crossing the spill boundary, deep
-// paused buffers, deep adopted backlogs, and table rehash/tombstone reuse.
+// The wait queue is a chain of 2-entry slab chunks, held only while the
+// queue is non-empty; the table is open-addressing with tombstones. These
+// tests walk every chunk edge: growth into a chain, draining back to no
+// chunk, cascade runs crossing chunk boundaries, deep paused buffers, deep
+// adopted backlogs, and table rehash/tombstone reuse.
 
 TEST(LockEngineTest, DeepQueueSpillsToSlabAndPreservesFifo) {
   CapturingSink sink;
   LockEngine engine(sink);
-  constexpr TxnId kWaiters = 20;  // Inline holds 4; forces chunk chains.
+  constexpr TxnId kWaiters = 20;  // A chunk holds 2; forces chunk chains.
   for (TxnId t = 1; t <= kWaiters; ++t) {
     engine.Acquire(1, Slot(LockMode::kExclusive, t), t);
   }
@@ -370,7 +370,7 @@ TEST(LockEngineTest, DeepQueueSpillsToSlabAndPreservesFifo) {
     EXPECT_EQ(engine.Release(1, LockMode::kExclusive, t, false, 100 + t),
               ReleaseOutcome::kApplied);
   }
-  // Strict FIFO through the spill: grant t, then t+1, ... up to kWaiters.
+  // Strict FIFO across chunks: grant t, then t+1, ... up to kWaiters.
   ASSERT_EQ(sink.grants.size(), kWaiters);
   for (TxnId t = 1; t <= kWaiters; ++t) {
     EXPECT_EQ(sink.grants[t - 1].slot.txn_id, t);
@@ -382,8 +382,8 @@ TEST(LockEngineTest, DeepQueueSpillsToSlabAndPreservesFifo) {
 TEST(LockEngineTest, SpilledQueueRevertsToInlineAndRegrows) {
   CapturingSink sink;
   LockEngine engine(sink);
-  // Grow past the inline capacity, drain to empty (queue reverts to the
-  // inline fast path), then regrow — twice, to catch chunk-recycling bugs.
+  // Grow past one chunk, drain to empty (the queue hands its chunks back),
+  // then regrow — twice, to catch chunk-recycling bugs.
   for (int round = 0; round < 2; ++round) {
     const TxnId base = static_cast<TxnId>(round) * 100;
     for (TxnId t = 1; t <= 10; ++t) {
@@ -408,7 +408,7 @@ TEST(LockEngineTest, SharedRunCascadeCrossesSpillBoundary) {
   LockEngine engine(sink);
   engine.Acquire(1, Slot(LockMode::kExclusive, 1), 0);
   // 10 shared waiters + a trailing exclusive: the E->S cascade run spans
-  // the inline ring and two slab chunks.
+  // several slab chunks.
   for (TxnId t = 2; t <= 11; ++t) {
     engine.Acquire(1, Slot(LockMode::kShared, t), 0);
   }
@@ -453,7 +453,7 @@ TEST(LockEngineTest, AdoptQueueInstallsDeepBacklog) {
     backlog.push_back(Slot(LockMode::kExclusive, t));
   }
   engine.AdoptQueue(4, std::move(backlog), 300);
-  // Leading shared run (6 entries, crossing the spill boundary) granted.
+  // Leading shared run (6 entries) granted; the backlog spans five chunks.
   ASSERT_EQ(sink.grants.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(sink.grants[i].slot.txn_id, i + 1);
@@ -507,7 +507,7 @@ TEST(LockEngineTest, TableGrowsDropsAndReusesManyLocks) {
 // Algorithm 2 — same grant stream, same release outcomes, same depths,
 // same harvested demand counters — over a randomized workload that mixes
 // valid releases, stale/mismatched releases, and queue depths well past
-// the inline capacity.
+// one slab chunk.
 class ReferenceEngine {
  public:
   struct RefLock {
