@@ -12,6 +12,7 @@
 
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "harness/sampler.h"
 #include "harness/testbed.h"
 
 namespace netlock {
@@ -40,14 +41,22 @@ void ServiceDifferentiation(bool differentiate, BenchReport& report) {
   config.priority_of = [](int i) {
     return static_cast<Priority>(i < 5 ? 0 : 1);
   };
+  // Each tenant's commits, counted apart (declared before the testbed so
+  // they outlive its engines) and sampled in 20 ms buckets.
+  MetricCounter high_commits, low_commits;
   Testbed testbed(config);
   testbed.netlock().InstallKnapsack(
       UniformMicroDemands(micro, testbed.num_engines()));
 
-  TimeSeries high(20 * kMillisecond), low(20 * kMillisecond);
+  const std::string tag =
+      differentiate ? "diff/with-prio/" : "diff/without-prio/";
   for (int i = 0; i < testbed.num_engines(); ++i) {
-    testbed.engine(i).set_commit_series(i < 5 ? &high : &low);
+    testbed.engine(i).set_commit_counter(i < 5 ? &high_commits : &low_commits);
   }
+  TimeSeriesSampler sampler(testbed.sim(), 20 * kMillisecond);
+  sampler.Watch(tag + "high.txn_commits", high_commits);
+  sampler.Watch(tag + "low.txn_commits", low_commits);
+  sampler.Start(end_at);
   // Low-priority tenant runs alone first; high-priority joins mid-run.
   for (int i = 5; i < 10; ++i) testbed.engine(i).Restart();
   testbed.sim().RunUntil(join_at);
@@ -55,30 +64,31 @@ void ServiceDifferentiation(bool differentiate, BenchReport& report) {
   testbed.sim().RunUntil(end_at);
   testbed.StopEngines(kSecond);
 
+  const TimeSeriesStore& series = sampler.store();
+  constexpr std::size_t kHigh = 0, kLow = 1;
   Table table({"t(s)", "high-prio (KTPS)", "low-prio (KTPS)"});
-  const std::size_t buckets = end_at / high.bucket_width();
-  for (std::size_t b = 0; b < buckets; ++b) {
-    table.AddRow({Fmt(high.BucketTimeSeconds(b), 2),
-                  Fmt(high.BucketRate(b) / 1e3, 1),
-                  Fmt(low.BucketRate(b) / 1e3, 1)});
+  for (std::size_t b = 0; b < series.num_buckets(); ++b) {
+    table.AddRow({Fmt(series.BucketTimeSeconds(b), 2),
+                  Fmt(series.Value(kHigh, b) / 1e3, 1),
+                  Fmt(series.Value(kLow, b) / 1e3, 1)});
   }
   table.Print();
+  report.AttachTimeSeries(series);
 
   // The machine-readable run reports each tenant's rate over the contended
   // phase (after the high-priority tenant joins).
-  const std::string tag =
-      differentiate ? "diff/with-prio/" : "diff/without-prio/";
   const double contended_sec =
       static_cast<double>(end_at - join_at) / kSecond;
-  auto rate_after_join = [&](const TimeSeries& series) {
+  auto rate_after_join = [&](std::size_t tenant) {
     std::uint64_t commits = 0;
-    for (std::size_t b = join_at / series.bucket_width(); b < buckets; ++b) {
-      commits += series.BucketCount(b);
+    for (std::size_t b = join_at / series.interval();
+         b < series.num_buckets(); ++b) {
+      commits += series.Delta(tenant, b);
     }
     return commits / contended_sec / 1e6;
   };
-  report.AddRun(tag + "high").txn_mtps = rate_after_join(high);
-  report.AddRun(tag + "low").txn_mtps = rate_after_join(low);
+  report.AddRun(tag + "high").txn_mtps = rate_after_join(kHigh);
+  report.AddRun(tag + "low").txn_mtps = rate_after_join(kLow);
 }
 
 void PerformanceIsolation(bool isolate, BenchReport& report) {

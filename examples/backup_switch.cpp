@@ -9,6 +9,7 @@
 
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "harness/sampler.h"
 #include "harness/testbed.h"
 
 using namespace netlock;
@@ -48,10 +49,9 @@ int main() {
   control.AttachStandby(backup, ControlPlane::Standby::kCold);
   for (NetLockSession* s : sessions) control.RegisterSession(s);
 
-  TimeSeries commits(10 * kMillisecond);
-  for (int i = 0; i < testbed.num_engines(); ++i) {
-    testbed.engine(i).set_commit_series(&commits);
-  }
+  TimeSeriesSampler sampler(testbed.sim(), 10 * kMillisecond);
+  sampler.Watch("client.txn_commits");
+  sampler.Start(240 * kMillisecond);
   testbed.StartEngines();
   testbed.sim().RunUntil(60 * kMillisecond);
   std::printf("t=0.060s: primary switch fails -> backup takes over\n");
@@ -64,6 +64,7 @@ int main() {
   testbed.StopEngines(kSecond);
 
   Banner("Commit throughput over time");
+  const TimeSeriesStore& commits = sampler.store();
   Table table({"t(s)", "tput(KTPS)", "phase"});
   for (std::size_t b = 0; b < 24; ++b) {
     const SimTime t = b * 10 * kMillisecond;
@@ -72,7 +73,7 @@ int main() {
                         : t < 140 * kMillisecond ? "backup serving"
                                                  : "handing back";
     table.AddRow({Fmt(commits.BucketTimeSeconds(b), 2),
-                  Fmt(commits.BucketRate(b) / 1e3, 1), phase});
+                  Fmt(commits.Value(0, b) / 1e3, 1), phase});
   }
   table.Print();
   std::printf("backup drained and cold again: %s\n", done ? "yes" : "no");

@@ -9,13 +9,15 @@
 
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "harness/sampler.h"
 #include "harness/testbed.h"
 
 using namespace netlock;
 
 namespace {
 
-TimeSeries RunScenario(bool chained) {
+/// Commit throughput of one run in 5 ms buckets.
+TimeSeriesStore RunScenario(bool chained) {
   TestbedConfig config;
   config.system = SystemKind::kNetLock;
   config.client_machines = 4;
@@ -57,10 +59,9 @@ TimeSeries RunScenario(bool chained) {
     for (NetLockSession* s : sessions) control.RegisterSession(s);
   }
 
-  TimeSeries commits(5 * kMillisecond);
-  for (int i = 0; i < testbed.num_engines(); ++i) {
-    testbed.engine(i).set_commit_series(&commits);
-  }
+  TimeSeriesSampler sampler(testbed.sim(), 5 * kMillisecond);
+  sampler.Watch("client.txn_commits");
+  sampler.Start(200 * kMillisecond);
   testbed.StartEngines();
   testbed.sim().RunUntil(100 * kMillisecond);
   // Chained, the tail is promoted in place with its state intact.
@@ -74,7 +75,7 @@ TimeSeries RunScenario(bool chained) {
   }
   testbed.sim().RunUntil(200 * kMillisecond);
   testbed.StopEngines(kSecond);
-  return commits;
+  return sampler.store();
 }
 
 }  // namespace
@@ -84,14 +85,14 @@ int main() {
       "NetLock chain replication vs restart+lease recovery\n"
       "Failure at t=0.100s (restart path: restart at 0.110s, grants again\n"
       "at 0.120s once the pre-crash leases have expired).\n");
-  const TimeSeries restart = RunScenario(false);
-  const TimeSeries chained = RunScenario(true);
+  const TimeSeriesStore restart = RunScenario(false);
+  const TimeSeriesStore chained = RunScenario(true);
   Banner("Commit throughput (KTPS) around the failure");
   Table table({"t(s)", "restart+leases", "chained tail"});
   for (std::size_t b = 16; b < 28; ++b) {
     table.AddRow({Fmt(restart.BucketTimeSeconds(b), 3),
-                  Fmt(restart.BucketRate(b) / 1e3, 1),
-                  Fmt(chained.BucketRate(b) / 1e3, 1)});
+                  Fmt(restart.Value(0, b) / 1e3, 1),
+                  Fmt(chained.Value(0, b) / 1e3, 1)});
   }
   table.Print();
   std::printf(

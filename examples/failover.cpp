@@ -7,6 +7,7 @@
 
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "harness/sampler.h"
 #include "harness/testbed.h"
 
 using namespace netlock;
@@ -29,10 +30,9 @@ int main() {
   testbed.netlock().InstallKnapsack(
       UniformMicroDemands(micro, testbed.num_engines()));
 
-  TimeSeries commits(25 * kMillisecond);
-  for (int i = 0; i < testbed.num_engines(); ++i) {
-    testbed.engine(i).set_commit_series(&commits);
-  }
+  TimeSeriesSampler sampler(testbed.sim(), 25 * kMillisecond);
+  sampler.Watch("client.txn_commits");
+  sampler.Start(500 * kMillisecond);
   testbed.StartEngines();
 
   testbed.sim().RunUntil(200 * kMillisecond);
@@ -48,6 +48,7 @@ int main() {
   testbed.StopEngines(kSecond);
 
   Banner("Commit throughput over time");
+  const TimeSeriesStore& commits = sampler.store();
   Table table({"t(s)", "tput(KTPS)", "phase"});
   for (std::size_t b = 0; b < 20; ++b) {
     const SimTime t = b * 25 * kMillisecond;
@@ -56,7 +57,7 @@ int main() {
         : t < 300 * kMillisecond ? "switch FAILED"
                                  : "recovered";
     table.AddRow({Fmt(commits.BucketTimeSeconds(b), 3),
-                  Fmt(commits.BucketRate(b) / 1e3, 1), phase});
+                  Fmt(commits.Value(0, b) / 1e3, 1), phase});
   }
   table.Print();
   std::printf("stale releases absorbed after restart: %llu\n",

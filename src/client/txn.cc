@@ -90,7 +90,7 @@ void TxnEngine::OnAcquireResult(TxnId txn, AcquireResult result) {
 void TxnEngine::Commit(TxnId txn) {
   if (!driver_.Commit(txn_, txn, sim_.now(), recording_)) return;
   commits_metric_->Inc();
-  if (commit_series_ != nullptr) commit_series_->Record(sim_.now());
+  if (commit_counter_ != nullptr) commit_counter_->Inc();
   if (config_.inter_txn_gap == 0) {
     StartNextTxn();
   } else {

@@ -7,7 +7,7 @@
 // transaction latency/throughput feed the evaluation figures. The 2PL
 // transitions and their accounting are the shared TxnDriver; this class is
 // the closed-loop scheduling around it: think time, inter-transaction gap,
-// abort backoff and the commit time series.
+// abort backoff and the commit counters.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,10 @@ class TxnEngine {
   /// Toggles measurement (warm-up vs measured window).
   void SetRecording(bool on) { recording_ = on; }
 
-  /// Optional sink for per-commit time-series plots (Figures 12, 15).
-  void set_commit_series(TimeSeries* series) { commit_series_ = series; }
+  /// Optional second counter bumped with client.txn_commits, so a
+  /// TimeSeriesSampler can plot one group of engines apart (Figure 12's
+  /// tenants).
+  void set_commit_counter(MetricCounter* counter) { commit_counter_ = counter; }
 
   RunMetrics& metrics() { return driver_.metrics(); }
   const RunMetrics& metrics() const { return driver_.metrics(); }
@@ -106,7 +108,7 @@ class TxnEngine {
   bool stopped_ = false;
   bool idle_ = true;
   bool recording_ = false;
-  TimeSeries* commit_series_ = nullptr;
+  MetricCounter* commit_counter_ = nullptr;
   /// Registry counters updated unconditionally (not gated on recording):
   /// the TimeSeriesSampler derives throughput-over-time from their deltas,
   /// which must keep counting through warm-up, failure windows, etc.

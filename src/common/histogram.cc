@@ -37,66 +37,59 @@ SimTime LogHistogram::BucketMidpoint(std::uint32_t bucket) {
 void LogHistogram::Record(SimTime nanos) {
   const std::uint32_t bucket = BucketFor(nanos);
   NETLOCK_DCHECK(bucket < kNumBuckets);
-  ++buckets_[bucket];
-  ++count_;
-  sum_ += static_cast<double>(nanos);
-  if (nanos < min_) min_ = nanos;
-  if (nanos > max_) max_ = nanos;
+  Set(buckets_[bucket], Read(buckets_[bucket]) + 1);
+  Set(count_, Read(count_) + 1);
+  Set(sum_, Read(sum_) + static_cast<double>(nanos));
+  if (nanos < Read(min_)) Set(min_, nanos);
+  if (nanos > Read(max_)) Set(max_, nanos);
 }
 
 SimTime LogHistogram::Percentile(double p) const {
-  if (count_ == 0) return 0;
+  const std::uint64_t count = Read(count_);
+  if (count == 0) return 0;
   NETLOCK_CHECK(p >= 0.0 && p <= 1.0);
-  const std::uint64_t rank = static_cast<std::uint64_t>(
-      p * static_cast<double>(count_ - 1));
+  const SimTime min = Read(min_);
+  const SimTime max = Read(max_);
+  const std::uint64_t rank =
+      static_cast<std::uint64_t>(p * static_cast<double>(count - 1));
   std::uint64_t seen = 0;
   for (std::size_t bucket = 0; bucket < kNumBuckets; ++bucket) {
-    seen += buckets_[bucket];
+    seen += Read(buckets_[bucket]);
     if (seen > rank) {
       const SimTime mid = BucketMidpoint(static_cast<std::uint32_t>(bucket));
       // Clamp to the observed range so tails never exceed the real max.
-      return std::min(std::max(mid, min_), max_);
+      return std::min(std::max(mid, min), max);
     }
   }
-  return max_;
+  return max;
 }
 
 double LogHistogram::Mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+  const std::uint64_t count = Read(count_);
+  return count == 0 ? 0.0 : Read(sum_) / static_cast<double>(count);
 }
 
 void LogHistogram::Merge(const LogHistogram& other) {
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.count_ > 0) {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-}
-
-void LogHistogram::MergeBucketCounts(const std::uint32_t* counts, double sum,
-                                     SimTime min, SimTime max) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i] += counts[i];
-    total += counts[i];
+    const std::uint32_t n = Read(other.buckets_[i]);
+    if (n == 0) continue;
+    Set(buckets_[i], Read(buckets_[i]) + n);
+    total += n;
   }
   if (total == 0) return;
-  count_ += total;
-  sum_ += sum;
-  min_ = std::min(min_, min);
-  max_ = std::max(max_, max);
+  Set(count_, Read(count_) + total);
+  Set(sum_, Read(sum_) + Read(other.sum_));
+  Set(min_, std::min(Read(min_), Read(other.min_)));
+  Set(max_, std::max(Read(max_), Read(other.max_)));
 }
 
 void LogHistogram::Clear() {
-  buckets_.fill(0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = ~SimTime{0};
-  max_ = 0;
+  for (std::atomic<std::uint32_t>& bucket : buckets_) Set(bucket, 0);
+  Set(count_, 0);
+  Set(sum_, 0.0);
+  Set(min_, ~SimTime{0});
+  Set(max_, 0);
 }
 
 }  // namespace netlock

@@ -70,26 +70,6 @@ void LatencyRecorder::Merge(const LatencyRecorder& other) {
   sorted_ = false;
 }
 
-void TimeSeries::Record(SimTime when, std::uint64_t count) {
-  const std::size_t bucket = static_cast<std::size_t>(when / bucket_width_);
-  if (bucket >= buckets_.size()) buckets_.resize(bucket + 1, 0);
-  buckets_[bucket] += count;
-}
-
-std::uint64_t TimeSeries::BucketCount(std::size_t i) const {
-  return i < buckets_.size() ? buckets_[i] : 0;
-}
-
-double TimeSeries::BucketRate(std::size_t i) const {
-  return static_cast<double>(BucketCount(i)) /
-         (static_cast<double>(bucket_width_) / kSecond);
-}
-
-double TimeSeries::BucketTimeSeconds(std::size_t i) const {
-  return (static_cast<double>(i) + 0.5) * static_cast<double>(bucket_width_) /
-         kSecond;
-}
-
 double RunMetrics::LockThroughputMrps() const {
   if (duration == 0) return 0.0;
   return static_cast<double>(lock_grants) /

@@ -1,6 +1,6 @@
-// Measurement primitives for the evaluation harness: latency distributions,
-// throughput counters, and bucketed time series (for the policy and failure
-// time-series figures).
+// Measurement primitives for the evaluation harness: exact latency
+// distributions and per-run throughput counters. Throughput over time is
+// kept by TimeSeriesStore (common/timeseries.h).
 #pragma once
 
 #include <cstdint>
@@ -58,32 +58,6 @@ class LatencyRecorder {
 
   mutable std::deque<SimTime> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Counts events into fixed-width time buckets; used to plot throughput
-/// over time (Figures 12(a) and 15).
-class TimeSeries {
- public:
-  explicit TimeSeries(SimTime bucket_width = 100 * kMillisecond)
-      : bucket_width_(bucket_width) {}
-
-  void Record(SimTime when, std::uint64_t count = 1);
-
-  SimTime bucket_width() const { return bucket_width_; }
-  std::size_t num_buckets() const { return buckets_.size(); }
-
-  /// Event count in bucket i (0 if beyond recorded range).
-  std::uint64_t BucketCount(std::size_t i) const;
-
-  /// Rate in events/second for bucket i.
-  double BucketRate(std::size_t i) const;
-
-  /// Midpoint time of bucket i in seconds.
-  double BucketTimeSeconds(std::size_t i) const;
-
- private:
-  SimTime bucket_width_;
-  std::vector<std::uint64_t> buckets_;
 };
 
 /// Throughput/latency summary for one experiment run of one system.

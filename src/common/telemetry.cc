@@ -6,13 +6,6 @@
 
 namespace netlock {
 
-TelemetryDomain::HistCell::HistCell()
-    : buckets(new std::atomic<std::uint32_t>[LogHistogram::kNumBuckets]) {
-  for (std::size_t i = 0; i < LogHistogram::kNumBuckets; ++i) {
-    buckets[i].store(0, std::memory_order_relaxed);
-  }
-}
-
 TelemetryDomain::TelemetryDomain(int num_shards) {
   NETLOCK_CHECK(num_shards >= 1);
   shards_.reserve(static_cast<std::size_t>(num_shards));
@@ -108,31 +101,9 @@ std::uint64_t TelemetryDomain::GaugeHighWater(TelemetryGauge g) const {
   return agg;
 }
 
-void TelemetryDomain::ReadHistInto(const HistCell& cell,
-                                   LogHistogram& out) const {
-  // Read the bucket array once into a plain snapshot; the folded count is
-  // recomputed from these reads (not cell.count) so the result is always
-  // internally consistent even when a writer races the read.
-  std::uint32_t counts[LogHistogram::kNumBuckets];
-  for (std::size_t i = 0; i < LogHistogram::kNumBuckets; ++i) {
-    counts[i] = cell.buckets[i].load(std::memory_order_relaxed);
-  }
-  out.MergeBucketCounts(
-      counts, static_cast<double>(cell.sum.load(std::memory_order_relaxed)),
-      cell.min.load(std::memory_order_relaxed),
-      cell.max.load(std::memory_order_relaxed));
-}
-
-LogHistogram TelemetryDomain::HistogramShard(int shard,
-                                             TelemetryHistogram h) const {
-  LogHistogram out;
-  ReadHistInto(shards_[static_cast<std::size_t>(shard)]->hists[h.slot], out);
-  return out;
-}
-
 LogHistogram TelemetryDomain::HistogramMerged(TelemetryHistogram h) const {
   LogHistogram out;
-  for (const auto& shard : shards_) ReadHistInto(shard->hists[h.slot], out);
+  for (const auto& shard : shards_) out.Merge(shard->hists[h.slot]);
   return out;
 }
 

@@ -5,7 +5,7 @@
 // exactly the cross-core traffic a shared-nothing lock service exists to
 // avoid. A TelemetryDomain gives each worker its own cache-line-isolated
 // shard of every instrument — counters, gauges, and log-bucketed latency
-// histograms (LogHistogram's bucket layout) — written with plain
+// histograms (one LogHistogram per shard) — written with plain
 // single-writer stores (a relaxed load + relaxed store, no atomic RMW, no
 // fence), so a hot-path update costs the same as incrementing a local.
 //
@@ -107,21 +107,7 @@ class TelemetryDomain {
   }
 
   void Record(int shard, TelemetryHistogram h, SimTime nanos) {
-    HistCell& cell = shards_[static_cast<std::size_t>(shard)]->hists[h.slot];
-    std::atomic<std::uint32_t>& bucket =
-        cell.buckets[LogHistogram::BucketFor(nanos)];
-    bucket.store(bucket.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-    cell.count.store(cell.count.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-    cell.sum.store(cell.sum.load(std::memory_order_relaxed) + nanos,
-                   std::memory_order_relaxed);
-    if (nanos < cell.min.load(std::memory_order_relaxed)) {
-      cell.min.store(nanos, std::memory_order_relaxed);
-    }
-    if (nanos > cell.max.load(std::memory_order_relaxed)) {
-      cell.max.store(nanos, std::memory_order_relaxed);
-    }
+    shards_[static_cast<std::size_t>(shard)]->hists[h.slot].Record(nanos);
   }
 
   // --- Reader API (any thread; exact once writers quiesce) ---
@@ -146,10 +132,8 @@ class TelemetryDomain {
   /// bound on the instantaneous total — max of shard hwms for kMax).
   std::uint64_t GaugeHighWater(TelemetryGauge g) const;
 
-  /// One shard's histogram as a LogHistogram (bucket counts read relaxed;
-  /// internally consistent: count is recomputed from the bucket reads).
-  LogHistogram HistogramShard(int shard, TelemetryHistogram h) const;
-  /// All shards merged.
+  /// All shards merged (LogHistogram::Merge: the count is the sum of the
+  /// bucket reads, so a racing read stays consistent with itself).
   LogHistogram HistogramMerged(TelemetryHistogram h) const;
 
   /// Folds the domain into `registry` as deltas since the last PublishTo:
@@ -165,14 +149,6 @@ class TelemetryDomain {
     std::atomic<std::uint64_t> value{0};
     std::atomic<std::uint64_t> hwm{0};
   };
-  struct HistCell {
-    HistCell();
-    std::unique_ptr<std::atomic<std::uint32_t>[]> buckets;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};  ///< Sum of recorded ns.
-    std::atomic<std::uint64_t> min{~std::uint64_t{0}};
-    std::atomic<std::uint64_t> max{0};
-  };
   /// One writer core's slice of every instrument. Shards are separately
   /// heap-allocated and cache-line aligned so no two cores' hot cells share
   /// a line. Deques (not vectors) because atomic cells are not movable and
@@ -180,10 +156,8 @@ class TelemetryDomain {
   struct alignas(64) Shard {
     std::deque<std::atomic<std::uint64_t>> counters;
     std::deque<GaugeCell> gauges;
-    std::deque<HistCell> hists;
+    std::deque<LogHistogram> hists;
   };
-
-  void ReadHistInto(const HistCell& cell, LogHistogram& out) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::string> counter_names_;

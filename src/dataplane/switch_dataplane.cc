@@ -1,32 +1,12 @@
 #include "dataplane/switch_dataplane.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/check.h"
 
 namespace netlock {
 
 namespace {
-// Debug tracing for one lock id, enabled via NETLOCK_TRACE_LOCK=<id>.
-LockId TraceLock() {
-  static const LockId traced = []() -> LockId {
-    const char* env = std::getenv("NETLOCK_TRACE_LOCK");
-    return env ? static_cast<LockId>(std::strtoul(env, nullptr, 10))
-               : kInvalidLock;
-  }();
-  return traced;
-}
-#define NETLOCK_TRACE(lock, ...)                      \
-  do {                                                \
-    if ((lock) == TraceLock()) {                      \
-      std::fprintf(stderr, "[%llu] ",                 \
-                   (unsigned long long)net_.sim().now()); \
-      std::fprintf(stderr, __VA_ARGS__);              \
-    }                                                 \
-  } while (0)
-
 // Register sizes fixed when the P4 program is compiled.
 constexpr std::uint16_t kMaxTenants = 64;            ///< Quota-table cells.
 constexpr std::uint32_t kReleaseFilterSlots = 4096;  ///< Dedup-filter cells.
@@ -397,16 +377,6 @@ void LockSwitch::HandleAcquire(const LockHeader& hdr, bool pushed) {
                 slot_index};
       });
 
-  NETLOCK_TRACE(hdr.lock_id,
-                "SW acquire lock=%u mode=%d txn=%llu pushed=%d -> %s slot=%u\n",
-                hdr.lock_id, (int)hdr.mode,
-                (unsigned long long)hdr.txn_id, pushed,
-                outcome.kind == AcquireDecision::Kind::kForwardOverflow
-                    ? "overflow"
-                    : (outcome.kind == AcquireDecision::Kind::kEnqueueGrant
-                           ? "grant"
-                           : "wait"),
-                outcome.slot_index);
   if (!pushed && queue_observer_) {
     queue_observer_(
         hdr.lock_id, hdr.txn_id, hdr.mode,
@@ -502,10 +472,6 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
     // the slot.
     ++stats_.stale_releases;
     metrics_.stale_releases->Inc();
-    NETLOCK_TRACE(hdr.lock_id,
-                  "SW release lock=%u mode=%d txn=%llu forced=%d stale=1\n",
-                  hdr.lock_id, (int)hdr.mode,
-                  (unsigned long long)hdr.txn_id, lease_forced);
     if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
       trace_->Instant(TraceTrack::kPipeline, "pipeline.stale_release",
                       net_.sim().now(),
@@ -526,12 +492,6 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
         head_peek.txn_id != hdr.txn_id))) {
     ++stats_.mismatched_releases;
     metrics_.mismatched_releases->Inc();
-    NETLOCK_TRACE(hdr.lock_id,
-                  "SW release lock=%u mode=%d txn=%llu MISMATCH head "
-                  "mode=%d txn=%llu -> dropped\n",
-                  hdr.lock_id, (int)hdr.mode,
-                  (unsigned long long)hdr.txn_id, (int)head_peek.mode,
-                  (unsigned long long)head_peek.txn_id);
     if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
       trace_->Instant(TraceTrack::kPipeline, "pipeline.mismatched_release",
                       net_.sim().now(),
@@ -546,7 +506,6 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
   pipeline_.Resubmit(pass);
   struct DequeueResult {
     bool suspended = false;
-    std::uint32_t old_head = 0;
     std::uint32_t new_head = 0;
     std::uint32_t remaining = 0;
     bool notify_server = false;
@@ -555,7 +514,6 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
       pass, entry->meta_index, [&](LockMeta& m) -> DequeueResult {
         DequeueResult r;
         r.suspended = m.suspended;
-        r.old_head = m.head;
         m.head = SharedQueue::Next(m.head, bounds);
         --m.count;
         if (hdr.mode == LockMode::kExclusive) {
@@ -572,12 +530,6 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
         return r;
       });
 
-  NETLOCK_TRACE(hdr.lock_id,
-                "SW release lock=%u mode=%d txn=%llu forced=%d stale=0 "
-                "old_head=%u remaining=%u notify=%d\n",
-                hdr.lock_id, (int)hdr.mode,
-                (unsigned long long)hdr.txn_id, lease_forced,
-                deq.old_head, deq.remaining, deq.notify_server);
   ++stats_.releases;
   metrics_.releases->Inc();
 

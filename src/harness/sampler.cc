@@ -12,6 +12,11 @@ void TimeSeriesSampler::Watch(const std::string& counter_name) {
   store_.Watch(counter_name, sim_.context().metrics().Counter(counter_name));
 }
 
+void TimeSeriesSampler::Watch(std::string series_name,
+                              const MetricCounter& counter) {
+  store_.Watch(std::move(series_name), counter);
+}
+
 void TimeSeriesSampler::WatchGauge(const std::string& gauge_name) {
   NETLOCK_CHECK(!store_.begun());
   store_.WatchGauge(gauge_name, sim_.context().metrics().Gauge(gauge_name));

@@ -36,6 +36,10 @@ class TimeSeriesSampler {
   /// Tracks a counter: each bucket reports the delta over the bucket
   /// (store().Delta) and the rate in events/second (store().Value).
   void Watch(const std::string& counter_name);
+  /// Same, for a counter kept outside the registry (a per-group commit
+  /// counter; see TxnEngine::set_commit_counter). `counter` must outlive
+  /// the sampler's ticks.
+  void Watch(std::string series_name, const MetricCounter& counter);
 
   /// Tracks a gauge: each bucket reports the level at the bucket's end.
   void WatchGauge(const std::string& gauge_name);

@@ -216,23 +216,6 @@ TEST(LatencyRecorderTest, CdfIsMonotone) {
   EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
 }
 
-TEST(TimeSeriesTest, BucketsByTime) {
-  TimeSeries ts(100 * kMillisecond);
-  ts.Record(50 * kMillisecond);
-  ts.Record(150 * kMillisecond);
-  ts.Record(199 * kMillisecond);
-  EXPECT_EQ(ts.BucketCount(0), 1u);
-  EXPECT_EQ(ts.BucketCount(1), 2u);
-  EXPECT_EQ(ts.BucketCount(2), 0u);
-}
-
-TEST(TimeSeriesTest, RateAndMidpoint) {
-  TimeSeries ts(100 * kMillisecond);
-  ts.Record(10 * kMillisecond, 5000);
-  EXPECT_DOUBLE_EQ(ts.BucketRate(0), 50000.0);  // 5000 / 0.1 s.
-  EXPECT_DOUBLE_EQ(ts.BucketTimeSeconds(0), 0.05);
-}
-
 TEST(RunMetricsTest, ThroughputComputation) {
   RunMetrics m;
   m.lock_grants = 1'000'000;

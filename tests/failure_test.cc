@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "harness/sampler.h"
 #include "harness/testbed.h"
 #include "sim/service_queue.h"
 #include "testing/lock_oracle.h"
@@ -104,10 +105,9 @@ TEST(FailureTest, SwitchFailureAndReactivation) {
   testbed.netlock().InstallKnapsack(
       UniformMicroDemands(micro, testbed.num_engines()));
 
-  TimeSeries series(10 * kMillisecond);
-  for (int i = 0; i < testbed.num_engines(); ++i) {
-    testbed.engine(i).set_commit_series(&series);
-  }
+  TimeSeriesSampler sampler(testbed.sim(), 10 * kMillisecond);
+  sampler.Watch("client.txn_commits");
+  sampler.Start(300 * kMillisecond);
   testbed.StartEngines();
   testbed.sim().RunUntil(100 * kMillisecond);
   const std::size_t fail_bucket = 10;
@@ -118,13 +118,14 @@ TEST(FailureTest, SwitchFailureAndReactivation) {
   testbed.StopEngines(500 * kMillisecond);
 
   // Throughput before failure is healthy.
-  const double before = series.BucketRate(fail_bucket - 2);
+  const TimeSeriesStore& series = sampler.store();
+  const double before = series.Value(0, fail_bucket - 2);
   EXPECT_GT(before, 0.0);
   // During failure it collapses.
-  const double during = series.BucketRate(fail_bucket + 2);
+  const double during = series.Value(0, fail_bucket + 2);
   EXPECT_LT(during, before * 0.1);
   // After reactivation it recovers to at least 70% of the original.
-  const double after = series.BucketRate(25);
+  const double after = series.Value(0, 25);
   EXPECT_GT(after, before * 0.7);
 }
 

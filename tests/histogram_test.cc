@@ -1,6 +1,10 @@
 // Tests for the memory-bounded log-bucket histogram: bounded relative
-// error against the exact recorder, range tracking, merge, and edge cases.
+// error against the exact recorder, range tracking, merge, edge cases, and
+// merging while the owner thread records.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "common/histogram.h"
 #include "common/random.h"
@@ -76,6 +80,50 @@ TEST(LogHistogramTest, MergeEquivalentToCombinedRecording) {
   }
   EXPECT_EQ(a.Min(), combined.Min());
   EXPECT_EQ(a.Max(), combined.Max());
+}
+
+TEST(LogHistogramTest, CopyIsASnapshot) {
+  LogHistogram hist;
+  for (SimTime v : {3, 700, 70'000}) hist.Record(v);
+  LogHistogram copy(hist);
+  hist.Record(9);
+  EXPECT_EQ(copy.count(), 3u);
+  EXPECT_EQ(copy.Min(), 3u);
+  EXPECT_EQ(copy.Max(), 70'000u);
+  EXPECT_DOUBLE_EQ(copy.Mean(), 70'703.0 / 3);
+}
+
+// The telemetry domains' contract: one thread records into a histogram
+// while another merges it. Run under TSan in CI; every racing snapshot must
+// be consistent with itself (count == sum of its buckets, so Percentile(1)
+// is an observed value), and the final merge is exact.
+TEST(LogHistogramTest, MergeWhileOwnerRecords) {
+  constexpr std::uint64_t kSamples = 50'000;
+  LogHistogram hist;
+  hist.Record(100);  // Min and max are set before any racing read.
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < kSamples; ++i) hist.Record(100 + i % 1000);
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t last = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    LogHistogram snapshot;
+    snapshot.Merge(hist);
+    EXPECT_GE(snapshot.count(), last);  // Cells only grow.
+    last = snapshot.count();
+    if (!snapshot.empty()) {
+      EXPECT_GE(snapshot.Percentile(1.0), 100u);
+      EXPECT_LE(snapshot.Percentile(1.0), 1099u);
+    }
+  }
+  writer.join();
+  LogHistogram merged;
+  merged.Merge(hist);
+  EXPECT_EQ(merged.count(), kSamples + 1);
+  EXPECT_EQ(merged.Min(), 100u);
+  EXPECT_EQ(merged.Max(), 1099u);
+  EXPECT_DOUBLE_EQ(merged.Mean(), hist.Mean());
 }
 
 TEST(LogHistogramTest, ClearResets) {

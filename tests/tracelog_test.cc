@@ -362,6 +362,31 @@ TEST(TimeSeriesSamplerTest, BucketsCounterDeltasIntoRates) {
   EXPECT_DOUBLE_EQ(store.BucketTimeSeconds(0), 0.5e-6);
 }
 
+// The bucket rule the throughput-over-time figures read: bucket k holds
+// [k * interval, (k + 1) * interval), so an event at exactly k * interval
+// counts in bucket k. Start() schedules every tick before the run, so at a
+// shared instant the tick closing bucket k - 1 runs before any event
+// scheduled after it.
+TEST(TimeSeriesSamplerTest, EventAtBucketBoundaryCountsInNextBucket) {
+  Simulator sim;
+  MetricCounter& c = sim.context().metrics().Counter("test.sampler.edge");
+  TimeSeriesSampler sampler(sim, 100 * kMillisecond);
+  sampler.Watch("test.sampler.edge");
+  sampler.Start(300 * kMillisecond);
+  for (const SimTime ms : {50, 100, 150, 199}) {
+    sim.Schedule(ms * kMillisecond, [&c]() { c.Inc(); });
+  }
+  sim.Schedule(200 * kMillisecond, [&c]() { c.Inc(5000); });
+  sim.Run();
+  const TimeSeriesStore& store = sampler.store();
+  ASSERT_EQ(store.num_buckets(), 3u);
+  EXPECT_EQ(store.Delta(0, 0), 1u);
+  EXPECT_EQ(store.Delta(0, 1), 3u);  // 100 ms (the boundary), 150, 199.
+  EXPECT_EQ(store.Delta(0, 2), 5000u);
+  EXPECT_DOUBLE_EQ(store.Value(0, 2), 50000.0);  // 5000 / 0.1 s.
+  EXPECT_DOUBLE_EQ(store.BucketTimeSeconds(0), 0.05);
+}
+
 TEST(TimeSeriesSamplerTest, BaselineExcludesPreStartCounts) {
   Simulator sim;
   MetricCounter& c = sim.context().metrics().Counter("test.sampler.baseline");
