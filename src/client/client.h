@@ -22,7 +22,6 @@
 #include "common/types.h"
 #include "net/lock_wire.h"
 #include "sim/network.h"
-#include "sim/service_queue.h"
 
 namespace netlock {
 
@@ -89,21 +88,24 @@ class ClientMachine {
   /// `tx_service_time` = time the NIC/driver spends per outgoing request;
   /// 55 ns ~= 18 MRPS, the prototype's per-machine generation limit.
   ClientMachine(Network& net, SimTime tx_service_time = 55)
-      : net_(net), tx_(net.sim(), tx_service_time) {}
+      : net_(net), tx_service_time_(tx_service_time) {}
 
   Network& net() { return net_; }
 
-  /// Sends through the machine NIC: the packet leaves when the NIC gets to
-  /// it, which caps the machine's aggregate request rate.
-  void Send(Packet pkt) {
-    tx_.Submit([this, pkt = std::move(pkt)]() { net_.Send(pkt); });
+  /// Sends through the machine NIC: packets leave in FIFO order, one every
+  /// `tx_service_time`, which caps the machine's aggregate request rate.
+  /// The network folds the wait into the packet's delivery time.
+  void Send(const Packet& pkt) {
+    const SimTime now = net_.sim().now();
+    busy_until_ = (busy_until_ > now ? busy_until_ : now) + tx_service_time_;
+    net_.Send(pkt, busy_until_ - now);
   }
-
-  std::uint64_t packets_sent() const { return tx_.items_served(); }
 
  private:
   Network& net_;
-  ServiceQueue tx_;
+  SimTime tx_service_time_;
+  /// When the NIC finishes the last packet handed to it.
+  SimTime busy_until_ = 0;
 };
 
 /// The client lock session of both centralized designs: sends acquires and

@@ -1,5 +1,6 @@
 #include "harness/report.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -326,6 +327,23 @@ bool BenchReport::Write() const {
     std::printf("[report] wrote %s (%zu events, %llu dropped)\n",
                 trace_path.c_str(), trace.size(),
                 static_cast<unsigned long long>(trace.dropped()));
+    if (trace.dropped() > 0) {
+      // A truncated trace silently lacks every event recorded after the
+      // cap (whole later runs), so it fails the bench. Sampling scales the
+      // event count by ~1/N; suggest the next power of two that fits.
+      const std::uint64_t wanted = trace.size() + trace.dropped();
+      const std::uint64_t cap = std::max<std::uint64_t>(trace.capacity(), 1);
+      std::uint64_t every = trace.sample_every();
+      while (wanted * trace.sample_every() / every > cap) every *= 2;
+      std::fprintf(stderr,
+                   "report: %s dropped %llu of %llu events at the %zu-event "
+                   "cap; rerun with --trace-sample=1/%llu or sparser\n",
+                   trace_path.c_str(),
+                   static_cast<unsigned long long>(trace.dropped()),
+                   static_cast<unsigned long long>(wanted), trace.capacity(),
+                   static_cast<unsigned long long>(every));
+      return false;
+    }
   }
   return true;
 }

@@ -1,25 +1,10 @@
 #include "sim/event_queue.h"
 
-#include <atomic>
 #include <utility>
 
 #include "common/check.h"
 
 namespace netlock {
-
-namespace {
-// Heap fallbacks are cold by design; the counter is atomic only because
-// parallel sweeps run independent simulators on different threads.
-std::atomic<std::uint64_t> g_heap_fallbacks{0};
-}  // namespace
-
-void InlineEvent::CountHeapFallback() {
-  g_heap_fallbacks.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t InlineEvent::heap_fallbacks() {
-  return g_heap_fallbacks.load(std::memory_order_relaxed);
-}
 
 SimTime EventQueue::NextTime() const {
   NETLOCK_CHECK(!heap_.empty());

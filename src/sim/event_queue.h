@@ -19,9 +19,8 @@
 // bytes) fits a full packet-delivery closure (an 80-byte Packet plus the
 // Network pointer) — in a free-list slot arena inside the queue. In steady
 // state, pushing and popping a packet-delivery event touches no allocator
-// at all; callables too large for the buffer fall back to the heap and are
-// counted (see heap_fallbacks()) so tests can assert the fast path stays
-// fast.
+// at all; callables too large for the buffer fall back to the heap, which
+// tests detect through InlineEvent::uses_heap().
 #pragma once
 
 #include <cstddef>
@@ -94,10 +93,6 @@ class InlineEvent {
   /// Invokes the callable. Precondition: non-empty.
   void operator()() { ops_->invoke(storage_); }
 
-  /// Process-wide count of heap-fallback constructions. Monotonic; read it
-  /// before/after a workload to assert the hot path stayed inline.
-  static std::uint64_t heap_fallbacks();
-
  private:
   struct Ops {
     void (*invoke)(void* storage);
@@ -144,7 +139,6 @@ class InlineEvent {
     } else {
       *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(fn));
       ops_ = &HeapOps<Fn>::kOps;
-      CountHeapFallback();
     }
   }
 
@@ -162,8 +156,6 @@ class InlineEvent {
       ops_ = nullptr;
     }
   }
-
-  static void CountHeapFallback();
 
   alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
   const Ops* ops_ = nullptr;

@@ -27,19 +27,18 @@ const char* WireSpanName(LockOp op) {
 
 }  // namespace
 
-void Network::TracePacket(const Packet& pkt, SimTime latency,
+void Network::TracePacket(const Packet& pkt, SimTime start, SimTime latency,
                           bool dropped) const {
   const std::optional<LockHeader> hdr = LockHeader::Parse(pkt);
   if (!hdr || !trace_->Sampled(hdr->lock_id, hdr->txn_id)) return;
   const std::uint64_t id = TraceLog::RequestId(hdr->lock_id, hdr->txn_id);
-  const SimTime now = sim_.now();
   if (dropped) {
-    trace_->Instant(TraceTrack::kNetwork, "wire.drop", now, id,
+    trace_->Instant(TraceTrack::kNetwork, "wire.drop", start, id,
                     {"dst", pkt.dst});
     return;
   }
-  trace_->Complete(TraceTrack::kNetwork, WireSpanName(hdr->op), now,
-                   now + latency, id, {"src", pkt.src}, {"dst", pkt.dst});
+  trace_->Complete(TraceTrack::kNetwork, WireSpanName(hdr->op), start,
+                   start + latency, id, {"src", pkt.src}, {"dst", pkt.dst});
 }
 
 NodeId Network::AddNode(PacketHandler handler) {
@@ -185,10 +184,10 @@ bool Network::Blocked(NodeId a, NodeId b) const {
 void Network::DropPacket(const Packet& pkt) {
   ++packets_dropped_;
   dropped_metric_->Inc();
-  if (trace_->enabled()) TracePacket(pkt, 0, /*dropped=*/true);
+  if (trace_->enabled()) TracePacket(pkt, sim_.now(), 0, /*dropped=*/true);
 }
 
-void Network::SendThroughFaults(Packet pkt) {
+void Network::SendThroughFaults(const Packet& pkt) {
   if (Blocked(pkt.src, pkt.dst)) {
     DropPacket(pkt);
     return;
@@ -213,7 +212,9 @@ void Network::SendThroughFaults(Packet pkt) {
                        static_cast<std::uint64_t>(f.reorder_window)));
     ++packets_reordered_;
   }
-  if (trace_->enabled()) TracePacket(pkt, latency, /*dropped=*/false);
+  if (trace_->enabled()) {
+    TracePacket(pkt, sim_.now(), latency, /*dropped=*/false);
+  }
   sim_.Schedule(latency, PacketDelivery{this, pkt});
   if (f.duplicate > 0.0 && NextUnit(dup_state_) < f.duplicate) {
     // The copy trails the original by a bounded extra delay, landing among
@@ -228,21 +229,31 @@ void Network::SendThroughFaults(Packet pkt) {
   }
 }
 
-void Network::Send(Packet pkt) {
+void Network::Send(const Packet& pkt, SimTime depart) {
   NETLOCK_CHECK(pkt.dst < handlers_.size());
+  if (faults_active_ && depart > 0) {
+    // The one place a NIC hop still costs an event. Fault streams must draw
+    // in departure order and partitions must be judged at departure time,
+    // so while faults are active a queued packet re-enters Send when it
+    // leaves the NIC, exactly as if its sender had sent it then.
+    sim_.Schedule(depart, PacketDeparture{this, pkt});
+    return;
+  }
   ++packets_sent_;
   packets_metric_->Inc();
   bytes_metric_->Inc(pkt.size());
   if (faults_active_) {
-    SendThroughFaults(std::move(pkt));
+    SendThroughFaults(pkt);
     return;
   }
   const SimTime latency = LatencyBetween(pkt.src, pkt.dst);
-  if (trace_->enabled()) TracePacket(pkt, latency, /*dropped=*/false);
+  if (trace_->enabled()) {
+    TracePacket(pkt, sim_.now() + depart, latency, /*dropped=*/false);
+  }
   // Typed fast path: the packet goes straight into the event slot's inline
   // buffer — no closure on the heap, zero allocations per hop once the
   // queue's slot arena has warmed up.
-  sim_.Schedule(latency, PacketDelivery{this, pkt});
+  sim_.Schedule(depart + latency, PacketDelivery{this, pkt});
 }
 
 }  // namespace netlock

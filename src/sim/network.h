@@ -2,9 +2,10 @@
 //
 // This substitutes for the paper's testbed fabric (clients and servers under
 // one ToR). Latency is per node pair with a configurable default; bandwidth
-// serialization is folded into per-component service models (ServiceQueue),
-// matching how the paper reasons about performance: propagation RTT plus
-// endpoint processing capacity.
+// serialization is folded into per-component service models (ServiceQueue,
+// or a sender NIC's departure delay passed to Send), matching how the paper
+// reasons about performance: propagation RTT plus endpoint processing
+// capacity.
 #pragma once
 
 #include <array>
@@ -122,7 +123,12 @@ class Network {
   /// of nodes are delivered in FIFO order (the event queue is stable and
   /// latency per pair is constant) — unless the fault model reorders or
   /// drops them, which exercises retry and lease-recovery paths.
-  void Send(Packet pkt);
+  ///
+  /// `depart` is how long the packet waits in its sender's NIC before it
+  /// leaves (see ClientMachine): on a clean fabric the delivery is
+  /// scheduled directly at now + depart + latency, so a NIC hop costs no
+  /// event of its own, and the packet's wire span starts at its departure.
+  void Send(const Packet& pkt, SimTime depart = 0);
 
   // --- Deterministic adversary (fault injection) ---
 
@@ -174,7 +180,7 @@ class Network {
 
   /// Slow path taken only while any fault or partition is configured; the
   /// clean-fabric hot path stays a single branch.
-  void SendThroughFaults(Packet pkt);
+  void SendThroughFaults(const Packet& pkt);
   void DropPacket(const Packet& pkt);
   const LinkFaults& FaultsFor(NodeId a, NodeId b) const;
   bool Blocked(NodeId a, NodeId b) const;
@@ -192,10 +198,21 @@ class Network {
   static_assert(sizeof(PacketDelivery) <= InlineEvent::kInlineCapacity,
                 "packet delivery must fit the inline event buffer");
 
+  /// A packet leaving its sender's NIC while faults are active: it enters
+  /// the fabric (and the fault model) only at its departure time.
+  struct PacketDeparture {
+    Network* net;
+    Packet pkt;
+    void operator()() const { net->Send(pkt); }
+  };
+
   void Deliver(const Packet& pkt);
 
-  /// Records a wire span (or drop) for a lock packet when tracing is on.
-  void TracePacket(const Packet& pkt, SimTime latency, bool dropped) const;
+  /// Records a wire span from `start` to `start + latency` (or, if
+  /// `dropped`, a drop instant at `start`) for a lock packet when tracing
+  /// is on.
+  void TracePacket(const Packet& pkt, SimTime start, SimTime latency,
+                   bool dropped) const;
 
   Simulator& sim_;
   SimTime default_latency_;

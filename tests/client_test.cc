@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -315,6 +316,74 @@ TEST_F(ClientTest, MachineTxRateCapsThroughput) {
   // Only ~50 packets could leave the NIC in 50 us.
   EXPECT_LE(server_->received().size(), 51u);
   EXPECT_GE(server_->received().size(), 48u);
+}
+
+// A client NIC sends one packet every tx_service_time, FIFO. The wait in
+// the NIC is folded into the delivery, so a burst of three packets costs
+// three events (one delivery each), not six.
+class MachineNicTest : public ::testing::Test {
+ protected:
+  MachineNicTest()
+      : net_(sim_, /*latency=*/kMicrosecond),
+        receiver_(net_.AddNode(
+            [this](const Packet&) { arrivals_.push_back(sim_.now()); })),
+        sender_(net_.AddNode(nullptr)),
+        machine_(net_, /*tx_service=*/55) {}
+
+  void SendBurst(int n) {
+    for (int i = 0; i < n; ++i) {
+      Packet pkt;
+      pkt.src = sender_;
+      pkt.dst = receiver_;
+      LockHeader hdr;
+      hdr.op = LockOp::kAcquire;
+      hdr.lock_id = 7;
+      hdr.txn_id = static_cast<TxnId>(i + 1);
+      hdr.SerializeTo(pkt);
+      machine_.Send(pkt);
+    }
+  }
+
+  SimContext context_;
+  Simulator sim_{&context_};
+  Network net_;
+  NodeId receiver_;
+  NodeId sender_;
+  ClientMachine machine_;
+  std::vector<SimTime> arrivals_;
+};
+
+TEST_F(MachineNicTest, QueuedPacketsDepartEveryServiceTime) {
+  SendBurst(3);
+  sim_.Run();
+  EXPECT_EQ(arrivals_, (std::vector<SimTime>{1055, 1110, 1165}));
+  EXPECT_EQ(sim_.events_processed(), 3u);
+  EXPECT_EQ(net_.packets_sent(), 3u);
+}
+
+// Faults judge a queued packet when it departs, not when it is handed to
+// the NIC: with loss 1.0 cleared at t = 100 ns, only the packet that left
+// at 55 ns is lost.
+TEST_F(MachineNicTest, FaultsApplyAtDepartureTime) {
+  net_.SetLossProbability(1.0);
+  SendBurst(3);
+  sim_.ScheduleAt(100, [this]() { net_.ClearFaults(); });
+  sim_.Run();
+  EXPECT_EQ(arrivals_, (std::vector<SimTime>{1110, 1165}));
+  EXPECT_EQ(net_.packets_dropped(), 1u);
+}
+
+TEST_F(MachineNicTest, WireSpanStartsAtDeparture) {
+  context_.trace().Enable();
+  SendBurst(3);
+  sim_.Run();
+  std::vector<SimTime> starts;
+  for (const TraceEvent& ev : context_.trace().events()) {
+    if (std::string_view(ev.name) != "wire.acquire") continue;
+    starts.push_back(ev.ts);
+    EXPECT_EQ(ev.dur, kMicrosecond);
+  }
+  EXPECT_EQ(starts, (std::vector<SimTime>{55, 110, 165}));
 }
 
 // Retry timers are lazy (one armed event per session), yet each pending

@@ -161,6 +161,26 @@ TEST(BenchReportTest, WriteFailsOnMissingDirectory) {
   EXPECT_FALSE(report.Write());
 }
 
+// A trace that hit its event cap lacks everything recorded after it, so
+// writing it fails the bench (nonzero exit) instead of passing silently.
+TEST(BenchReportTest, WriteFailsWhenTraceDroppedEvents) {
+  BenchOptions opts;
+  opts.json_dir = ::testing::TempDir();
+  opts.trace_dir = ::testing::TempDir();
+  BenchReport report("report_trace_cap_test", opts);
+  TraceLog& trace = report.context().trace();
+  trace.SetCapacity(4);
+  for (SimTime t = 0; t < 3; ++t) {
+    trace.Instant(TraceTrack::kClient, "cap.test", t, 0);
+  }
+  EXPECT_TRUE(report.Write());
+  for (SimTime t = 3; t < 6; ++t) {
+    trace.Instant(TraceTrack::kClient, "cap.test", t, 0);
+  }
+  ASSERT_EQ(trace.dropped(), 2u);
+  EXPECT_FALSE(report.Write());
+}
+
 // End-to-end: a real (tiny) testbed run recorded through the same
 // RecordRun/Write path the benches use must produce a parseable file with
 // throughput, tail latencies, and a well-populated registry dump.

@@ -135,7 +135,6 @@ TEST(InlineEventTest, DestroysCapturedStateExactlyOnce) {
 }
 
 TEST(InlineEventTest, PacketSizedCallableStaysInline) {
-  const std::uint64_t fallbacks_before = InlineEvent::heap_fallbacks();
   struct PacketLike {
     void* net;
     Packet pkt;
@@ -144,11 +143,9 @@ TEST(InlineEventTest, PacketSizedCallableStaysInline) {
   static_assert(sizeof(PacketLike) <= InlineEvent::kInlineCapacity);
   InlineEvent ev(PacketLike{nullptr, Packet{}});
   EXPECT_FALSE(ev.uses_heap());
-  EXPECT_EQ(InlineEvent::heap_fallbacks(), fallbacks_before);
 }
 
-TEST(InlineEventTest, OversizedCallableFallsBackToHeapAndCounts) {
-  const std::uint64_t fallbacks_before = InlineEvent::heap_fallbacks();
+TEST(InlineEventTest, OversizedCallableFallsBackToHeap) {
   struct Huge {
     unsigned char blob[InlineEvent::kInlineCapacity + 64] = {};
     int* hits;
@@ -159,7 +156,6 @@ TEST(InlineEventTest, OversizedCallableFallsBackToHeapAndCounts) {
   huge.hits = &hits;
   InlineEvent ev(huge);
   EXPECT_TRUE(ev.uses_heap());
-  EXPECT_EQ(InlineEvent::heap_fallbacks(), fallbacks_before + 1);
   InlineEvent moved(std::move(ev));  // Heap relocate = pointer steal.
   moved();
   EXPECT_EQ(hits, 1);
@@ -194,26 +190,6 @@ TEST(SimulatorTest, DepthGaugeSampledButHighWaterExact) {
   EXPECT_EQ(gauge.value(), 0);
   EXPECT_EQ(gauge.high_water(), 37);
   EXPECT_EQ(sim.pending_events(), 0u);
-}
-
-TEST(SimulatorTest, PacketDeliveryEventsNeverTouchHeap) {
-  SimContext context;
-  Simulator sim(&context);
-  Network net(sim, 1000);
-  std::uint64_t delivered = 0;
-  const NodeId a = net.AddNode([&](const Packet&) { ++delivered; });
-  const NodeId b = net.AddNode(nullptr);
-  Packet pkt;
-  pkt.src = b;
-  pkt.dst = a;
-  pkt.set_size(48);
-  const std::uint64_t fallbacks_before = InlineEvent::heap_fallbacks();
-  for (int i = 0; i < 10000; ++i) {
-    net.Send(pkt);
-    sim.Step();
-  }
-  EXPECT_EQ(delivered, 10000u);
-  EXPECT_EQ(InlineEvent::heap_fallbacks(), fallbacks_before);
 }
 
 TEST(NetworkTest, DeliversAfterLatency) {
