@@ -82,7 +82,11 @@ int main(int argc, char** argv) {
       kLocks);
 
   std::vector<RackPoint> points;
-  for (const int racks : {1, 2, 4}) points.push_back(RackPoint{racks});
+  for (const int racks : {1, 2, 4}) {
+    RackPoint point;
+    point.racks = racks;
+    points.push_back(point);
+  }
   ParallelSweep(static_cast<int>(points.size()), report.options().jobs,
                 [&](int i, SimContext& context) {
                   RackPoint& p = points[static_cast<std::size_t>(i)];

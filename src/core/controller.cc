@@ -415,48 +415,4 @@ void SelfDrivingController::BalanceRacks() {
   ++stats_.rehomes;
 }
 
-// ---------------------------------------------------------------------------
-// WallClockTicker
-// ---------------------------------------------------------------------------
-
-WallClockTicker::WallClockTicker(std::chrono::nanoseconds interval,
-                                 std::function<void()> tick)
-    : interval_(interval), tick_(std::move(tick)) {
-  NETLOCK_CHECK(interval_.count() > 0);
-  NETLOCK_CHECK(tick_ != nullptr);
-}
-
-WallClockTicker::~WallClockTicker() { Stop(); }
-
-void WallClockTicker::Start() {
-  if (started_) return;
-  started_ = true;
-  stop_.store(false, std::memory_order_relaxed);
-  thread_ = std::thread([this]() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_.load(std::memory_order_relaxed)) {
-      if (cv_.wait_for(lock, interval_, [this]() {
-            return stop_.load(std::memory_order_relaxed);
-          })) {
-        break;
-      }
-      lock.unlock();
-      tick_();
-      ticks_.fetch_add(1, std::memory_order_relaxed);
-      lock.lock();
-    }
-  });
-}
-
-void WallClockTicker::Stop() {
-  if (!started_) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_.store(true, std::memory_order_relaxed);
-  }
-  cv_.notify_all();
-  thread_.join();
-  started_ = false;
-}
-
 }  // namespace netlock

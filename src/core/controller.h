@@ -25,20 +25,13 @@
 // TimeSeriesSampler can chart controller activity next to the data plane.
 //
 // Substrate split: ControllerCore (model + planner) is pure and clocked by
-// the caller — the simulator-driven SelfDrivingController here, or a
-// WallClockTicker thread for the real-time backend, which has no event
-// queue to hook (mirrors RtStatsPoller).
+// the caller — here the simulator-driven SelfDrivingController.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/memory_alloc.h"
@@ -169,34 +162,6 @@ class SelfDrivingController {
 
   struct CtrlMetrics;
   std::unique_ptr<CtrlMetrics> metrics_;
-};
-
-/// Wall-clock tick driver for the real-time backend (no simulator event
-/// queue to hook): runs `tick` every `interval` on a background thread,
-/// exactly like RtStatsPoller's sampling loop. The rt harness points it at
-/// a ControllerCore fed from its telemetry domains.
-class WallClockTicker {
- public:
-  WallClockTicker(std::chrono::nanoseconds interval,
-                  std::function<void()> tick);
-  ~WallClockTicker();
-
-  WallClockTicker(const WallClockTicker&) = delete;
-  WallClockTicker& operator=(const WallClockTicker&) = delete;
-
-  void Start();
-  void Stop();
-  std::uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
-
- private:
-  std::chrono::nanoseconds interval_;
-  std::function<void()> tick_;
-  std::atomic<std::uint64_t> ticks_{0};
-  std::atomic<bool> stop_{false};
-  bool started_ = false;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::thread thread_;
 };
 
 }  // namespace netlock

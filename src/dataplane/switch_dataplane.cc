@@ -97,25 +97,14 @@ bool LockSwitch::InstallLock(LockId lock, NodeId home_server,
                              std::uint32_t slots, bool suspended) {
   NETLOCK_CHECK(slots >= 1);
   NETLOCK_CHECK(!suspended || config_.num_priorities == 1);
+  // Split across priority classes, at least one slot each (one class gets
+  // exactly `slots`). The remainder is spread over the first (highest-
+  // priority) classes so the split sums to max(slots, p).
+  const std::uint32_t p = config_.num_priorities;
+  const std::uint32_t total = std::max(slots, p);
   PerPriority<std::uint32_t> split;
-  if (config_.num_priorities == 1) {
-    split.push_back(slots);
-  } else {
-    // Split across priority classes, at least one slot each. The remainder
-    // is spread over the first (highest-priority) classes so the split sums
-    // to exactly the slots installed — slots/p per class both dropped the
-    // remainder (10 slots over 4 classes allocated only 8) and
-    // over-allocated when slots < p.
-    const std::uint32_t p = config_.num_priorities;
-    const std::uint32_t total = std::max(slots, p);
-    const std::uint32_t base = total / p;
-    const std::uint32_t remainder = total % p;
-    std::uint32_t allocated = 0;
-    for (std::uint32_t i = 0; i < p; ++i) {
-      split.push_back(base + (i < remainder ? 1 : 0));
-      allocated += split[i];
-    }
-    NETLOCK_CHECK(allocated == total);
+  for (std::uint32_t i = 0; i < p; ++i) {
+    split.push_back(total / p + (i < total % p ? 1 : 0));
   }
   const SwitchLockEntry* entry = table_.Install(lock, home_server, split);
   if (entry == nullptr) return false;
@@ -228,37 +217,26 @@ void LockSwitch::HandlePacket(const Packet& pkt) {
   // was enqueued anywhere — just emit the rejection.
   if ((hdr->flags & kFlagQuotaRejected) != 0 &&
       hdr->op == LockOp::kAcquire) {
-    ++stats_.rejected_quota;
-    metrics_.rejected->Inc();
-    LockHeader reject = *hdr;
-    reject.op = LockOp::kReject;
-    reject.aux = static_cast<std::uint32_t>(AcquireResult::kRejected);
-    Emit(MakeLockPacket(node_, hdr->client_node, reject));
+    EmitReject(*hdr);
     return;
   }
   switch (hdr->op) {
     case LockOp::kAcquire:
-      if (config_.num_priorities > 1) {
-        HandleAcquirePrio(*hdr);
-      } else {
-        HandleAcquire(*hdr, /*pushed=*/false);
-      }
+      HandleAcquire(*hdr, /*pushed=*/false);
       break;
     case LockOp::kPush:
       HandleAcquire(*hdr, /*pushed=*/true);
       if (chain_next_ != kInvalidNode) ChainForward(*hdr, 0);
       break;
-    case LockOp::kRelease: {
+    case LockOp::kRelease:
       // A dedup-filter hit means this packet is a network-retransmitted
       // copy: it was never applied, so it must not replicate down the chain
       // either (the tail's filter state would diverge from the head's).
-      const bool applied =
-          config_.num_priorities > 1
-              ? HandleReleasePrio(*hdr, /*lease_forced=*/false)
-              : HandleRelease(*hdr, /*lease_forced=*/false);
-      if (applied && chain_next_ != kInvalidNode) ChainForward(*hdr, 0);
+      if (HandleRelease(*hdr, /*lease_forced=*/false) &&
+          chain_next_ != kInvalidNode) {
+        ChainForward(*hdr, 0);
+      }
       break;
-    }
     case LockOp::kSyncState:
       HandleResume(*hdr);
       if (chain_next_ != kInvalidNode) ChainForward(*hdr, 0);
@@ -283,25 +261,17 @@ void LockSwitch::HandleAcquire(const LockHeader& hdr, bool pushed) {
   // admitted when they first arrived, and chained ops at the head).
   const bool pre_admitted = pushed || (hdr.flags & kFlagChained) != 0;
   if (!pre_admitted && !quota_->Admit(pass, hdr.tenant, net_.sim().now())) {
-    ++stats_.rejected_quota;
-    metrics_.rejected->Inc();
-    if (chain_next_ != kInvalidNode) {
-      // Chain head: the tail emits the rejection (uniform emission point).
-      ChainForward(hdr, kFlagQuotaRejected);
-      return;
-    }
-    LockHeader reject = hdr;
-    reject.op = LockOp::kReject;
-    reject.aux = static_cast<std::uint32_t>(AcquireResult::kRejected);
-    Emit(MakeLockPacket(node_, hdr.client_node, reject));
+    // A chain head's emissions are suppressed: the tail emits the
+    // rejection (uniform emission point).
+    EmitReject(hdr);
+    if (chain_next_ != kInvalidNode) ChainForward(hdr, kFlagQuotaRejected);
     return;
   }
+  const bool replicate = !pushed && chain_next_ != kInvalidNode;
   const SwitchLockEntry* entry = table_.Find(hdr.lock_id);
   if (entry == nullptr) {
     // Algorithm 1 line 12: not our lock; the server owns it outright.
-    if (!pushed && chain_next_ != kInvalidNode) {
-      ChainForward(hdr, kFlagChained);
-    }
+    if (replicate) ChainForward(hdr, kFlagChained);
     SendToServer(hdr, RouteFor(hdr.lock_id), kFlagServerOwned);
     ++stats_.forwarded_unowned;
     metrics_.forwarded_unowned->Inc();
@@ -315,26 +285,33 @@ void LockSwitch::HandleAcquire(const LockHeader& hdr, bool pushed) {
   const auto paused_it = paused_.find(hdr.lock_id);
   if (!pushed && paused_it != paused_.end() && paused_it->second) {
     // Lock being migrated: buffer at the server to preserve order (§4.3).
-    if (queue_observer_) {
+    if (queue_observer_ && config_.num_priorities == 1) {
       queue_observer_(hdr.lock_id, hdr.txn_id, hdr.mode,
                       /*overflowed=*/true);
     }
-    if (chain_next_ != kInvalidNode) ChainForward(hdr, kFlagChained);
-    SendToServer(hdr, entry->home_server, kFlagBufferOnly);
-    ++stats_.forwarded_overflow;
-    metrics_.q1_to_q2_forwards->Inc();
+    if (replicate) ChainForward(hdr, kFlagChained);
+    ForwardBufferOnly(hdr, entry->home_server);
     return;
   }
+  if (config_.num_priorities > 1) {
+    AcquirePrio(hdr, *entry, pass);
+  } else {
+    AcquireDefault(hdr, pushed, *entry, pass);
+  }
+}
 
+void LockSwitch::AcquireDefault(const LockHeader& hdr, bool pushed,
+                                const SwitchLockEntry& entry,
+                                PacketPass& pass) {
   // Stage 0: region boundaries; stage 1: queue metadata RMW.
-  const LockBounds bounds = bounds_->Read(pass, entry->meta_index);
+  const LockBounds bounds = bounds_->Read(pass, entry.meta_index);
   struct Outcome {
     AcquireDecision::Kind kind;
     std::uint32_t slot_index = 0;
   };
   bool episode_start = false;  // q1 full for the first time this episode.
   const Outcome outcome = meta_->ReadModifyWrite(
-      pass, entry->meta_index, [&](LockMeta& m) -> Outcome {
+      pass, entry.meta_index, [&](LockMeta& m) -> Outcome {
         if (!pushed) ++m.req_count;  // r_i counter (pushes counted once).
         // Chain tail: follow the head's overflow decision so the replicas'
         // queue contents stay identical (the head may lag an overflow
@@ -382,54 +359,43 @@ void LockSwitch::HandleAcquire(const LockHeader& hdr, bool pushed) {
         hdr.lock_id, hdr.txn_id, hdr.mode,
         outcome.kind == AcquireDecision::Kind::kForwardOverflow);
   }
+  const bool replicate = !pushed && chain_next_ != kInvalidNode;
+  const SimTime now = net_.sim().now();
   if (outcome.kind == AcquireDecision::Kind::kForwardOverflow) {
     if (episode_start) metrics_.overflow_episodes->Inc();
-    if (!pushed && chain_next_ != kInvalidNode) {
-      ChainForward(hdr, kFlagChained | kFlagOverflowed);
-    }
+    if (replicate) ChainForward(hdr, kFlagChained | kFlagOverflowed);
     LockHeader fwd = hdr;
     if (pushed) {
       // A bounced push re-enters q2 as a fresh buffer-only request.
       fwd.op = LockOp::kAcquire;
       fwd.flags &= static_cast<std::uint8_t>(~kFlagPushed);
     }
-    SendToServer(fwd, entry->home_server, kFlagBufferOnly);
-    ++stats_.forwarded_overflow;
-    metrics_.q1_to_q2_forwards->Inc();
+    ForwardBufferOnly(fwd, entry.home_server);
     if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
-      trace_->Instant(TraceTrack::kQueue, "queue.overflow_forward",
-                      net_.sim().now(),
+      trace_->Instant(TraceTrack::kQueue, "queue.overflow_forward", now,
                       TraceLog::RequestId(hdr.lock_id, hdr.txn_id));
     }
     return;
   }
-  if (!pushed && chain_next_ != kInvalidNode) ChainForward(hdr, kFlagChained);
+  if (replicate) ChainForward(hdr, kFlagChained);
 
   // Stage 2+: write the request into its shared-queue slot.
-  QueueSlot slot;
-  slot.mode = hdr.mode;
-  slot.txn_id = hdr.txn_id;
-  slot.client_node = hdr.client_node;
-  slot.tenant = hdr.tenant;
-  slot.timestamp = net_.sim().now();
-  queue_->Write(pass, outcome.slot_index, slot);
+  queue_->Write(pass, outcome.slot_index, SlotFromHeader(hdr, now));
 
   if (pushed) {
     ++stats_.pushes_accepted;
     metrics_.pushes_accepted->Inc();
   }
+  const bool granted = outcome.kind == AcquireDecision::Kind::kEnqueueGrant;
   if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
     const std::uint64_t id = TraceLog::RequestId(hdr.lock_id, hdr.txn_id);
-    const SimTime now = net_.sim().now();
-    const bool granted =
-        outcome.kind == AcquireDecision::Kind::kEnqueueGrant;
     trace_->Complete(TraceTrack::kPipeline, "pipeline.acquire", now, now,
                      id, {"passes", pass.pass_index() + 1},
                      {"granted", granted ? 1u : 0u});
     trace_->Instant(TraceTrack::kQueue, "queue.enqueue", now, id,
                     {"slot", outcome.slot_index});
   }
-  if (outcome.kind == AcquireDecision::Kind::kEnqueueGrant) {
+  if (granted) {
     SendGrant(hdr);
   } else {
     metrics_.queued->Inc();
@@ -448,7 +414,18 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
   // internal and never duplicated; they skip the filter so that repeated
   // forced releases of re-granted entries are not misdropped.
   if (!lease_forced && DuplicateRelease(hdr, pass)) return false;
-  const LockBounds bounds = bounds_->Read(pass, entry->meta_index);
+  if (config_.num_priorities > 1) {
+    ReleasePrio(hdr, lease_forced, *entry, pass);
+  } else {
+    ReleaseDefault(hdr, lease_forced, *entry, pass);
+  }
+  return true;
+}
+
+void LockSwitch::ReleaseDefault(const LockHeader& hdr, bool lease_forced,
+                                const SwitchLockEntry& entry,
+                                PacketPass& pass) {
+  const LockBounds bounds = bounds_->Read(pass, entry.meta_index);
 
   // Validation pass (Algorithm 2 line 8, hoisted): peek at the head entry
   // BEFORE popping. Releases carry no queue position, so the pop is a blind
@@ -460,7 +437,7 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
   // lives in a later stage than the queue metadata, so the pop happens on
   // a resubmit — the same dequeue-then-inspect recirculation the paper
   // needs for consecutive shared grants.
-  const LockMeta peek = meta_->Read(pass, entry->meta_index);
+  const LockMeta peek = meta_->Read(pass, entry.meta_index);
   // Suspended locks have granted nothing: a *client* release reaching
   // them is a stale pre-failure message and must not dequeue a waiter. A
   // lease-forced release, however, targets the (expired) queue head itself
@@ -470,14 +447,8 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
     // A release for an entry the switch no longer has (post-restart or
     // post-lease-expiry duplicate). Safe to drop: leases already reclaimed
     // the slot.
-    ++stats_.stale_releases;
-    metrics_.stale_releases->Inc();
-    if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
-      trace_->Instant(TraceTrack::kPipeline, "pipeline.stale_release",
-                      net_.sim().now(),
-                      TraceLog::RequestId(hdr.lock_id, hdr.txn_id));
-    }
-    return true;
+    DropRelease(hdr, /*mismatched=*/false);
+    return;
   }
   const QueueSlot head_peek = queue_->Read(pass, peek.head);
   // An exclusive head is popped only by its own holder's release; a shared
@@ -490,14 +461,8 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
       (head_peek.mode != hdr.mode ||
        (hdr.mode == LockMode::kExclusive &&
         head_peek.txn_id != hdr.txn_id))) {
-    ++stats_.mismatched_releases;
-    metrics_.mismatched_releases->Inc();
-    if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
-      trace_->Instant(TraceTrack::kPipeline, "pipeline.mismatched_release",
-                      net_.sim().now(),
-                      TraceLog::RequestId(hdr.lock_id, hdr.txn_id));
-    }
-    return true;
+    DropRelease(hdr, /*mismatched=*/true);
+    return;
   }
 
   // Pop pass. Within one simulated packet the resubmit is atomic (as is
@@ -511,7 +476,7 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
     bool notify_server = false;
   };
   const DequeueResult deq = meta_->ReadModifyWrite(
-      pass, entry->meta_index, [&](LockMeta& m) -> DequeueResult {
+      pass, entry.meta_index, [&](LockMeta& m) -> DequeueResult {
         DequeueResult r;
         r.suspended = m.suspended;
         m.head = SharedQueue::Next(m.head, bounds);
@@ -532,95 +497,60 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
 
   ++stats_.releases;
   metrics_.releases->Inc();
-
-  // Emitted at every exit below, once the grant cascade has finished, so
-  // the span's pass count covers the resubmit chain (local classes share
-  // the enclosing member function's access).
-  struct TraceOnExit {
-    LockSwitch* sw;
-    const LockHeader& hdr;
-    PacketPass& pass;
-    ~TraceOnExit() {
-      if (!sw->trace_->Sampled(hdr.lock_id, hdr.txn_id)) return;
-      const SimTime now = sw->net_.sim().now();
-      sw->trace_->Complete(TraceTrack::kPipeline, "pipeline.release", now,
-                           now,
-                           TraceLog::RequestId(hdr.lock_id, hdr.txn_id),
-                           {"passes", pass.pass_index() + 1});
-    }
-  } trace_on_exit{this, hdr, pass};
-
   if (deq.notify_server) {
     ++stats_.queue_empty_notifies;
-    SendQueueEmptyNotify(hdr.lock_id, entry->home_server, bounds.size());
+    SendQueueEmptyNotify(hdr.lock_id, entry.home_server, bounds.size());
   }
   // A suspended lock dequeues (lease sweep) but never grants: the cascade
   // runs when Activate() lifts the suspension.
-  if (deq.remaining == 0 || deq.suspended) return true;
+  if (deq.remaining > 0 && !deq.suspended) {
+    GrantCascade(hdr.lock_id, bounds, deq.new_head, deq.remaining, hdr.mode,
+                 pass);
+  }
+  // The pass count covers the whole resubmit chain.
+  if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
+    const SimTime now = net_.sim().now();
+    trace_->Complete(TraceTrack::kPipeline, "pipeline.release", now, now,
+                     TraceLog::RequestId(hdr.lock_id, hdr.txn_id),
+                     {"passes", pass.pass_index() + 1});
+  }
+}
 
+void LockSwitch::GrantCascade(LockId lock, const LockBounds& bounds,
+                              std::uint32_t head, std::uint32_t count,
+                              LockMode released, PacketPass& pass) {
   // Resubmit to examine the new head (Algorithm 2 lines 12-27). Grants
   // re-stamp the slot's timestamp (a read-modify-write, still one access):
   // the lease measures *holding* time from grant, not queueing time, so a
   // request that waited long and was just granted is not immediately
   // reclaimed by the lease sweep.
   pipeline_.Resubmit(pass);
-  std::uint32_t pointer = deq.new_head;
-  std::uint32_t remaining = deq.remaining;
   const SimTime now = net_.sim().now();
   // Head case: granted iff it is exclusive (S->E / E->E) or the released
   // lock was exclusive (E->S); only then re-stamp.
-  const QueueSlot head =
-      queue_->ReadModifyWrite(pass, pointer, [&](QueueSlot& slot) {
+  const QueueSlot first =
+      queue_->ReadModifyWrite(pass, head, [&](QueueSlot& slot) {
         QueueSlot copy = slot;
         if (slot.mode == LockMode::kExclusive ||
-            hdr.mode == LockMode::kExclusive) {
+            released == LockMode::kExclusive) {
           slot.timestamp = now;
         }
         return copy;
       });
-
-  const auto grant_slot = [&](const QueueSlot& slot) {
-    // `slot` is the pre-restamp copy: its timestamp is the enqueue time,
-    // so the span is this waiter's full time in the shared queue.
-    if (trace_->Sampled(hdr.lock_id, slot.txn_id)) {
-      trace_->Complete(TraceTrack::kQueue, "queue.wait", slot.timestamp,
-                       net_.sim().now(),
-                       TraceLog::RequestId(hdr.lock_id, slot.txn_id));
-    }
-    LockHeader grant;
-    grant.lock_id = hdr.lock_id;
-    grant.mode = slot.mode;
-    grant.txn_id = slot.txn_id;
-    grant.client_node = slot.client_node;
-    grant.tenant = slot.tenant;
-    grant.timestamp = slot.timestamp;
-    SendGrant(grant);
-  };
-
-  if (head.mode == LockMode::kExclusive) {
-    if (hdr.mode == LockMode::kShared) {
-      // Shared -> Exclusive: the last shared holder left; grant the head.
-      // (If other shared holders remained, the head would still be shared —
-      // granted entries are dequeued before waiting exclusives are reached.)
-      grant_slot(head);
-    } else {
-      // Exclusive -> Exclusive: grant the next exclusive; no more resubmits.
-      grant_slot(head);
-    }
-    return true;
+  // Shared -> Shared: the head was already granted when it entered the
+  // queue (or by an earlier cascade); nothing to do.
+  if (first.mode == LockMode::kShared && released == LockMode::kShared) {
+    return;
   }
-  // Head is shared.
-  if (hdr.mode == LockMode::kShared) {
-    // Shared -> Shared: the head was already granted when it entered the
-    // queue (or by an earlier cascade); nothing to do.
-    return true;
-  }
+  // Shared -> Exclusive (the last shared holder left; had others remained
+  // the head would still be shared) and Exclusive -> Exclusive grant the
+  // exclusive head and stop.
+  GrantQueued(lock, first);
+  if (first.mode == LockMode::kExclusive) return;
   // Exclusive -> Shared: grant consecutive shared requests, one resubmit
   // per grant, until an exclusive request or the end of the queue.
-  grant_slot(head);
-  pointer = SharedQueue::Next(pointer, bounds);
-  --remaining;
-  while (remaining > 0) {
+  std::uint32_t pointer = SharedQueue::Next(head, bounds);
+  for (std::uint32_t remaining = count - 1; remaining > 0; --remaining) {
     pipeline_.Resubmit(pass);
     const QueueSlot next =
         queue_->ReadModifyWrite(pass, pointer, [&](QueueSlot& slot) {
@@ -629,11 +559,9 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
           return copy;
         });
     if (next.mode == LockMode::kExclusive) break;
-    grant_slot(next);
+    GrantQueued(lock, next);
     pointer = SharedQueue::Next(pointer, bounds);
-    --remaining;
   }
-  return true;
 }
 
 bool LockSwitch::DuplicateRelease(const LockHeader& hdr, PacketPass& pass) {
@@ -656,6 +584,23 @@ bool LockSwitch::DuplicateRelease(const LockHeader& hdr, PacketPass& pass) {
     }
   }
   return dup;
+}
+
+void LockSwitch::DropRelease(const LockHeader& hdr, bool mismatched) {
+  if (mismatched) {
+    ++stats_.mismatched_releases;
+    metrics_.mismatched_releases->Inc();
+  } else {
+    ++stats_.stale_releases;
+    metrics_.stale_releases->Inc();
+  }
+  if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
+    trace_->Instant(TraceTrack::kPipeline,
+                    mismatched ? "pipeline.mismatched_release"
+                               : "pipeline.stale_release",
+                    net_.sim().now(),
+                    TraceLog::RequestId(hdr.lock_id, hdr.txn_id));
+  }
 }
 
 void LockSwitch::HandleResume(const LockHeader& hdr) {
@@ -688,29 +633,12 @@ void LockSwitch::HandleResume(const LockHeader& hdr) {
   }
 }
 
-void LockSwitch::HandleAcquirePrio(const LockHeader& hdr) {
-  PacketPass pass = pipeline_.BeginPass();
-  // Stage 0: tenant quota.
-  if (!quota_->Admit(pass, hdr.tenant, net_.sim().now())) {
-    ++stats_.rejected_quota;
-    metrics_.rejected->Inc();
-    LockHeader reject = hdr;
-    reject.op = LockOp::kReject;
-    reject.aux = static_cast<std::uint32_t>(AcquireResult::kRejected);
-    Emit(MakeLockPacket(node_, hdr.client_node, reject));
-    return;
-  }
-  const SwitchLockEntry* entry = table_.Find(hdr.lock_id);
-  if (entry == nullptr) {
-    SendToServer(hdr, RouteFor(hdr.lock_id), kFlagServerOwned);
-    ++stats_.forwarded_unowned;
-    metrics_.forwarded_unowned->Inc();
-    return;
-  }
+void LockSwitch::AcquirePrio(const LockHeader& hdr,
+                             const SwitchLockEntry& entry, PacketPass& pass) {
   const Priority p = std::min<Priority>(
       hdr.priority, static_cast<Priority>(config_.num_priorities - 1));
   // Stage 0: this class's region boundaries.
-  const LockBounds bounds = prio_bounds_[p]->Read(pass, entry->meta_index);
+  const LockBounds bounds = prio_bounds_[p]->Read(pass, entry.meta_index);
 
   // Stage 1: the aggregate register decides grant / queue / overflow in one
   // RMW. Grant rule (Section 4.4): immediately if nothing is held and
@@ -719,7 +647,7 @@ void LockSwitch::HandleAcquirePrio(const LockHeader& hdr) {
   enum class Outcome { kGrant, kEnqueue, kOverflow };
   const SimTime now = net_.sim().now();
   const Outcome outcome = agg_->ReadModifyWrite(
-      pass, entry->meta_index, [&](AggState& a) {
+      pass, entry.meta_index, [&](AggState& a) {
         ++a.req_count;
         a.max_concurrent = std::max(
             a.max_concurrent, a.holders + a.waiting_total + 1);
@@ -756,9 +684,7 @@ void LockSwitch::HandleAcquirePrio(const LockHeader& hdr) {
   if (outcome == Outcome::kOverflow) {
     // Class queue full: fall back to the server path (buffer-only), which
     // keeps the request alive; priority is preserved server-side FIFO only.
-    SendToServer(hdr, entry->home_server, kFlagBufferOnly);
-    ++stats_.forwarded_overflow;
-    metrics_.q1_to_q2_forwards->Inc();
+    ForwardBufferOnly(hdr, entry.home_server);
     if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
       trace_->Instant(TraceTrack::kQueue, "queue.overflow_forward", now,
                       TraceLog::RequestId(hdr.lock_id, hdr.txn_id));
@@ -770,7 +696,7 @@ void LockSwitch::HandleAcquirePrio(const LockHeader& hdr) {
   // Stage 2+p: ring enqueue into this class's queue, caching the mode bit
   // so later conditional pops know the head's mode without a slot access.
   const std::uint32_t slot_index = prio_meta_[p]->ReadModifyWrite(
-      pass, entry->meta_index, [&](PrioMeta& m) {
+      pass, entry.meta_index, [&](PrioMeta& m) {
         const std::uint32_t index = m.tail;
         m.tail = SharedQueue::Next(m.tail, bounds);
         ++m.count;
@@ -783,13 +709,7 @@ void LockSwitch::HandleAcquirePrio(const LockHeader& hdr) {
         return index;
       });
 
-  QueueSlot slot;
-  slot.mode = hdr.mode;
-  slot.txn_id = hdr.txn_id;
-  slot.client_node = hdr.client_node;
-  slot.tenant = hdr.tenant;
-  slot.timestamp = now;
-  queue_->Write(pass, slot_index, slot);
+  queue_->Write(pass, slot_index, SlotFromHeader(hdr, now));
   if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
     const std::uint64_t id = TraceLog::RequestId(hdr.lock_id, hdr.txn_id);
     trace_->Complete(TraceTrack::kPipeline, "pipeline.acquire", now, now,
@@ -800,21 +720,13 @@ void LockSwitch::HandleAcquirePrio(const LockHeader& hdr) {
   }
 }
 
-bool LockSwitch::HandleReleasePrio(const LockHeader& hdr,
-                                   bool lease_forced) {
-  const SwitchLockEntry* entry = table_.Find(hdr.lock_id);
-  if (entry == nullptr) {
-    SendToServer(hdr, RouteFor(hdr.lock_id), kFlagServerOwned);
-    return true;
-  }
-  PacketPass pass = pipeline_.BeginPass();
-  // Stage 0: retransmission dedup (see HandleRelease).
-  if (!lease_forced && DuplicateRelease(hdr, pass)) return false;
+void LockSwitch::ReleasePrio(const LockHeader& hdr, bool lease_forced,
+                             const SwitchLockEntry& entry, PacketPass& pass) {
   enum class Action { kStale, kMismatch, kDone, kChain };
   const Action action = agg_->ReadModifyWrite(
-      pass, entry->meta_index, [&](AggState& a) {
+      pass, entry.meta_index, [&](AggState& a) {
         if (a.holders == 0) return Action::kStale;
-        // Stale-release validation (see HandleRelease): a release whose
+        // Stale-release validation (see ReleaseDefault): a release whose
         // mode — or, for an exclusive hold, transaction — does not match
         // the current holder is from an entry already reclaimed (lease
         // sweep) and must not decrement someone else's hold.
@@ -829,19 +741,12 @@ bool LockSwitch::HandleReleasePrio(const LockHeader& hdr,
         return a.waiting_total > 0 ? Action::kChain : Action::kDone;
       });
   if (action == Action::kStale || action == Action::kMismatch) {
-    if (action == Action::kMismatch) {
-      ++stats_.mismatched_releases;
-      metrics_.mismatched_releases->Inc();
-    } else {
-      ++stats_.stale_releases;
-      metrics_.stale_releases->Inc();
-    }
-    return true;
+    DropRelease(hdr, action == Action::kMismatch);
+    return;
   }
   ++stats_.releases;
   metrics_.releases->Inc();
-  if (action == Action::kChain) GrantChainPrio(*entry, pass);
-  return true;
+  if (action == Action::kChain) GrantChainPrio(entry, pass);
 }
 
 void LockSwitch::GrantChainPrio(const SwitchLockEntry& entry,
@@ -924,20 +829,7 @@ void LockSwitch::GrantChainPrio(const SwitchLockEntry& entry,
           return copy;
         });
     NETLOCK_DCHECK(slot.mode == pop_mode);
-    // `slot` is the pre-restamp copy: timestamp = enqueue time.
-    if (trace_->Sampled(entry.lock_id, slot.txn_id)) {
-      trace_->Complete(TraceTrack::kQueue, "queue.wait", slot.timestamp,
-                       now, TraceLog::RequestId(entry.lock_id, slot.txn_id),
-                       {"priority", pop_prio});
-    }
-    LockHeader grant;
-    grant.lock_id = entry.lock_id;
-    grant.mode = slot.mode;
-    grant.txn_id = slot.txn_id;
-    grant.client_node = slot.client_node;
-    grant.tenant = slot.tenant;
-    grant.timestamp = slot.timestamp;
-    SendGrant(grant);
+    GrantQueued(entry.lock_id, slot, {"priority", pop_prio});
     prev = Pending{true, pop_prio, pop_mode, slot.txn_id};
     first = false;
   }
@@ -965,13 +857,8 @@ void LockSwitch::ClearExpired(SimTime lease, SweepScope scope) {
         // Forced release of the expired head: reuses the data-plane release
         // path (the control plane injects the packet), which also cascades
         // grants to unblocked requests.
-        LockHeader forced;
-        forced.op = LockOp::kRelease;
-        forced.lock_id = lock;
-        forced.mode = head.mode;
-        forced.txn_id = head.txn_id;
-        forced.client_node = head.client_node;
-        forced.aux = forced_release_nonce_++;
+        const LockHeader forced =
+            ForcedRelease(lock, head.mode, head.txn_id, head.client_node);
         HandleRelease(forced, /*lease_forced=*/true);
         // Chain head: the forced release must replicate like any other op.
         if (chain_next_ != kInvalidNode) ChainForward(forced, 0);
@@ -1001,16 +888,24 @@ void LockSwitch::ClearExpired(SimTime lease, SweepScope scope) {
       for (int guard = 0; guard < 1 << 16; ++guard) {
         const AggState& agg = agg_->ControlRead(entry->meta_index);
         if (agg.holders == 0 || agg.held_since > cutoff) break;
-        LockHeader forced;
-        forced.op = LockOp::kRelease;
-        forced.lock_id = lock;
-        forced.mode = agg.held_mode;
-        forced.txn_id = agg.held_txn;
-        forced.aux = forced_release_nonce_++;
-        HandleReleasePrio(forced, /*lease_forced=*/true);
+        HandleRelease(
+            ForcedRelease(lock, agg.held_mode, agg.held_txn, kInvalidNode),
+            /*lease_forced=*/true);
       }
     }
   }
+}
+
+LockHeader LockSwitch::ForcedRelease(LockId lock, LockMode mode, TxnId txn,
+                                     NodeId client) {
+  LockHeader forced;
+  forced.op = LockOp::kRelease;
+  forced.lock_id = lock;
+  forced.mode = mode;
+  forced.txn_id = txn;
+  forced.client_node = client;
+  forced.aux = forced_release_nonce_++;
+  return forced;
 }
 
 void LockSwitch::HarvestDemands(double window_sec,
@@ -1060,44 +955,20 @@ void LockSwitch::Activate(LockId lock) {
   PacketPass pass = pipeline_.BeginPass();
   const LockBounds bounds = bounds_->Read(pass, entry->meta_index);
   struct Wake {
-    bool grant = false;
     std::uint32_t head = 0;
-    std::uint32_t count = 0;
+    std::uint32_t count = 0;  ///< Zero: nothing to grant.
   };
   const Wake wake = meta_->ReadModifyWrite(
       pass, entry->meta_index, [&](LockMeta& m) -> Wake {
         if (!m.suspended) return {};
         m.suspended = false;
-        return {m.count > 0, m.head, m.count};
+        return {m.head, m.count};
       });
-  if (!wake.grant) return;
-  // Grant the head, and if it is shared, the whole leading shared batch —
-  // the same cascade an exclusive release performs.
-  const SimTime now = net_.sim().now();
-  std::uint32_t pointer = wake.head;
-  std::uint32_t remaining = wake.count;
-  bool first = true;
-  while (remaining > 0) {
-    pipeline_.Resubmit(pass);
-    const QueueSlot slot =
-        queue_->ReadModifyWrite(pass, pointer, [&](QueueSlot& s) {
-          QueueSlot copy = s;
-          if (first || s.mode == LockMode::kShared) s.timestamp = now;
-          return copy;
-        });
-    if (!first && slot.mode == LockMode::kExclusive) break;
-    LockHeader grant;
-    grant.lock_id = lock;
-    grant.mode = slot.mode;
-    grant.txn_id = slot.txn_id;
-    grant.client_node = slot.client_node;
-    grant.tenant = slot.tenant;
-    grant.timestamp = slot.timestamp;
-    SendGrant(grant);
-    if (first && slot.mode == LockMode::kExclusive) break;
-    first = false;
-    pointer = SharedQueue::Next(pointer, bounds);
-    --remaining;
+  // Grant the head, and if it is shared, the whole leading shared batch:
+  // the cascade an exclusive release runs.
+  if (wake.count > 0) {
+    GrantCascade(lock, bounds, wake.head, wake.count, LockMode::kExclusive,
+                 pass);
   }
 }
 
@@ -1135,6 +1006,33 @@ void LockSwitch::SendGrant(const LockHeader& request) {
     }
   }
   Emit(MakeLockPacket(node_, request.client_node, grant));
+}
+
+void LockSwitch::GrantQueued(LockId lock, const QueueSlot& slot,
+                             TraceArg trace_arg) {
+  // `slot` is the pre-restamp copy: its timestamp is the enqueue time, so
+  // the span is this waiter's full time in the shared queue.
+  if (trace_->Sampled(lock, slot.txn_id)) {
+    trace_->Complete(TraceTrack::kQueue, "queue.wait", slot.timestamp,
+                     net_.sim().now(), TraceLog::RequestId(lock, slot.txn_id),
+                     trace_arg);
+  }
+  SendGrant(HeaderFromSlot(LockOp::kGrant, lock, slot));
+}
+
+void LockSwitch::EmitReject(const LockHeader& request) {
+  ++stats_.rejected_quota;
+  metrics_.rejected->Inc();
+  LockHeader reject = request;
+  reject.op = LockOp::kReject;
+  reject.aux = static_cast<std::uint32_t>(AcquireResult::kRejected);
+  Emit(MakeLockPacket(node_, request.client_node, reject));
+}
+
+void LockSwitch::ForwardBufferOnly(const LockHeader& hdr, NodeId server) {
+  SendToServer(hdr, server, kFlagBufferOnly);
+  ++stats_.forwarded_overflow;
+  metrics_.q1_to_q2_forwards->Inc();
 }
 
 void LockSwitch::SendToServer(LockHeader hdr, NodeId server,

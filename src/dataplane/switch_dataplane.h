@@ -1,11 +1,15 @@
 // The NetLock switch data-plane module (paper Section 4.2).
 //
 // Implements, against the programmable-switch substrate:
-//   - Algorithm 1's dispatch: process switch-resident locks, forward the
-//     rest to lock servers;
+//   - Algorithm 1's dispatch as one admission stage that every acquire
+//     takes once, whatever the queue layout: tenant quota, forward of a
+//     lock the switch does not own, buffer-only forward of a paused
+//     (migrating) lock; then the layout's queue update. Releases likewise
+//     share one front end (unowned forward, dedup filter);
 //   - Algorithm 2's acquire/release logic over circular queues in the
 //     shared queue, including the four release cases (S->S, S->E, E->S,
-//     E->E) realized with resubmit;
+//     E->E) realized with resubmit, in one grant cascade that activation
+//     of a suspended lock runs too;
 //   - the q1/q2 overflow protocol with lock servers (Section 4.3);
 //   - policy support (Section 4.4): FCFS starvation-freedom (native to the
 //     queues), per-stage priority classes, and per-tenant quotas;
@@ -248,22 +252,54 @@ class LockSwitch {
     std::uint32_t slot_index = 0;
   };
 
+  /// The admission stage every acquire and push takes once (Algorithm 1):
+  /// quota, then forward an unowned lock to its server, then forward a
+  /// paused lock's request buffer-only; what is left goes to the layout's
+  /// queue update (AcquireDefault or AcquirePrio).
   void HandleAcquire(const LockHeader& hdr, bool pushed);
-  /// Returns false when the release was dropped as a retransmitted
-  /// duplicate (dedup filter hit) — the caller must not chain-forward it.
+  void AcquireDefault(const LockHeader& hdr, bool pushed,
+                      const SwitchLockEntry& entry, PacketPass& pass);
+  void AcquirePrio(const LockHeader& hdr, const SwitchLockEntry& entry,
+                   PacketPass& pass);
+  /// The release front end: forward an unowned lock's release, then drop a
+  /// retransmitted copy (dedup filter), then the layout's release
+  /// (ReleaseDefault or ReleasePrio). Returns false when the release was
+  /// dropped as a duplicate — the caller must not chain-forward it.
   bool HandleRelease(const LockHeader& hdr, bool lease_forced);
+  void ReleaseDefault(const LockHeader& hdr, bool lease_forced,
+                      const SwitchLockEntry& entry, PacketPass& pass);
+  void ReleasePrio(const LockHeader& hdr, bool lease_forced,
+                   const SwitchLockEntry& entry, PacketPass& pass);
   void HandleResume(const LockHeader& hdr);
-  void HandleAcquirePrio(const LockHeader& hdr);
-  bool HandleReleasePrio(const LockHeader& hdr, bool lease_forced);
   /// Dedup-filter RMW (stage 0, before any other register access on the
   /// release pass). True when hdr is a retransmitted copy already seen.
   bool DuplicateRelease(const LockHeader& hdr, PacketPass& pass);
+  /// Counts (and traces) a release the validation dropped: stale (nothing
+  /// held) or mismatched (not the holder's mode / transaction).
+  void DropRelease(const LockHeader& hdr, bool mismatched);
+  /// Algorithm 2's grant cascade over a default-path queue of `count`
+  /// entries starting at `head`, after a release of mode `released`
+  /// (S->S, S->E, E->E, E->S); one resubmit per examined slot. Activate
+  /// runs it with released = exclusive.
+  void GrantCascade(LockId lock, const LockBounds& bounds,
+                    std::uint32_t head, std::uint32_t count,
+                    LockMode released, PacketPass& pass);
   /// The resubmit-per-grant chain after a priority-path release leaves the
   /// lock free: pops and grants the highest-priority waiter per pass, and
   /// keeps going while the grants are shared.
   void GrantChainPrio(const SwitchLockEntry& entry, PacketPass& pass);
+  /// A lease sweep's forced release of (lock, txn); each carries a fresh
+  /// nonce (see forced_release_nonce_).
+  LockHeader ForcedRelease(LockId lock, LockMode mode, TxnId txn,
+                           NodeId client);
 
+  /// Grants a queued entry (pre-restamp `slot`), tracing its queue wait.
+  void GrantQueued(LockId lock, const QueueSlot& slot,
+                   TraceArg trace_arg = {});
   void SendGrant(const LockHeader& request);
+  void EmitReject(const LockHeader& request);
+  /// Sends an acquire the switch will not queue to `server`'s q2 (§4.3).
+  void ForwardBufferOnly(const LockHeader& hdr, NodeId server);
   void SendToServer(LockHeader hdr, NodeId server, std::uint8_t extra_flags);
   void SendQueueEmptyNotify(LockId lock, NodeId server,
                             std::uint32_t free_slots);

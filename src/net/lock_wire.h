@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "dataplane/slot.h"
 #include "sim/network.h"
 
 namespace netlock {
@@ -103,6 +104,35 @@ struct LockHeader {
 
 /// Builds a ready-to-send packet around a header.
 Packet MakeLockPacket(NodeId src, NodeId dst, const LockHeader& hdr);
+
+/// The queue entry a request occupies: the header's mode, transaction,
+/// client and tenant, stamped with `timestamp` (enqueue time, or the
+/// client's issue time for a request buffered on its behalf).
+inline QueueSlot SlotFromHeader(const LockHeader& hdr, SimTime timestamp) {
+  QueueSlot slot;
+  slot.mode = hdr.mode;
+  slot.txn_id = hdr.txn_id;
+  slot.client_node = hdr.client_node;
+  slot.tenant = hdr.tenant;
+  slot.timestamp = timestamp;
+  return slot;
+}
+
+/// The header of an `op` message about a queued entry of `lock` (grant,
+/// abort, push, re-forwarded acquire): the slot's fields, everything else
+/// at its default.
+inline LockHeader HeaderFromSlot(LockOp op, LockId lock,
+                                 const QueueSlot& slot) {
+  LockHeader hdr;
+  hdr.op = op;
+  hdr.lock_id = lock;
+  hdr.mode = slot.mode;
+  hdr.txn_id = slot.txn_id;
+  hdr.client_node = slot.client_node;
+  hdr.tenant = slot.tenant;
+  hdr.timestamp = slot.timestamp;
+  return hdr;
+}
 
 /// Fingerprint identifying one release *instance* — (lock, txn, mode,
 /// client, nonce) mixed into a nonzero 64-bit value. Two packets carry the

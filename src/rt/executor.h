@@ -56,12 +56,6 @@ class RtExecutor {
     slot.cv.notify_one();
   }
 
-  /// Whether worker may currently be parked (relaxed; may be stale).
-  bool WorkerMaybeParked(int worker) const {
-    return park_slots_[static_cast<std::size_t>(worker)]->parked.load(
-        std::memory_order_relaxed);
-  }
-
   /// Broadcast doorbell: wakes every parked worker. Cheap when nobody is.
   void Wake() {
     for (int w = 0; w < options_.num_workers; ++w) WakeWorker(w);

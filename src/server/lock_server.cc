@@ -44,11 +44,6 @@ int LockServer::CoreFor(LockId lock) const {
   return static_cast<int>(h % static_cast<std::uint64_t>(config_.cores));
 }
 
-SimTime LockServer::CoreBusyUntil(int core) const {
-  NETLOCK_CHECK(core >= 0 && core < config_.cores);
-  return cores_[core]->busy_until();
-}
-
 void LockServer::OnPacket(const Packet& pkt) {
   if (failed_) return;  // Crashed: everything is dropped.
   TraceLog::PidScope pid_scope(*trace_, trace_pid_);
@@ -118,12 +113,7 @@ void LockServer::ProcessOwnedAcquire(const LockHeader& hdr) {
       graced_locks_.push_back(hdr.lock_id);
     }
   }
-  QueueSlot slot;
-  slot.mode = hdr.mode;
-  slot.txn_id = hdr.txn_id;
-  slot.client_node = hdr.client_node;
-  slot.tenant = hdr.tenant;
-  engine_.Acquire(hdr.lock_id, slot, now);
+  engine_.Acquire(hdr.lock_id, SlotFromHeader(hdr, now), now);
 }
 
 void LockServer::ProcessOwnedRelease(const LockHeader& hdr) {
@@ -154,13 +144,8 @@ void LockServer::ProcessOwnedRelease(const LockHeader& hdr) {
 }
 
 void LockServer::ProcessBufferOnly(const LockHeader& hdr) {
-  QueueSlot slot;
-  slot.mode = hdr.mode;
-  slot.txn_id = hdr.txn_id;
-  slot.client_node = hdr.client_node;
-  slot.tenant = hdr.tenant;
-  slot.timestamp = hdr.timestamp;  // Preserve the client's issue time.
-  q2_[hdr.lock_id].push_back(slot);
+  // Preserve the client's issue time.
+  q2_[hdr.lock_id].push_back(SlotFromHeader(hdr, hdr.timestamp));
   ++stats_.buffered;
   metrics_.buffered->Inc();
   AdjustQ2Depth(+1);
@@ -193,15 +178,8 @@ void LockServer::ProcessQueueEmpty(const LockHeader& hdr) {
       std::min<std::size_t>(free_slots, q2.size());
   for (std::size_t i = 0; i < to_push; ++i) {
     const QueueSlot& slot = q2.front();
-    LockHeader push;
-    push.op = LockOp::kPush;
+    LockHeader push = HeaderFromSlot(LockOp::kPush, hdr.lock_id, slot);
     push.flags = kFlagPushed;
-    push.lock_id = hdr.lock_id;
-    push.mode = slot.mode;
-    push.txn_id = slot.txn_id;
-    push.client_node = slot.client_node;
-    push.tenant = slot.tenant;
-    push.timestamp = slot.timestamp;
     if (trace_->Sampled(hdr.lock_id, slot.txn_id)) {
       trace_->Instant(TraceTrack::kServer, "server.q2_push",
                       net_.sim().now(),
@@ -243,14 +221,7 @@ void LockServer::DeliverAbort(LockId lock, const QueueSlot& slot,
   if (abort_observer_) {
     abort_observer_(lock, slot.txn_id, reason, slot.client_node);
   }
-  LockHeader abort;
-  abort.op = LockOp::kAbort;
-  abort.lock_id = lock;
-  abort.mode = slot.mode;
-  abort.txn_id = slot.txn_id;
-  abort.client_node = slot.client_node;
-  abort.tenant = slot.tenant;
-  abort.timestamp = slot.timestamp;
+  LockHeader abort = HeaderFromSlot(LockOp::kAbort, lock, slot);
   abort.aux = static_cast<std::uint32_t>(reason);
   net_.Send(MakeLockPacket(node_, slot.client_node, abort));
 }
@@ -261,14 +232,7 @@ void LockServer::DeliverGrant(LockId lock, const QueueSlot& slot) {
   if (grant_observer_) {
     grant_observer_(lock, slot.txn_id, slot.mode, slot.client_node);
   }
-  LockHeader grant;
-  grant.op = LockOp::kGrant;
-  grant.lock_id = lock;
-  grant.mode = slot.mode;
-  grant.txn_id = slot.txn_id;
-  grant.client_node = slot.client_node;
-  grant.tenant = slot.tenant;
-  grant.timestamp = slot.timestamp;
+  LockHeader grant = HeaderFromSlot(LockOp::kGrant, lock, slot);
   grant.aux = grant_nonce_++;  // Per-instance nonce (dedup filter key).
   net_.Send(MakeLockPacket(node_, slot.client_node, grant));
 }
@@ -356,14 +320,7 @@ std::size_t LockServer::QueueDepth(LockId lock) const {
 void LockServer::ForwardBufferedToSwitch(LockId lock) {
   if (!engine_.Owns(lock)) return;
   for (const QueueSlot& slot : engine_.TakePausedBuffer(lock)) {
-    LockHeader req;
-    req.lock_id = lock;
-    req.mode = slot.mode;
-    req.txn_id = slot.txn_id;
-    req.client_node = slot.client_node;
-    req.tenant = slot.tenant;
-    req.timestamp = slot.timestamp;
-    ForwardToSwitch(req);
+    ForwardToSwitch(HeaderFromSlot(LockOp::kAcquire, lock, slot));
   }
 }
 

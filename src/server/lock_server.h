@@ -168,10 +168,6 @@ class LockServer : private GrantSink {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Aggregate busy time fraction would require integration; expose the
-  /// per-core completion horizon instead for saturation diagnostics.
-  SimTime CoreBusyUntil(int core) const;
-
  private:
   void OnPacket(const Packet& pkt);
   void Process(const LockHeader& hdr);

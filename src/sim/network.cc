@@ -21,6 +21,8 @@ const char* WireSpanName(LockOp op) {
     case LockOp::kSyncState: return "wire.sync_state";
     case LockOp::kFetch: return "wire.fetch";
     case LockOp::kData: return "wire.data";
+    case LockOp::kCancel: return "wire.cancel";
+    case LockOp::kAbort: return "wire.abort";
   }
   return "wire.unknown";
 }

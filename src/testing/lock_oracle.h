@@ -190,13 +190,6 @@ class LockOracle {
   /// Deterministic one-line descriptions of every violation, in order.
   const std::vector<std::string>& violation_log() const { return log_; }
 
-  std::size_t CurrentHolders(LockId lock) const {
-    const auto it = held_.find(lock);
-    if (it == held_.end()) return 0;
-    return it->second.shared.size() +
-           (it->second.exclusive != kInvalidTxn ? 1 : 0);
-  }
-
   /// Grants the oracle still considers held, across all locks. Zero once a
   /// run has fully drained (every granted lock was released).
   std::size_t TotalHolders() const {

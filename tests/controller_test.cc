@@ -1,17 +1,14 @@
 // Self-driving controller tests: IncrementalKnapsack hysteresis
 // properties, the ControllerCore EWMA model and its dampers (dwell, cost
 // model, migration budget), closed-loop convergence on the testbed
-// (stationary => no migrations; step change => re-converges), the rack
-// balancer, and the WallClockTicker rt driver.
+// (stationary => no migrations; step change => re-converges), and the rack
+// balancer.
 #include "core/controller.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <map>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "core/memory_alloc.h"
@@ -386,26 +383,6 @@ TEST(SelfDrivingControllerTest, RackImbalanceTriggersRehome) {
             testbed.controller().stats().rehomes);
   testbed.controller().Stop();
   testbed.StopEngines(kSecond);
-}
-
-// --- WallClockTicker -----------------------------------------------------
-
-TEST(WallClockTickerTest, TicksUntilStopped) {
-  std::atomic<int> fired{0};
-  WallClockTicker ticker(std::chrono::milliseconds(1),
-                         [&fired]() { fired.fetch_add(1); });
-  ticker.Start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fired.load() < 3 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ticker.Stop();
-  EXPECT_GE(fired.load(), 3);
-  EXPECT_EQ(ticker.ticks(), static_cast<std::uint64_t>(fired.load()));
-  const std::uint64_t at_stop = ticker.ticks();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(ticker.ticks(), at_stop);  // Stopped means stopped.
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Extended data-plane tests: demand-counter harvesting on both paths,
-// suspended-mode interaction with overflow, quota on the priority path,
-// priority-class overflow, and region accounting across install cycles.
+// suspended-mode interaction with overflow, quota and pausing on the
+// priority path, priority-class overflow, and region accounting across
+// install cycles.
 #include <gtest/gtest.h>
 
 #include "dataplane/switch_dataplane.h"
@@ -155,6 +156,24 @@ TEST_F(PriorityExtendedTest, FullPriorityClassOverflowsToServer) {
   }
   EXPECT_GE(switch_->stats().forwarded_overflow, 1u);
   EXPECT_GE(server_->OverflowDepth(1), 1u);
+}
+
+// A paused lock (being moved to its server) takes no new entries on the
+// priority path either: acquires go buffer-only to the home server's q2
+// while the switch queue drains, and enqueue again once unpaused.
+TEST_F(PriorityExtendedTest, PausedLockForwardsBufferOnly) {
+  ASSERT_TRUE(switch_->InstallLock(1, server_->node(), 8));
+  switch_->PauseLock(1, true);
+  Send(MakeAcquire(1, LockMode::kExclusive, 1, client_->node()));
+  EXPECT_EQ(switch_->stats().forwarded_overflow, 1u);
+  EXPECT_EQ(server_->OverflowDepth(1), 1u);  // Buffered, not granted.
+  EXPECT_TRUE(switch_->QueueEmpty(1));
+  EXPECT_TRUE(client_->Grants().empty());
+  switch_->PauseLock(1, false);
+  Send(MakeAcquire(1, LockMode::kExclusive, 2, client_->node()));
+  EXPECT_EQ(switch_->stats().forwarded_overflow, 1u);
+  EXPECT_TRUE(client_->HasGrantFor(2));
+  EXPECT_FALSE(switch_->QueueEmpty(1));
 }
 
 TEST_F(PriorityExtendedTest, QueueEmptyReflectsHoldersAndWaiters) {

@@ -150,6 +150,42 @@ TEST_F(DataplaneTest, ReleaseExclusiveGrantsSharedBatch) {
   EXPECT_GE(switch_->resubmits() - resubmits_before, 3u);
 }
 
+// Activation runs the exclusive-release cascade: over a suspended
+// [S, S, X] queue it grants exactly the two shared entries, and costs the
+// resubmits the E->S cascade costs over the same queue behind a released
+// exclusive holder (which adds one resubmit for its pop pass).
+TEST_F(DataplaneTest, ActivationGrantsLikeExclusiveReleaseCascade) {
+  ASSERT_TRUE(
+      switch_->InstallLock(1, server_->node(), 8, /*suspended=*/true));
+  Send(MakeAcquire(1, LockMode::kShared, 1, client_->node()));
+  Send(MakeAcquire(1, LockMode::kShared, 2, client_->node()));
+  Send(MakeAcquire(1, LockMode::kExclusive, 3, client_->node()));
+  EXPECT_TRUE(client_->Grants().empty());
+  std::uint64_t before = switch_->resubmits();
+  switch_->Activate(1);
+  sim_.Run();
+  const std::uint64_t activation_cost = switch_->resubmits() - before;
+  auto grants = client_->Grants();
+  ASSERT_EQ(grants.size(), 2u);
+  EXPECT_EQ(grants[0].txn_id, 1u);
+  EXPECT_EQ(grants[1].txn_id, 2u);
+  EXPECT_EQ(activation_cost, 3u);  // S, S, then the blocking X.
+
+  Install(2, 8);
+  Send(MakeAcquire(2, LockMode::kExclusive, 10, client_->node()));
+  Send(MakeAcquire(2, LockMode::kShared, 11, client_->node()));
+  Send(MakeAcquire(2, LockMode::kShared, 12, client_->node()));
+  Send(MakeAcquire(2, LockMode::kExclusive, 13, client_->node()));
+  client_->Clear();
+  before = switch_->resubmits();
+  Send(MakeRelease(2, LockMode::kExclusive, 10, client_->node()));
+  grants = client_->Grants();
+  ASSERT_EQ(grants.size(), 2u);
+  EXPECT_EQ(grants[0].txn_id, 11u);
+  EXPECT_EQ(grants[1].txn_id, 12u);
+  EXPECT_EQ(switch_->resubmits() - before, activation_cost + 1);
+}
+
 // FCFS: grants follow enqueue order across a long mixed sequence.
 TEST_F(DataplaneTest, FcfsGrantOrder) {
   Install(1, 32);

@@ -18,6 +18,8 @@
 #include "harness/experiment.h"
 #include "harness/sampler.h"
 #include "harness/testbed.h"
+#include "net/lock_wire.h"
+#include "sim/network.h"
 #include "sim/simulator.h"
 #include "workload/micro.h"
 
@@ -263,6 +265,29 @@ TEST(TraceLogTest, CapacityBoundsMemoryAndCountsDrops) {
   log.Clear();
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.dropped(), 0u);
+}
+
+// Every LockOp has its own wire span name: a traced cancel is
+// "wire.cancel", not a catch-all.
+TEST(TraceLogTest, CancelPacketSpanCarriesItsName) {
+  Simulator sim;
+  Network net(sim, /*default_one_way_latency=*/1000);
+  const NodeId client = net.AddNode([](const Packet&) {});
+  const NodeId server = net.AddNode([](const Packet&) {});
+  TraceLog& trace = sim.context().trace();
+  trace.Enable(1);
+  LockHeader cancel;
+  cancel.op = LockOp::kCancel;
+  cancel.lock_id = 3;
+  cancel.txn_id = 7;
+  cancel.client_node = client;
+  net.Send(MakeLockPacket(client, server, cancel));
+  sim.Run();
+  std::vector<std::string> wire_spans;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.track == TraceTrack::kNetwork) wire_spans.push_back(e.name);
+  }
+  EXPECT_EQ(wire_spans, std::vector<std::string>{"wire.cancel"});
 }
 
 TEST(TraceLogTest, RequestIdNeverZeroAndStable) {

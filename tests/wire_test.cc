@@ -131,6 +131,38 @@ TEST(LockHeaderTest, PropertyRandomRoundTrip) {
   }
 }
 
+// The slot<->header mapping the switch and the lock server share: a
+// request's fields survive header -> slot -> header, the slot takes the
+// given timestamp, and the rebuilt header carries the requested op.
+TEST(LockHeaderTest, SlotMappingRoundTrip) {
+  LockHeader request;
+  request.op = LockOp::kAcquire;
+  request.lock_id = 42;
+  request.mode = LockMode::kShared;
+  request.txn_id = 0x1234'5678'9abcull;
+  request.client_node = 17;
+  request.tenant = 5;
+  request.timestamp = 111;
+  const QueueSlot slot = SlotFromHeader(request, /*timestamp=*/999);
+  EXPECT_EQ(slot.mode, LockMode::kShared);
+  EXPECT_EQ(slot.txn_id, request.txn_id);
+  EXPECT_EQ(slot.client_node, 17u);
+  EXPECT_EQ(slot.tenant, 5u);
+  EXPECT_EQ(slot.timestamp, 999u);
+
+  const LockHeader grant = HeaderFromSlot(LockOp::kGrant, 42, slot);
+  EXPECT_EQ(grant.op, LockOp::kGrant);
+  EXPECT_EQ(grant.lock_id, 42u);
+  EXPECT_EQ(grant.mode, LockMode::kShared);
+  EXPECT_EQ(grant.txn_id, request.txn_id);
+  EXPECT_EQ(grant.client_node, 17u);
+  EXPECT_EQ(grant.tenant, 5u);
+  EXPECT_EQ(grant.timestamp, 999u);
+  EXPECT_EQ(grant.flags, 0u);
+  EXPECT_EQ(grant.aux, 0u);
+  EXPECT_EQ(SlotFromHeader(grant, grant.timestamp), slot);
+}
+
 // Property: random byte strings never crash the parser and are either
 // rejected or parse to a header that re-serializes identically.
 TEST(LockHeaderTest, PropertyFuzzedBytesSafe) {
