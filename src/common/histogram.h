@@ -12,7 +12,7 @@
 // relaxed load + relaxed store, no atomic RMW and no fence, so recording
 // costs what a plain increment does. Any other thread may read it
 // concurrently through Merge (or a copy, which is a Merge into an empty
-// histogram): that is how the sharded telemetry domains aggregate their
+// histogram): that is how a sharded MetricsRegistry aggregates its
 // per-worker shards while the workers keep recording. TSan-clean.
 #pragma once
 

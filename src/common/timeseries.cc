@@ -26,6 +26,15 @@ void TimeSeriesStore::WatchGauge(std::string name, const MetricGauge& gauge) {
   series_.push_back(std::move(s));
 }
 
+void TimeSeriesStore::WatchP99(std::string name,
+                               const MetricHistogram& histogram) {
+  NETLOCK_CHECK(!begun_);
+  Series s;
+  s.name = std::move(name);
+  s.histogram = &histogram;
+  series_.push_back(std::move(s));
+}
+
 void TimeSeriesStore::Begin(SimTime start_time) {
   NETLOCK_CHECK(!begun_);
   begun_ = true;
@@ -42,8 +51,10 @@ void TimeSeriesStore::Tick() {
       const std::uint64_t v = s.counter->value();
       s.deltas.push_back(v - s.last);
       s.last = v;
-    } else {
+    } else if (s.gauge != nullptr) {
       s.deltas.push_back(s.gauge->value());
+    } else {
+      s.deltas.push_back(s.histogram->Merged().P99());
     }
   }
 }

@@ -8,9 +8,9 @@
 // decides when a bucket boundary happens: the sim sampler schedules ticks
 // as simulation events, the rt stats poller ticks from a wall-clock thread.
 //
-// Thread-safety: Watch/WatchGauge/Begin/Tick and the accessors must be
-// externally serialized (one owner thread). The instruments themselves are
-// atomics, so reading them while worker threads update is safe.
+// Thread-safety: Watch/WatchGauge/WatchP99/Begin/Tick and the accessors
+// must be externally serialized (one owner thread). The instruments' cells
+// are atomics, so reading them while worker threads update is safe.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +33,10 @@ class TimeSeriesStore {
 
   /// Tracks a gauge: each bucket reports the level at the bucket's end.
   void WatchGauge(std::string name, const MetricGauge& gauge);
+
+  /// Tracks a histogram's p99 as a level: each bucket reports the p99 of
+  /// everything recorded up to the bucket's end.
+  void WatchP99(std::string name, const MetricHistogram& histogram);
 
   /// Takes the baseline counter snapshot; buckets are timestamped relative
   /// to `start_time` (ns). Call after all Watch()es, before the first Tick.
@@ -73,6 +77,7 @@ class TimeSeriesStore {
     bool is_rate = false;            ///< Counter (rate) vs gauge (level).
     const MetricCounter* counter = nullptr;
     const MetricGauge* gauge = nullptr;
+    const MetricHistogram* histogram = nullptr;
     std::uint64_t last = 0;          ///< Counter value at last tick.
     std::vector<std::uint64_t> deltas;
   };

@@ -1,6 +1,7 @@
 #include "core/control_plane.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "client/client.h"
 #include "common/check.h"
@@ -96,32 +97,6 @@ void ControlPlane::PollLeases() {
     }
     PollLeases();
   });
-}
-
-void ControlPlane::RecordRequest(LockId lock, std::uint32_t concurrent) {
-  DemandCounters& counters = counters_[lock];
-  ++counters.requests;
-  counters.max_concurrent = std::max(counters.max_concurrent,
-                                     std::max(1u, concurrent));
-}
-
-std::vector<LockDemand> ControlPlane::MeasuredDemands() const {
-  const double window_sec =
-      std::max<double>(static_cast<double>(sim_.now() - window_start_),
-                       1.0) /
-      static_cast<double>(kSecond);
-  std::vector<LockDemand> demands;
-  demands.reserve(counters_.size());
-  for (const auto& [lock, counters] : counters_) {
-    demands.push_back(LockDemand{
-        lock, static_cast<double>(counters.requests) / window_sec,
-        counters.max_concurrent});
-  }
-  std::sort(demands.begin(), demands.end(),
-            [](const LockDemand& a, const LockDemand& b) {
-              return a.lock < b.lock;
-            });
-  return demands;
 }
 
 std::vector<LockDemand> ControlPlane::HarvestDemands() {
@@ -234,28 +209,7 @@ void ControlPlane::MoveLockToSwitch(LockId lock, std::uint32_t slots,
 }
 
 std::vector<LockDemand> ControlPlane::CombinedDemands() {
-  // Primary input: the data-plane counters; the software RecordRequest
-  // counters cover locks observed out-of-band (e.g., by the client
-  // library). A lock the data plane serves is usually counted by both
-  // paths for the same requests, so the merge takes the per-lock max —
-  // summing would double-count it and skew the knapsack.
-  std::vector<LockDemand> demands = MeasuredDemands();
-  std::unordered_map<LockId, std::size_t> index;
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    index[demands[i].lock] = i;
-  }
-  for (const LockDemand& d : HarvestDemands()) {
-    const auto it = index.find(d.lock);
-    if (it == index.end()) {
-      demands.push_back(d);
-    } else {
-      demands[it->second].rate = std::max(demands[it->second].rate, d.rate);
-      demands[it->second].contention =
-          std::max(demands[it->second].contention, d.contention);
-    }
-  }
-  counters_.clear();
-  window_start_ = sim_.now();
+  std::vector<LockDemand> demands = HarvestDemands();
   std::sort(demands.begin(), demands.end(),
             [](const LockDemand& a, const LockDemand& b) {
               return a.lock < b.lock;

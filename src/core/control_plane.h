@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -83,25 +82,14 @@ class ControlPlane {
 
   // --- Dynamic popularity tracking and reallocation (Section 4.3) ---
 
-  /// Feeds one observed request (rate counter) and a concurrent-demand
-  /// sample (contention counter) for a lock.
-  void RecordRequest(LockId lock, std::uint32_t concurrent);
-
-  /// Current measured demands (rates normalized over the window since the
-  /// last Reallocate call).
-  std::vector<LockDemand> MeasuredDemands() const;
-
   /// Harvests the data-plane demand counters (switch + every server) into
   /// one demand vector, normalized over the window since the last harvest,
   /// and resets them. This is the paper's counter-driven input to
   /// Algorithm 3.
   std::vector<LockDemand> HarvestDemands();
 
-  /// One deduplicated demand vector over the window: the data-plane
-  /// counters merged with the software RecordRequest counters by taking the
-  /// per-lock max (a hot lock is typically seen by both paths; summing
-  /// would double-count it and skew the knapsack toward instrumented
-  /// locks). Consumes the window: both counter sets reset.
+  /// HarvestDemands() sorted by lock id: the controller's and the
+  /// knapsack's input. Consumes the window.
   std::vector<LockDemand> CombinedDemands();
 
   /// Recomputes the allocation from CombinedDemands() and migrates locks
@@ -213,11 +201,6 @@ class ControlPlane {
   const std::vector<LockServer*>& servers() const { return servers_; }
 
  private:
-  struct DemandCounters {
-    std::uint64_t requests = 0;
-    std::uint32_t max_concurrent = 1;
-  };
-
   void PollLeases();
 
   /// Points every lock installed on the primary or the standby at its
@@ -271,7 +254,6 @@ class ControlPlane {
   /// the backup drains: a second failure re-suspends these on the backup.
   std::unordered_set<LockId> returned_to_primary_;
   Allocation installed_;
-  std::unordered_map<LockId, DemandCounters> counters_;
   SimTime window_start_ = 0;
   bool lease_polling_ = false;
   bool migration_in_flight_ = false;

@@ -121,11 +121,11 @@ struct RtRig {
   void Finish(BackendRunResult& result) {
     pool.Join();
     service.Stop();
-    // The rig owns the run, so it folds both sharded domains into the
-    // run's registry. PublishTo is delta-based: the live poller publishes
-    // every tick, and this final fold covers fixed-count runs (no poller).
-    service.telemetry_domain().PublishTo(context.metrics());
-    pool.telemetry_domain().PublishTo(context.metrics());
+    // The rig owns the run, so it folds both sharded registries into the
+    // run's context once the writers have stopped. Idle instruments (the
+    // deadlock-policy counters of a policy-free run) stay out of it.
+    context.metrics().MergeFrom(service.metrics(), /*skip_idle=*/true);
+    context.metrics().MergeFrom(pool.metrics(), /*skip_idle=*/true);
     result.metrics = pool.Collect();
     result.commits = pool.TotalCommits();
     result.aborts = pool.TotalAborts();
@@ -154,7 +154,8 @@ struct RtRig {
 ///   core <i> grants= requests= batches= depth= work= spins= yields= parks=
 ///   lat <lock|txn> p50= p90= p99= p999= n=
 ///   end
-std::string BuildRtSnapshot(RtRig& rig) {
+std::string BuildRtSnapshot(RtRig& rig, const MetricHistogram& lock_latency,
+                            const MetricHistogram& txn_latency) {
   std::ostringstream out;
   char line[256];
   const int cores = rig.service.cores();
@@ -175,15 +176,14 @@ std::string BuildRtSnapshot(RtRig& rig) {
                   idle.spins, idle.yields, idle.parks);
     out << line;
   }
-  const TelemetryDomain& clients = rig.pool.telemetry_domain();
-  for (const char* name : {"rt.lock_latency", "rt.txn_latency"}) {
-    TelemetryHistogram h;
-    if (!clients.FindHistogram(name, &h)) continue;
-    const LogHistogram merged = clients.HistogramMerged(h);
+  for (const auto& [name, histogram] :
+       {std::pair<const char*, const MetricHistogram*>{"lock", &lock_latency},
+        {"txn", &txn_latency}}) {
+    const LogHistogram merged = histogram->Merged();
     std::snprintf(line, sizeof(line),
                   "lat %s p50=%" PRIu64 " p90=%" PRIu64 " p99=%" PRIu64
                   " p999=%" PRIu64 " n=%" PRIu64 "\n",
-                  name == std::string("rt.lock_latency") ? "lock" : "txn",
+                  name,
                   merged.Percentile(0.50), merged.Percentile(0.90),
                   merged.Percentile(0.99), merged.Percentile(0.999),
                   merged.count());
@@ -206,17 +206,21 @@ std::unique_ptr<rt::RtStatsPoller> StartRtPoller(
   }
   po.interval = std::chrono::nanoseconds(interval);
   po.socket_path = config.rt_stats_socket;
-  auto poller =
-      std::make_unique<rt::RtStatsPoller>(po, rig.context.metrics());
-  poller->AddDomain(&rig.service.telemetry_domain());
-  poller->AddDomain(&rig.pool.telemetry_domain());
-  poller->Watch("rt.requests");
-  poller->Watch("rt.grants");
-  poller->Watch("rt.releases");
-  poller->Watch("rt.commits");
-  poller->WatchGauge("rt.mailbox_depth");
-  poller->WatchGauge("rt.lock_latency.p99_ns");
-  poller->SetSnapshotProvider([&rig]() { return BuildRtSnapshot(rig); });
+  auto poller = std::make_unique<rt::RtStatsPoller>(po);
+  MetricsRegistry& service = rig.service.metrics();
+  MetricsRegistry& clients = rig.pool.metrics();
+  for (const char* name : {"rt.requests", "rt.grants", "rt.releases"}) {
+    poller->Watch(name, service.Counter(name));
+  }
+  poller->Watch("rt.commits", clients.Counter("rt.commits"));
+  poller->WatchGauge("rt.mailbox_depth", service.Gauge("rt.mailbox_depth"));
+  const MetricHistogram& lock_latency = clients.Histogram("rt.lock_latency");
+  const MetricHistogram& txn_latency = clients.Histogram("rt.txn_latency");
+  poller->WatchP99("rt.lock_latency.p99_ns", lock_latency);
+  poller->SetSnapshotProvider(
+      [&rig, lock = &lock_latency, txn = &txn_latency]() {
+        return BuildRtSnapshot(rig, *lock, *txn);
+      });
   poller->Start(rig.substrate.Now());
   return poller;
 }

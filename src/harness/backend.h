@@ -83,7 +83,7 @@ struct BackendRunConfig {
   FlightRecorder* rt_flight_recorder = nullptr;
 
   /// Telemetry context the run reports into (the simulated testbed's, or
-  /// the rt service and client domains, published at the end of the run).
+  /// the rt service and client registries, merged at the end of the run).
   /// nullptr = a private context the run discards.
   SimContext* context = nullptr;
 };

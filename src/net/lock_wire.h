@@ -190,6 +190,18 @@ inline std::uint64_t HomeServerHash(LockId lock) {
   return h;
 }
 
+/// RSS dispatch inside a lock server: the NIC hashes the lock id onto one
+/// of `cores` receive queues, so every request for a lock lands on one core
+/// and the protocol state needs no cross-core locking. The simulated
+/// LockServer and the real-time RtLockService both dispatch with it.
+inline int RssCore(LockId lock, int cores) {
+  std::uint64_t h = lock;
+  h ^= h >> 16;
+  h *= 0x45d9f3b;
+  h ^= h >> 16;
+  return static_cast<int>(h % static_cast<std::uint64_t>(cores));
+}
+
 /// The home server of `lock` among `servers` (non-empty).
 inline NodeId HomeServer(LockId lock, const std::vector<NodeId>& servers) {
   return servers[HomeServerHash(lock) % servers.size()];

@@ -14,13 +14,13 @@ RtClientPool::RtClientPool(RtLockService& service, RtSubstrate& substrate,
       substrate_(substrate),
       config_(config),
       factory_(std::move(factory)),
-      domain_(service.num_clients()) {
+      metrics_(service.num_clients()) {
   NETLOCK_CHECK(config_.sessions_per_client >= 1);
   NETLOCK_CHECK(factory_ != nullptr);
   if (config_.telemetry) {
-    c_commits_ = domain_.RegisterCounter("rt.commits");
-    h_lock_latency_ = domain_.RegisterHistogram("rt.lock_latency");
-    h_txn_latency_ = domain_.RegisterHistogram("rt.txn_latency");
+    c_commits_ = &metrics_.Counter("rt.commits");
+    h_lock_latency_ = &metrics_.Histogram("rt.lock_latency");
+    h_txn_latency_ = &metrics_.Histogram("rt.txn_latency");
   }
   const int num_clients = service_.num_clients();
   threads_.reserve(static_cast<std::size_t>(num_clients));
@@ -167,7 +167,7 @@ bool RtClientPool::OnCompletion(ClientThread& ct, const RtCompletion& comp) {
   }
   NETLOCK_CHECK(comp.lock == t.pending_lock());
   if (config_.telemetry) {
-    domain_.Record(ct.index, h_lock_latency_, now - t.lock_issued);
+    h_lock_latency_->Record(ct.index, now - t.lock_issued);
   }
   if (ct.driver.Grant(t, comp.txn, now, rec) == GrantStep::kAcquireNext) {
     SubmitAcquire(ct, s, now);
@@ -178,8 +178,8 @@ bool RtClientPool::OnCompletion(ClientThread& ct, const RtCompletion& comp) {
   ct.driver.Commit(t, comp.txn, now, rec);
   ++s.committed;
   if (config_.telemetry) {
-    domain_.Inc(ct.index, c_commits_);
-    domain_.Record(ct.index, h_txn_latency_, now - t.started);
+    c_commits_->Inc(ct.index, 1);
+    h_txn_latency_->Record(ct.index, now - t.started);
   }
   const bool budget_done = config_.txns_per_session != 0 &&
                            s.committed >= config_.txns_per_session;

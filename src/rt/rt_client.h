@@ -21,7 +21,7 @@
 
 #include "client/txn_driver.h"
 #include "common/stats.h"
-#include "common/telemetry.h"
+#include "common/metrics.h"
 #include "common/types.h"
 #include "rt/rt_lock_service.h"
 #include "substrate/execution_substrate.h"
@@ -95,11 +95,11 @@ class RtClientPool {
     return service_.num_clients() * config_.sessions_per_client;
   }
 
-  /// Sharded client-side telemetry (one shard per client thread); the
+  /// Client-side telemetry, one registry shard per client thread; the
   /// latency histograms cover the whole run, not just the measurement
   /// window. Empty (no instruments) when config.telemetry is off.
-  TelemetryDomain& telemetry_domain() { return domain_; }
-  const TelemetryDomain& telemetry_domain() const { return domain_; }
+  MetricsRegistry& metrics() { return metrics_; }
+  const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   struct ClientThread;
@@ -158,10 +158,11 @@ class RtClientPool {
   RtSubstrate& substrate_;
   RtClientConfig config_;
   WorkloadFactory factory_;
-  TelemetryDomain domain_;
-  TelemetryCounter c_commits_;
-  TelemetryHistogram h_lock_latency_;
-  TelemetryHistogram h_txn_latency_;
+  MetricsRegistry metrics_;
+  /// Null when config.telemetry is off.
+  MetricCounter* c_commits_ = nullptr;
+  MetricHistogram* h_lock_latency_ = nullptr;
+  MetricHistogram* h_txn_latency_ = nullptr;
   std::vector<std::unique_ptr<ClientThread>> threads_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> recording_{false};

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "net/lock_wire.h"
 
 namespace netlock::rt {
 
@@ -13,27 +14,26 @@ constexpr std::size_t kFlightCapacity = 4096;  ///< Per core (owned recorder).
 }  // namespace
 
 RtLockService::RtLockService(Options options, RtSubstrate& substrate)
-    : options_(options), substrate_(substrate), domain_(options.cores) {
+    : options_(options),
+      substrate_(substrate),
+      metrics_(options.cores),
+      c_requests_(&metrics_.Counter("rt.requests")),
+      c_grants_(&metrics_.Counter("rt.grants")),
+      c_releases_(&metrics_.Counter("rt.releases")),
+      c_stale_releases_(&metrics_.Counter("rt.stale_releases")),
+      c_mismatched_releases_(&metrics_.Counter("rt.mismatched_releases")),
+      c_batches_(&metrics_.Counter("rt.batches")),
+      c_flushes_(&metrics_.Counter("rt.flushes")),
+      c_staged_completions_(&metrics_.Counter("rt.staged_completions")),
+      c_aborts_(&metrics_.Counter("rt.aborts")),
+      c_wounds_(&metrics_.Counter("rt.wounds")),
+      c_cancel_removed_(&metrics_.Counter("rt.cancel_removed")),
+      c_cancel_removed_granted_(
+          &metrics_.Counter("rt.cancel_removed_granted")),
+      g_mailbox_depth_(&metrics_.Gauge("rt.mailbox_depth", GaugeAgg::kSum)),
+      g_batch_(&metrics_.Gauge("rt.batch", GaugeAgg::kMax)) {
   NETLOCK_CHECK(options_.cores >= 1);
   NETLOCK_CHECK(options_.num_clients >= 1);
-
-  c_requests_ = domain_.RegisterCounter("rt.requests");
-  c_grants_ = domain_.RegisterCounter("rt.grants");
-  c_releases_ = domain_.RegisterCounter("rt.releases");
-  c_stale_releases_ = domain_.RegisterCounter("rt.stale_releases");
-  c_mismatched_releases_ = domain_.RegisterCounter("rt.mismatched_releases");
-  c_batches_ = domain_.RegisterCounter("rt.batches");
-  c_flushes_ = domain_.RegisterCounter("rt.flushes");
-  c_staged_completions_ = domain_.RegisterCounter("rt.staged_completions");
-  c_aborts_ = domain_.RegisterCounter("rt.aborts");
-  c_wounds_ = domain_.RegisterCounter("rt.wounds");
-  c_cancel_removed_ = domain_.RegisterCounter("rt.cancel_removed");
-  c_cancel_removed_granted_ =
-      domain_.RegisterCounter("rt.cancel_removed_granted");
-  g_mailbox_depth_ = domain_.RegisterGauge("rt.mailbox_depth",
-                                           TelemetryDomain::GaugeAgg::kSum);
-  g_batch_ = domain_.RegisterGauge("rt.batch",
-                                   TelemetryDomain::GaugeAgg::kMax);
 
   if (options_.recorder != nullptr) {
     recorder_ = options_.recorder;
@@ -101,12 +101,7 @@ void RtLockService::Stop() {
 }
 
 int RtLockService::CoreFor(LockId lock) const {
-  // Same integer-mix RSS dispatch as the simulated LockServer.
-  std::uint32_t h = lock;
-  h ^= h >> 16;
-  h *= 0x45d9f3bu;
-  h ^= h >> 16;
-  return static_cast<int>(h % static_cast<std::uint32_t>(options_.cores));
+  return RssCore(lock, options_.cores);
 }
 
 void RtLockService::SubmitBatch(int client, int core, const RtRequest* reqs,
@@ -177,8 +172,8 @@ bool RtLockService::ServiceCore(int core) {
     const std::size_t n = ring->PopBatch(buf, options_.drain_batch);
     if (n == 0) continue;
     any = true;
-    domain_.Inc(core, c_batches_);
-    domain_.GaugeSet(core, g_batch_, n);  // hwm tracks the largest drain.
+    c_batches_->Inc(core, 1);
+    g_batch_->Set(core, n);  // hwm tracks the largest drain.
     for (std::size_t i = 0; i < n; ++i) Process(core, c, buf[i]);
     processed += n;
   }
@@ -189,9 +184,9 @@ bool RtLockService::ServiceCore(int core) {
     processed_.fetch_add(processed, std::memory_order_release);
   }
   if (any) {
-    domain_.GaugeSet(core, g_mailbox_depth_, MailboxDepthApprox(core));
-  } else if (domain_.GaugeShard(core, g_mailbox_depth_) != 0) {
-    domain_.GaugeSet(core, g_mailbox_depth_, 0);
+    g_mailbox_depth_->Set(core, MailboxDepthApprox(core));
+  } else if (g_mailbox_depth_->shard_value(core) != 0) {
+    g_mailbox_depth_->Set(core, 0);
   }
   return any;
 }
@@ -199,7 +194,7 @@ bool RtLockService::ServiceCore(int core) {
 void RtLockService::Process(int core_idx, Core& core, const RtRequest& req) {
   const SimTime now = substrate_.Now();
   if (req.op == RtRequest::Op::kAcquire) {
-    domain_.Inc(core_idx, c_requests_);
+    c_requests_->Inc(core_idx, 1);
     if (recorder_ != nullptr) {
       recorder_->Record(core_idx, FlightRecorder::Op::kAccept, req.lock,
                         req.mode, req.txn, now, req.client);
@@ -222,10 +217,9 @@ void RtLockService::Process(int core_idx, Core& core, const RtRequest& req) {
     const LockEngine::RemoveResult removed = core.engine->RemoveTxn(
         req.lock, req.txn, now, /*notify=*/false);
     if (removed.removed != 0) {
-      domain_.Inc(core_idx, c_cancel_removed_, removed.removed);
+      c_cancel_removed_->Inc(core_idx, removed.removed);
       if (removed.removed_granted != 0) {
-        domain_.Inc(core_idx, c_cancel_removed_granted_,
-                    removed.removed_granted);
+        c_cancel_removed_granted_->Inc(core_idx, removed.removed_granted);
       }
       if (recorder_ != nullptr) {
         recorder_->Record(core_idx, FlightRecorder::Op::kCancel, req.lock,
@@ -250,7 +244,7 @@ void RtLockService::Process(int core_idx, Core& core, const RtRequest& req) {
       req.lock, req.mode, req.txn, /*lease_forced=*/false, now);
   switch (outcome) {
     case ReleaseOutcome::kApplied:
-      domain_.Inc(core_idx, c_releases_);
+      c_releases_->Inc(core_idx, 1);
       if (recorder_ != nullptr) {
         recorder_->Record(core_idx, FlightRecorder::Op::kRelease, req.lock,
                           req.mode, req.txn, now, req.client);
@@ -259,14 +253,14 @@ void RtLockService::Process(int core_idx, Core& core, const RtRequest& req) {
                   req.mode, req.txn);
       break;
     case ReleaseOutcome::kStale:
-      domain_.Inc(core_idx, c_stale_releases_);
+      c_stale_releases_->Inc(core_idx, 1);
       if (recorder_ != nullptr) {
         recorder_->Record(core_idx, FlightRecorder::Op::kStaleRelease,
                           req.lock, req.mode, req.txn, now, req.client);
       }
       break;
     case ReleaseOutcome::kMismatched:
-      domain_.Inc(core_idx, c_mismatched_releases_);
+      c_mismatched_releases_->Inc(core_idx, 1);
       if (recorder_ != nullptr) {
         recorder_->Record(core_idx, FlightRecorder::Op::kMismatchedRelease,
                           req.lock, req.mode, req.txn, now, req.client);
@@ -299,7 +293,7 @@ void RtLockService::Core::Sink::DeliverGrant(LockId lock,
                                              const QueueSlot& slot) {
   RtLockService& svc = *service;
   Core& c = *svc.cores_[static_cast<std::size_t>(core)];
-  svc.domain_.Inc(core, svc.c_grants_);
+  svc.c_grants_->Inc(core, 1);
   if (svc.recorder_ != nullptr) {
     svc.recorder_->Record(core, FlightRecorder::Op::kGrant, lock, slot.mode,
                           slot.txn_id, slot.timestamp,
@@ -320,8 +314,8 @@ void RtLockService::Core::Sink::DeliverAbort(LockId lock,
                                              AbortReason reason) {
   RtLockService& svc = *service;
   Core& c = *svc.cores_[static_cast<std::size_t>(core)];
-  svc.domain_.Inc(core, reason == AbortReason::kWound ? svc.c_wounds_
-                                                      : svc.c_aborts_);
+  (reason == AbortReason::kWound ? svc.c_wounds_ : svc.c_aborts_)
+      ->Inc(core, 1);
   if (svc.recorder_ != nullptr) {
     svc.recorder_->Record(core, FlightRecorder::Op::kAbort, lock, slot.mode,
                           slot.txn_id, svc.substrate_.Now(),
@@ -369,47 +363,47 @@ void RtLockService::FlushStaged(int core) {
       pushed += k;
       spins = 0;
     }
-    domain_.Inc(core, c_flushes_);
-    domain_.Inc(core, c_staged_completions_, buf.size());
+    c_flushes_->Inc(core, 1);
+    c_staged_completions_->Inc(core, buf.size());
     buf.clear();
   }
 }
 
 RtLockService::Stats RtLockService::CoreStats(int core) const {
   Stats s;
-  s.requests = domain_.CounterShard(core, c_requests_);
-  s.grants = domain_.CounterShard(core, c_grants_);
-  s.releases = domain_.CounterShard(core, c_releases_);
-  s.stale_releases = domain_.CounterShard(core, c_stale_releases_);
-  s.mismatched_releases = domain_.CounterShard(core, c_mismatched_releases_);
-  s.batches = domain_.CounterShard(core, c_batches_);
-  s.max_batch = domain_.GaugeShardHighWater(core, g_batch_);
-  s.flushes = domain_.CounterShard(core, c_flushes_);
-  s.staged_completions = domain_.CounterShard(core, c_staged_completions_);
-  s.aborts = domain_.CounterShard(core, c_aborts_);
-  s.wounds = domain_.CounterShard(core, c_wounds_);
-  s.cancel_removed = domain_.CounterShard(core, c_cancel_removed_);
+  s.requests = c_requests_->shard_value(core);
+  s.grants = c_grants_->shard_value(core);
+  s.releases = c_releases_->shard_value(core);
+  s.stale_releases = c_stale_releases_->shard_value(core);
+  s.mismatched_releases = c_mismatched_releases_->shard_value(core);
+  s.batches = c_batches_->shard_value(core);
+  s.max_batch = g_batch_->shard_high_water(core);
+  s.flushes = c_flushes_->shard_value(core);
+  s.staged_completions = c_staged_completions_->shard_value(core);
+  s.aborts = c_aborts_->shard_value(core);
+  s.wounds = c_wounds_->shard_value(core);
+  s.cancel_removed = c_cancel_removed_->shard_value(core);
   s.cancel_removed_granted =
-      domain_.CounterShard(core, c_cancel_removed_granted_);
+      c_cancel_removed_granted_->shard_value(core);
   return s;
 }
 
 RtLockService::Stats RtLockService::TotalStats() const {
   Stats total;
-  total.requests = domain_.CounterTotal(c_requests_);
-  total.grants = domain_.CounterTotal(c_grants_);
-  total.releases = domain_.CounterTotal(c_releases_);
-  total.stale_releases = domain_.CounterTotal(c_stale_releases_);
-  total.mismatched_releases = domain_.CounterTotal(c_mismatched_releases_);
-  total.batches = domain_.CounterTotal(c_batches_);
-  total.max_batch = domain_.GaugeHighWater(g_batch_);
-  total.flushes = domain_.CounterTotal(c_flushes_);
-  total.staged_completions = domain_.CounterTotal(c_staged_completions_);
-  total.aborts = domain_.CounterTotal(c_aborts_);
-  total.wounds = domain_.CounterTotal(c_wounds_);
-  total.cancel_removed = domain_.CounterTotal(c_cancel_removed_);
+  total.requests = c_requests_->value();
+  total.grants = c_grants_->value();
+  total.releases = c_releases_->value();
+  total.stale_releases = c_stale_releases_->value();
+  total.mismatched_releases = c_mismatched_releases_->value();
+  total.batches = c_batches_->value();
+  total.max_batch = g_batch_->high_water();
+  total.flushes = c_flushes_->value();
+  total.staged_completions = c_staged_completions_->value();
+  total.aborts = c_aborts_->value();
+  total.wounds = c_wounds_->value();
+  total.cancel_removed = c_cancel_removed_->value();
   total.cancel_removed_granted =
-      domain_.CounterTotal(c_cancel_removed_granted_);
+      c_cancel_removed_granted_->value();
   return total;
 }
 

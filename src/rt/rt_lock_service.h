@@ -11,12 +11,14 @@
 // wait queue (no core ever spins on a held lock); grants flow back through
 // per-(client, core) completion rings.
 //
-// Observability: every per-request statistic lives in a sharded
-// TelemetryDomain (one cache-line-isolated shard per core, single-writer
-// plain stores — no shared atomic RMW on the hot path). The service owns no
-// registry: whoever owns the run folds the domain into its own context
-// (TelemetryDomain::PublishTo) after Stop(), as the harness's rt rig does
-// for both the service and the client pool. A FlightRecorder ring
+// Observability: every per-request statistic lives in the service's own
+// MetricsRegistry with one shard per core (each core writes only its own
+// cache-line-isolated cells, a relaxed load and store — no shared atomic
+// RMW on the hot path). Live readers (the stats poller, netlock_top)
+// aggregate the shards while the workers run; whoever owns the run folds
+// the registry into its context with MergeFrom after Stop(), as the
+// harness's rt rig does for both the service and the client pool. A
+// FlightRecorder ring
 // (owned by default, injectable for tests) keeps the last few thousand
 // protocol events per core for crash/violation autopsy.
 #pragma once
@@ -27,7 +29,7 @@
 #include <vector>
 
 #include "common/flight_recorder.h"
-#include "common/telemetry.h"
+#include "common/metrics.h"
 #include "common/types.h"
 #include "core/lock_engine.h"
 #include "rt/aligned_buf.h"
@@ -175,10 +177,10 @@ class RtLockService {
   int cores() const { return options_.cores; }
   int num_clients() const { return options_.num_clients; }
 
-  /// The sharded per-core stats store (live readers: poller, netlock_top;
-  /// the run's owner publishes it into its registry after Stop()).
-  TelemetryDomain& telemetry_domain() { return domain_; }
-  const TelemetryDomain& telemetry_domain() const { return domain_; }
+  /// The per-core stats, one shard per core (live readers: poller,
+  /// netlock_top; the run's owner merges it into its context after Stop()).
+  MetricsRegistry& metrics() { return metrics_; }
+  const MetricsRegistry& metrics() const { return metrics_; }
 
   /// The hot-path flight recorder; nullptr when telemetry is off and no
   /// external recorder was injected.
@@ -191,7 +193,7 @@ class RtLockService {
 
  private:
   /// One worker core: engine + sink + replay log, padded so cores never
-  /// false-share. Counters live in the TelemetryDomain's shards.
+  /// false-share. Counters live in metrics_'s per-core shards.
   struct alignas(64) Core {
     /// Sink bridging the shared LockEngine to the completion rings.
     struct Sink final : public GrantSink {
@@ -247,23 +249,24 @@ class RtLockService {
   alignas(64) std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> event_seq_{0};
 
-  /// Sharded per-core stats (one shard per worker core). Starts a fresh
-  /// cache line so workers' shard lookups stay clear of processed_.
-  alignas(64) TelemetryDomain domain_;
-  TelemetryCounter c_requests_;
-  TelemetryCounter c_grants_;
-  TelemetryCounter c_releases_;
-  TelemetryCounter c_stale_releases_;
-  TelemetryCounter c_mismatched_releases_;
-  TelemetryCounter c_batches_;
-  TelemetryCounter c_flushes_;  ///< Nonempty staged-completion flushes.
-  TelemetryCounter c_staged_completions_;  ///< Grants routed via staging.
-  TelemetryCounter c_aborts_;  ///< no-wait / wait-die refusals.
-  TelemetryCounter c_wounds_;  ///< wound-wait revocations.
-  TelemetryCounter c_cancel_removed_;
-  TelemetryCounter c_cancel_removed_granted_;
-  TelemetryGauge g_mailbox_depth_;  ///< kSum: backlog across cores.
-  TelemetryGauge g_batch_;          ///< kMax: hwm = largest drain batch.
+  /// Per-core stats, one registry shard per worker core. Starts a fresh
+  /// cache line so the instrument pointers the workers read stay clear of
+  /// processed_.
+  alignas(64) MetricsRegistry metrics_;
+  MetricCounter* c_requests_;
+  MetricCounter* c_grants_;
+  MetricCounter* c_releases_;
+  MetricCounter* c_stale_releases_;
+  MetricCounter* c_mismatched_releases_;
+  MetricCounter* c_batches_;
+  MetricCounter* c_flushes_;  ///< Nonempty staged-completion flushes.
+  MetricCounter* c_staged_completions_;  ///< Grants routed via staging.
+  MetricCounter* c_aborts_;  ///< no-wait / wait-die refusals.
+  MetricCounter* c_wounds_;  ///< wound-wait revocations.
+  MetricCounter* c_cancel_removed_;
+  MetricCounter* c_cancel_removed_granted_;
+  MetricGauge* g_mailbox_depth_;  ///< kSum: backlog across cores.
+  MetricGauge* g_batch_;          ///< kMax: hwm = largest drain batch.
 
   std::unique_ptr<FlightRecorder> owned_recorder_;
   FlightRecorder* recorder_ = nullptr;

@@ -22,29 +22,30 @@
 
 namespace netlock::rt {
 
-RtStatsPoller::RtStatsPoller(Options options, MetricsRegistry& registry)
+RtStatsPoller::RtStatsPoller(Options options)
     : options_(options),
-      registry_(registry),
       store_(static_cast<SimTime>(options.interval.count())) {
   NETLOCK_CHECK(options_.interval.count() > 0);
 }
 
 RtStatsPoller::~RtStatsPoller() { Stop(); }
 
-void RtStatsPoller::AddDomain(TelemetryDomain* domain) {
+void RtStatsPoller::Watch(const std::string& name,
+                          const MetricCounter& counter) {
   NETLOCK_CHECK(!started_);
-  NETLOCK_CHECK(domain != nullptr);
-  domains_.push_back(domain);
+  store_.Watch(name, counter);
 }
 
-void RtStatsPoller::Watch(const std::string& counter_name) {
+void RtStatsPoller::WatchGauge(const std::string& name,
+                               const MetricGauge& gauge) {
   NETLOCK_CHECK(!started_);
-  store_.Watch(counter_name, registry_.Counter(counter_name));
+  store_.WatchGauge(name, gauge);
 }
 
-void RtStatsPoller::WatchGauge(const std::string& gauge_name) {
+void RtStatsPoller::WatchP99(const std::string& name,
+                             const MetricHistogram& histogram) {
   NETLOCK_CHECK(!started_);
-  store_.WatchGauge(gauge_name, registry_.Gauge(gauge_name));
+  store_.WatchP99(name, histogram);
 }
 
 void RtStatsPoller::SetSnapshotProvider(SnapshotProvider provider) {
@@ -55,9 +56,6 @@ void RtStatsPoller::SetSnapshotProvider(SnapshotProvider provider) {
 void RtStatsPoller::Start(SimTime start_time) {
   NETLOCK_CHECK(!started_);
   started_ = true;
-  // Publish once before the baseline so the store's first bucket measures
-  // growth from Start, not the whole pre-Start history.
-  PublishAll();
   store_.Begin(start_time);
   OpenSocket();
   stop_ = false;
@@ -73,9 +71,6 @@ void RtStatsPoller::Stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  // Final fold so the registry is exact even if the run ended mid-bucket
-  // (the partial bucket is dropped from the series, not the totals).
-  PublishAll();
   CloseSocket();
 }
 
@@ -86,7 +81,6 @@ void RtStatsPoller::ThreadMain() {
       break;
     }
     lock.unlock();
-    PublishAll();
     store_.Tick();
     polls_.fetch_add(1, std::memory_order_release);
     if (listen_fd_ >= 0) {
@@ -94,10 +88,6 @@ void RtStatsPoller::ThreadMain() {
     }
     lock.lock();
   }
-}
-
-void RtStatsPoller::PublishAll() {
-  for (TelemetryDomain* domain : domains_) domain->PublishTo(registry_);
 }
 
 void RtStatsPoller::OpenSocket() {

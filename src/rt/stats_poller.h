@@ -2,11 +2,11 @@
 //
 // Simulated benches tick their TimeSeriesSampler as a simulation actor;
 // the real-time backend has no event queue to hook, so this poller runs a
-// wall-clock sampling thread instead: every interval it folds the sharded
-// TelemetryDomains into the MetricsRegistry (delta publish — the registry's
-// totals stay exact) and closes one TimeSeriesStore bucket, producing the
-// same "time_series" section in BENCH_rt_mlps.json that the sim benches
-// have.
+// wall-clock sampling thread instead: every interval it closes one
+// TimeSeriesStore bucket, producing the same "time_series" section in
+// BENCH_rt_mlps.json that the sim benches have. It only reads: the watched
+// instruments live in the service's and client pool's sharded registries,
+// and each tick aggregates their shards while the writers keep running.
 //
 // Optionally the poller serves live snapshots over a Unix-domain socket:
 // every tick it writes one text frame (the SnapshotProvider's output,
@@ -15,7 +15,7 @@
 // is strictly observe-only and best-effort: clients that stall or close are
 // dropped, and a full client buffer never blocks the sampling tick.
 //
-// Thread-safety: configure (AddDomain / Watch / SetSnapshotProvider) before
+// Thread-safety: configure (Watch* / SetSnapshotProvider) before
 // Start; the store and polls() may be read after Stop. The sampling thread
 // is the only writer to the store.
 #pragma once
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/telemetry.h"
 #include "common/timeseries.h"
 #include "common/types.h"
 
@@ -47,23 +46,20 @@ class RtStatsPoller {
     std::string socket_path;
   };
 
-  RtStatsPoller(Options options, MetricsRegistry& registry);
+  explicit RtStatsPoller(Options options);
   ~RtStatsPoller();
 
   RtStatsPoller(const RtStatsPoller&) = delete;
   RtStatsPoller& operator=(const RtStatsPoller&) = delete;
 
-  /// Domains folded into the registry on every tick (service + clients).
-  void AddDomain(TelemetryDomain* domain);
-
-  /// Tracks a registry counter (per-bucket rate) / gauge (level) in the
-  /// time series. Instruments are created in the registry on first use, so
-  /// watching before the first publish is fine.
-  void Watch(const std::string& counter_name);
-  void WatchGauge(const std::string& gauge_name);
+  /// Tracks a counter (per-bucket rate), a gauge (level) or a histogram's
+  /// p99 (level) in the time series. Each must outlive the poller's ticks.
+  void Watch(const std::string& name, const MetricCounter& counter);
+  void WatchGauge(const std::string& name, const MetricGauge& gauge);
+  void WatchP99(const std::string& name, const MetricHistogram& histogram);
 
   /// Builds the per-tick socket frame. Runs on the sampling thread; must
-  /// only touch thread-safe state (telemetry readers, registry atomics).
+  /// only touch thread-safe state (instrument reads, stats snapshots).
   using SnapshotProvider = std::function<std::string()>;
   void SetSnapshotProvider(SnapshotProvider provider);
 
@@ -71,8 +67,7 @@ class RtStatsPoller {
   /// launches the sampling thread.
   void Start(SimTime start_time);
 
-  /// Stops the thread (final delta publish, no partial bucket), closes and
-  /// unlinks the socket.
+  /// Stops the thread (no partial bucket), closes and unlinks the socket.
   void Stop();
 
   const TimeSeriesStore& store() const { return store_; }
@@ -80,14 +75,11 @@ class RtStatsPoller {
 
  private:
   void ThreadMain();
-  void PublishAll();
   void OpenSocket();
   void ServeClients(const std::string& frame);
   void CloseSocket();
 
   Options options_;
-  MetricsRegistry& registry_;
-  std::vector<TelemetryDomain*> domains_;
   SnapshotProvider provider_;
   TimeSeriesStore store_;
 

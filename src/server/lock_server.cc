@@ -35,13 +35,7 @@ LockServer::LockServer(Network& net, LockServerConfig config)
 }
 
 int LockServer::CoreFor(LockId lock) const {
-  // RSS: the NIC hashes the lock id in the header onto a receive queue, so
-  // all requests for one lock land on one core (no cross-core locking).
-  std::uint64_t h = lock;
-  h ^= h >> 16;
-  h *= 0x45d9f3b;
-  h ^= h >> 16;
-  return static_cast<int>(h % static_cast<std::uint64_t>(config_.cores));
+  return RssCore(lock, config_.cores);
 }
 
 void LockServer::OnPacket(const Packet& pkt) {

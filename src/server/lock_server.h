@@ -116,6 +116,9 @@ class LockServer : private GrantSink {
   void GracePeriodUntil(SimTime until);
   SimTime grace_until() const { return grace_until_; }
 
+  /// The core whose receive queue `lock`'s requests land on (RssCore).
+  int CoreFor(LockId lock) const;
+
   /// Number of requests currently buffered in q2 for a lock.
   std::size_t OverflowDepth(LockId lock) const;
 
@@ -183,8 +186,6 @@ class LockServer : private GrantSink {
   // GrantSink: the deadlock policy refused/revoked an entry; notify client.
   void DeliverAbort(LockId lock, const QueueSlot& slot,
                     AbortReason reason) override;
-
-  int CoreFor(LockId lock) const;
 
   void ActivateGraced();
 

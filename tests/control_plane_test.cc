@@ -158,7 +158,6 @@ TEST_F(ControlPlaneTest, ReallocateMovesHotLockIn) {
     Acquire(5, txn);
     Release(5, txn);
   }
-  control_->RecordRequest(5, 4);  // Seed the fallback counter path too.
   bool done = false;
   control_->Reallocate(/*switch_capacity=*/64, [&]() { done = true; });
   sim_.RunUntil(sim_.now() + 20 * kMillisecond);
@@ -444,14 +443,14 @@ TEST_F(ControlPlaneTest, ReallocateResizesLockWhoseContentionGrew) {
   alloc.switch_slots = {{7, 2}};  // Installed small.
   control_->InstallAllocation(alloc);
   sim_.RunUntil(kSecond);
-  // Demand with concurrency 5 observed out-of-band (the two-slot region
-  // itself can never see a queue deeper than 2): the knapsack's target slot
-  // count grows past the installed 2.
+  // The two-slot region itself can never see a queue deeper than 2, so the
+  // grown target comes straight from the controller's side.
   Acquire(7, 1);
   Release(7, 1);
-  control_->RecordRequest(7, /*concurrent=*/5);
+  Allocation grown;
+  grown.switch_slots = {{7, 5}};
   bool done = false;
-  control_->Reallocate(/*switch_capacity=*/64, [&]() { done = true; });
+  control_->ApplyAllocation(grown, [&]() { done = true; });
   sim_.RunUntil(sim_.now() + 20 * kMillisecond);
   EXPECT_TRUE(done);
   ASSERT_TRUE(switch_->IsInstalled(7));
@@ -487,32 +486,6 @@ TEST_F(ControlPlaneTest, ReallocateShrinksOversizedLock) {
   }
   EXPECT_LT(slots, 16u);
   EXPECT_GT(switch_->table().free_slots(), free_before);
-}
-
-TEST_F(ControlPlaneTest, CombinedDemandsCountsDualObservedLockOnce) {
-  // Regression: Reallocate merged the software RecordRequest counters with
-  // the data-plane harvest by *summing* rates, so a lock observed by both
-  // paths (the common case: the client library instruments the same
-  // requests the data plane serves) counted double and crowded
-  // single-counted locks out of the knapsack.
-  sim_.RunUntil(kSecond);
-  constexpr int kRequests = 10;
-  for (TxnId txn = 0; txn < kRequests; ++txn) {
-    Acquire(3, txn);
-    control_->RecordRequest(3, 1);  // Client library sees the same request.
-    Release(3, txn);
-  }
-  const double window_sec =
-      static_cast<double>(sim_.now()) / static_cast<double>(kSecond);
-  const std::vector<LockDemand> demands = control_->CombinedDemands();
-  const LockDemand* d = nullptr;
-  for (const LockDemand& demand : demands) {
-    if (demand.lock == 3) d = &demand;
-  }
-  ASSERT_NE(d, nullptr);
-  const double expected = kRequests / window_sec;
-  // Pre-fix the two observation paths summed to ~2x this.
-  EXPECT_NEAR(d->rate, expected, 0.05 * expected);
 }
 
 TEST_F(ControlPlaneTest, OverlappingReallocateRejectedWhileDraining) {
@@ -555,7 +528,6 @@ TEST_F(ControlPlaneTest, RecoverSwitchMidReallocateKeepsServerOwnership) {
   sim_.RunUntil(kSecond);
   Acquire(2, 1);  // Lock 2 server-owned, txn 1 holds it.
   EXPECT_TRUE(client_->HasGrantFor(1));
-  control_->RecordRequest(2, /*concurrent=*/4);
   bool done = false;
   EXPECT_TRUE(
       control_->Reallocate(/*switch_capacity=*/64, [&]() { done = true; }));

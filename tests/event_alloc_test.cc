@@ -23,8 +23,11 @@ std::atomic<std::uint64_t> g_news{0};
 
 // Counting replacements for the global allocation functions. All forms
 // funnel through malloc/free so replaced and library-internal paths stay
-// compatible; only the count matters.
-void* operator new(std::size_t size) {
+// compatible; only the count matters. The scalar new and the sized delete
+// are kept out of line: inlined, they expose their malloc() or free() to
+// GCC, which then pairs it with the `new` or `delete` expression on the
+// other side and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
@@ -46,7 +49,9 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }

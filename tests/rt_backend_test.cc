@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,9 @@
 #include "common/sim_context.h"
 #include "harness/backend.h"
 #include "rt/rt_lock_service.h"
+#include "server/lock_server.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
 #include "testing/lock_oracle.h"
 #include "testing/rt_replay.h"
 #include "workload/micro.h"
@@ -144,7 +148,7 @@ TEST(RtBackendTest, TelemetryCountsMatchRunTotals) {
   ASSERT_EQ(result.core_grants.size(),
             static_cast<std::size_t>(config.rt_cores));
   EXPECT_EQ(summed, result.service_grants);
-  // Stop() published the domain into the run's registry as deltas.
+  // The rig merged the service's registry into the run's context.
   EXPECT_EQ(context.metrics().Counter("rt.grants").value(),
             result.service_grants);
   // Fully drained fixed-count run: every acquire was granted and released.
@@ -155,10 +159,55 @@ TEST(RtBackendTest, TelemetryCountsMatchRunTotals) {
   EXPECT_GT(context.metrics().Counter("rt.batches").value(), 0u);
   EXPECT_EQ(context.metrics().Counter("rt.commits").value(),
             result.commits);
-  // Client-side latency histograms were recorded and published.
-  EXPECT_GT(context.metrics().Counter("rt.lock_latency.count").value(), 0u);
-  EXPECT_GT(context.metrics().Counter("rt.txn_latency.count").value(), 0u);
-  EXPECT_GT(context.metrics().Gauge("rt.lock_latency.p99_ns").value(), 0u);
+  // Client-side latency histograms were recorded and merged.
+  const LogHistogram lock_latency =
+      context.metrics().Histogram("rt.lock_latency").Merged();
+  EXPECT_GT(lock_latency.count(), 0u);
+  EXPECT_GT(lock_latency.P99(), 0u);
+  EXPECT_GT(context.metrics().Histogram("rt.txn_latency").Merged().count(),
+            0u);
+}
+
+// The report view of the same merge: the run context's snapshot carries
+// the service's grant total, the clients' commit total, and one lock
+// latency sample per grant the clients received.
+TEST(RtBackendTest, RunContextSnapshotMatchesServiceAndClientTotals) {
+  SimContext context;
+  BackendRunConfig config = SmallRun();
+  config.context = &context;
+  const BackendRunResult result =
+      RunMicroFixedCount(BackendKind::kRt, config);
+  std::map<std::string, std::uint64_t> snapshot;
+  for (const MetricSample& sample : context.metrics().Snapshot()) {
+    snapshot[sample.name] = sample.value;
+  }
+  EXPECT_EQ(snapshot.at("rt.grants"), result.service_grants);
+  EXPECT_EQ(snapshot.at("rt.commits"), result.commits);
+  // The fixed-count run records its whole duration.
+  EXPECT_EQ(snapshot.at("rt.lock_latency.count"),
+            result.metrics.lock_grants);
+  EXPECT_GT(result.metrics.lock_grants, 0u);
+}
+
+// Both lock services dispatch a lock to a core with RssCore. A 32-bit
+// variant of the same mix agrees with it only at power-of-two core counts,
+// so 3 and 6 cores are the counts that tell them apart.
+TEST(RtBackendTest, RtAndSimulatedServersMapLocksToTheSameCores) {
+  for (const int cores : {3, 6}) {
+    Simulator sim;
+    Network net(sim, /*default_one_way_latency=*/1000);
+    LockServerConfig server_config;
+    server_config.cores = cores;
+    LockServer server(net, server_config);
+    RtSubstrate substrate;
+    rt::RtLockService::Options options;
+    options.cores = cores;
+    rt::RtLockService service(options, substrate);
+    for (LockId lock = 0; lock < 100'000; ++lock) {
+      ASSERT_EQ(service.CoreFor(lock), server.CoreFor(lock))
+          << "lock " << lock << " at " << cores << " cores";
+    }
+  }
 }
 
 // The live poller runs over the measurement window of a timed run and the
@@ -207,7 +256,9 @@ TEST(RtBackendTest, TelemetryOffStillCountsAndSkipsHistograms) {
   // with telemetry off; the client latency histograms do not.
   EXPECT_EQ(context.metrics().Counter("rt.grants").value(),
             result.service_grants);
-  EXPECT_EQ(context.metrics().Counter("rt.lock_latency.count").value(), 0u);
+  for (const MetricSample& sample : context.metrics().Snapshot()) {
+    EXPECT_NE(sample.name.rfind("rt.lock_latency", 0), 0u) << sample.name;
+  }
   // The recording-window metrics still work (they are not telemetry).
   EXPECT_GT(result.metrics.lock_grants, 0u);
   EXPECT_FALSE(result.metrics.lock_latency.empty());

@@ -1,72 +1,87 @@
-// Tests for the wait-free sharded telemetry plane: single-writer counter,
-// gauge, and histogram semantics; delta publication into a MetricsRegistry;
-// name lookup; concurrent writers vs. an aggregating reader (the contract
-// the live stats poller relies on — run under TSan in CI); and the
-// backend-neutral TimeSeriesStore's bucketing.
+// Tests for the sharded telemetry plane of the metrics registry: counters
+// summed across per-writer shards, gauges aggregated as a sum or a max,
+// histograms against a reference LogHistogram, merging a sharded registry
+// into a one-shard run context, shard writers racing snapshot and
+// time-series readers (the contract the live stats poller relies on — run
+// under TSan in CI), and the TimeSeriesStore's bucketing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/metrics.h"
-#include "common/telemetry.h"
 #include "common/timeseries.h"
 
 namespace netlock {
 namespace {
 
-TEST(TelemetryDomainTest, CountersSumAcrossShards) {
-  TelemetryDomain domain(3);
-  const TelemetryCounter c = domain.RegisterCounter("t.grants");
-  domain.Inc(0, c, 5);
-  domain.Inc(1, c);
-  domain.Inc(2, c, 10);
-  domain.Inc(1, c, 2);
-  EXPECT_EQ(domain.CounterShard(0, c), 5u);
-  EXPECT_EQ(domain.CounterShard(1, c), 3u);
-  EXPECT_EQ(domain.CounterShard(2, c), 10u);
-  EXPECT_EQ(domain.CounterTotal(c), 18u);
-  EXPECT_EQ(domain.counter_name(c), "t.grants");
+std::map<std::string, std::uint64_t> SnapshotMap(
+    const MetricsRegistry& registry) {
+  std::map<std::string, std::uint64_t> out;
+  for (const MetricSample& sample : registry.Snapshot()) {
+    out[sample.name] = sample.value;
+  }
+  return out;
 }
 
-TEST(TelemetryDomainTest, GaugeAggregationSumAndMax) {
-  TelemetryDomain domain(2);
-  const TelemetryGauge depth =
-      domain.RegisterGauge("t.depth", TelemetryDomain::GaugeAgg::kSum);
-  const TelemetryGauge batch =
-      domain.RegisterGauge("t.batch", TelemetryDomain::GaugeAgg::kMax);
-  domain.GaugeSet(0, depth, 4);
-  domain.GaugeSet(1, depth, 6);
-  domain.GaugeSet(0, batch, 9);
-  domain.GaugeSet(1, batch, 3);
-  EXPECT_EQ(domain.GaugeTotal(depth), 10u);
-  EXPECT_EQ(domain.GaugeTotal(batch), 9u);
+// --- Per-writer shards ----------------------------------------------------
+
+TEST(MetricsRegistryTest, CountersSumAcrossShards) {
+  MetricsRegistry registry(3);
+  MetricCounter& c = registry.Counter("t.grants");
+  c.Inc(0, 5);
+  c.Inc(1, 1);
+  c.Inc(2, 10);
+  c.Inc(1, 2);
+  EXPECT_EQ(c.shard_value(0), 5u);
+  EXPECT_EQ(c.shard_value(1), 3u);
+  EXPECT_EQ(c.shard_value(2), 10u);
+  EXPECT_EQ(c.value(), 18u);
+  EXPECT_EQ(SnapshotMap(registry).at("t.grants"), 18u);
+}
+
+TEST(MetricsRegistryTest, GaugesAggregateAsSumOrMax) {
+  MetricsRegistry registry(2);
+  MetricGauge& depth = registry.Gauge("t.depth", GaugeAgg::kSum);
+  MetricGauge& batch = registry.Gauge("t.batch", GaugeAgg::kMax);
+  depth.Set(0, 4);
+  depth.Set(1, 6);
+  batch.Set(0, 9);
+  batch.Set(1, 3);
+  EXPECT_EQ(depth.value(), 10u);
+  EXPECT_EQ(batch.value(), 9u);
   // Lowering a gauge keeps its high-water mark.
-  domain.GaugeSet(0, depth, 1);
-  domain.GaugeSet(0, batch, 2);
-  EXPECT_EQ(domain.GaugeTotal(depth), 7u);
-  EXPECT_EQ(domain.GaugeShardHighWater(0, depth), 4u);
-  EXPECT_EQ(domain.GaugeHighWater(depth), 10u);  // Sum of shard hwms.
-  EXPECT_EQ(domain.GaugeHighWater(batch), 9u);   // Max of shard hwms.
+  depth.Set(0, 1);
+  batch.Set(0, 2);
+  EXPECT_EQ(depth.value(), 7u);
+  EXPECT_EQ(batch.value(), 3u);
+  EXPECT_EQ(depth.shard_high_water(0), 4u);
+  EXPECT_EQ(depth.high_water(), 10u);  // Sum of shard hwms.
+  EXPECT_EQ(batch.high_water(), 9u);   // Max of shard hwms.
+  const auto snap = SnapshotMap(registry);
+  EXPECT_EQ(snap.at("t.depth"), 7u);
+  EXPECT_EQ(snap.at("t.depth.hwm"), 10u);
+  EXPECT_EQ(snap.at("t.batch.hwm"), 9u);
 }
 
-TEST(TelemetryDomainTest, HistogramMatchesReferenceLogHistogram) {
-  TelemetryDomain domain(2);
-  const TelemetryHistogram h = domain.RegisterHistogram("t.lat");
+TEST(MetricsRegistryTest, HistogramMatchesReferenceLogHistogram) {
+  MetricsRegistry registry(2);
+  MetricHistogram& h = registry.Histogram("t.lat");
   LogHistogram reference;
   const SimTime samples[] = {10,    999,    1000,   4096,  4097,
                              65536, 100000, 123456, 7,     1};
   int shard = 0;
   for (const SimTime s : samples) {
-    domain.Record(shard, h, s);
+    h.Record(shard, s);
     reference.Record(s);
     shard = 1 - shard;
   }
-  const LogHistogram merged = domain.HistogramMerged(h);
+  const LogHistogram merged = h.Merged();
   EXPECT_EQ(merged.count(), reference.count());
   EXPECT_EQ(merged.Min(), reference.Min());
   EXPECT_EQ(merged.Max(), reference.Max());
@@ -74,93 +89,94 @@ TEST(TelemetryDomainTest, HistogramMatchesReferenceLogHistogram) {
   for (const double p : {0.0, 0.5, 0.9, 0.99, 1.0}) {
     EXPECT_EQ(merged.Percentile(p), reference.Percentile(p)) << "p=" << p;
   }
+  const auto snap = SnapshotMap(registry);
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap.at("t.lat.count"), reference.count());
+  EXPECT_EQ(snap.at("t.lat.p50_ns"), reference.Median());
+  EXPECT_EQ(snap.at("t.lat.p99_ns"), reference.P99());
 }
 
-TEST(TelemetryDomainTest, FindByName) {
-  TelemetryDomain domain(1);
-  const TelemetryCounter c = domain.RegisterCounter("t.c");
-  const TelemetryGauge g = domain.RegisterGauge("t.g");
-  const TelemetryHistogram h = domain.RegisterHistogram("t.h");
-  TelemetryCounter fc;
-  TelemetryGauge fg;
-  TelemetryHistogram fh;
-  ASSERT_TRUE(domain.FindCounter("t.c", &fc));
-  ASSERT_TRUE(domain.FindGauge("t.g", &fg));
-  ASSERT_TRUE(domain.FindHistogram("t.h", &fh));
-  EXPECT_EQ(fc.slot, c.slot);
-  EXPECT_EQ(fg.slot, g.slot);
-  EXPECT_EQ(fh.slot, h.slot);
-  EXPECT_FALSE(domain.FindCounter("t.nope", &fc));
-  EXPECT_FALSE(domain.FindGauge("t.c", &fg));
-  EXPECT_FALSE(domain.FindHistogram("t.g", &fh));
-}
-
-TEST(TelemetryDomainTest, PublishToFoldsDeltasIdempotently) {
-  MetricsRegistry registry;
-  TelemetryDomain domain(2);
-  const TelemetryCounter c = domain.RegisterCounter("t.pub.grants");
-  const TelemetryGauge g = domain.RegisterGauge("t.pub.depth");
-  const TelemetryHistogram h = domain.RegisterHistogram("t.pub.lat");
-  domain.Inc(0, c, 3);
-  domain.Inc(1, c, 4);
-  domain.GaugeSet(0, g, 5);
-  domain.Record(0, h, 1000);
-  domain.PublishTo(registry);
-  EXPECT_EQ(registry.Counter("t.pub.grants").value(), 7u);
-  EXPECT_EQ(registry.Gauge("t.pub.depth").value(), 5u);
-  EXPECT_EQ(registry.Counter("t.pub.lat.count").value(), 1u);
-  EXPECT_GT(registry.Gauge("t.pub.lat.p50_ns").value(), 0u);
-  // Re-publishing with no new writes must not double-count.
-  domain.PublishTo(registry);
-  EXPECT_EQ(registry.Counter("t.pub.grants").value(), 7u);
-  EXPECT_EQ(registry.Counter("t.pub.lat.count").value(), 1u);
-  // New writes flow through as growth only.
-  domain.Inc(0, c, 2);
-  domain.Record(1, h, 2000);
-  domain.PublishTo(registry);
-  EXPECT_EQ(registry.Counter("t.pub.grants").value(), 9u);
-  EXPECT_EQ(registry.Counter("t.pub.lat.count").value(), 2u);
+TEST(MetricsRegistryTest, MergeFromFoldsShardsIntoOneShardTarget) {
+  MetricsRegistry sharded(2);
+  sharded.Counter("t.grants").Inc(0, 3);
+  sharded.Counter("t.grants").Inc(1, 4);
+  sharded.Gauge("t.batch", GaugeAgg::kMax).Set(1, 5);
+  sharded.Histogram("t.lat").Record(0, 1000);
+  sharded.Histogram("t.lat").Record(1, 2000);
+  MetricsRegistry target;
+  target.MergeFrom(sharded);
+  target.MergeFrom(sharded);  // A second run adds to the totals.
+  EXPECT_EQ(target.Counter("t.grants").value(), 14u);
+  EXPECT_EQ(target.Gauge("t.batch").value(), 5u);
+  EXPECT_EQ(target.Gauge("t.batch").agg(), GaugeAgg::kMax);
+  EXPECT_EQ(target.Histogram("t.lat").Merged().count(), 4u);
+  const auto snap = SnapshotMap(target);
+  EXPECT_EQ(snap.at("t.lat.count"), 4u);
+  EXPECT_GT(snap.at("t.lat.p50_ns"), 0u);
+  // skip_idle leaves out counters at zero and empty histograms; gauges
+  // always carry over.
+  MetricsRegistry idle(2);
+  idle.Counter("t.idle");
+  idle.Histogram("t.idle_lat");
+  idle.Gauge("t.level");
+  MetricsRegistry run_context;
+  run_context.MergeFrom(idle, /*skip_idle=*/true);
+  const auto idle_snap = SnapshotMap(run_context);
+  ASSERT_EQ(idle_snap.size(), 2u);
+  EXPECT_EQ(idle_snap.count("t.level.hwm"), 1u);
+  // Reset clears every shard, histograms included.
+  sharded.Reset();
+  EXPECT_EQ(sharded.Counter("t.grants").value(), 0u);
+  EXPECT_EQ(sharded.Gauge("t.batch").high_water(), 0u);
+  EXPECT_TRUE(sharded.Histogram("t.lat").Merged().empty());
 }
 
 // The live poller's contract: shard-owning writers keep writing while a
-// reader aggregates and publishes. Run under TSan in CI — the assertions
-// here are secondary to the race-freedom of the interleaving itself.
-TEST(TelemetryDomainTest, ConcurrentWritersWithAggregatingReader) {
+// reader snapshots and ticks a time series. Run under TSan in CI — the
+// assertions here are secondary to the race-freedom of the interleaving.
+TEST(MetricsRegistryTest, ShardWritersRaceSnapshotAndTimeSeriesReader) {
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerWriter = 20000;
-  MetricsRegistry registry;
-  TelemetryDomain domain(kWriters);
-  const TelemetryCounter c = domain.RegisterCounter("t.mt.count");
-  const TelemetryGauge g = domain.RegisterGauge("t.mt.depth");
-  const TelemetryHistogram h = domain.RegisterHistogram("t.mt.lat");
+  MetricsRegistry registry(kWriters);
+  MetricCounter& c = registry.Counter("t.mt.count");
+  MetricGauge& g = registry.Gauge("t.mt.depth");
+  MetricHistogram& h = registry.Histogram("t.mt.lat");
+  TimeSeriesStore store(kMillisecond);
+  store.Watch("t.mt.count", c);
+  store.WatchGauge("t.mt.depth", g);
+  store.WatchP99("t.mt.lat.p99_ns", h);
+  store.Begin(0);
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      domain.PublishTo(registry);
-      (void)domain.CounterTotal(c);
-      (void)domain.GaugeTotal(g);
-      (void)domain.HistogramMerged(h).Percentile(0.99);
+      (void)registry.Snapshot();
+      store.Tick();
     }
   });
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-        domain.Inc(w, c);
-        domain.GaugeSet(w, g, i & 0xff);
-        domain.Record(w, h, 100 + (i & 0x3ff));
+        c.Inc(w, 1);
+        g.Set(w, i & 0xff);
+        h.Record(w, 100 + (i & 0x3ff));
       }
     });
   }
   for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  // Quiesced: the aggregate view is exact.
-  EXPECT_EQ(domain.CounterTotal(c), kWriters * kPerWriter);
-  EXPECT_EQ(domain.HistogramMerged(h).count(), kWriters * kPerWriter);
-  domain.PublishTo(registry);
-  EXPECT_EQ(registry.Counter("t.mt.count").value(), kWriters * kPerWriter);
-  EXPECT_EQ(registry.Counter("t.mt.lat.count").value(),
+  store.Tick();
+  // Quiesced: the aggregate view is exact, and the counter's buckets add
+  // up to its total.
+  EXPECT_EQ(c.value(), kWriters * kPerWriter);
+  EXPECT_EQ(h.Merged().count(), kWriters * kPerWriter);
+  std::uint64_t bucketed = 0;
+  for (std::size_t b = 0; b < store.num_buckets(); ++b) {
+    bucketed += store.Delta(0, b);
+  }
+  EXPECT_EQ(bucketed, kWriters * kPerWriter);
+  EXPECT_EQ(SnapshotMap(registry).at("t.mt.lat.count"),
             kWriters * kPerWriter);
 }
 
@@ -190,20 +206,28 @@ TEST(TimeSeriesStoreTest, CounterDeltasAndRates) {
   EXPECT_DOUBLE_EQ(store.BucketTimeSeconds(0), 0.5e-3);
 }
 
-TEST(TimeSeriesStoreTest, GaugeLevels) {
-  MetricsRegistry registry;
+TEST(TimeSeriesStoreTest, GaugeAndP99Levels) {
+  MetricsRegistry registry(2);
   MetricGauge& g = registry.Gauge("t.ts.depth");
+  MetricHistogram& h = registry.Histogram("t.ts.lat");
   TimeSeriesStore store(kMillisecond);
   store.WatchGauge("t.ts.depth", g);
+  store.WatchP99("t.ts.lat.p99_ns", h);
   store.Begin(0);
-  g.Set(7);
+  g.Set(0, 7);
   store.Tick();
-  g.Set(4);
+  g.Set(0, 4);
+  g.Set(1, 1);
+  h.Record(1, 5000);
   store.Tick();
   ASSERT_EQ(store.num_buckets(), 2u);
   EXPECT_FALSE(store.series_is_rate(0));
+  EXPECT_FALSE(store.series_is_rate(1));
   EXPECT_DOUBLE_EQ(store.Value(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(store.Value(0, 1), 4.0);
+  EXPECT_DOUBLE_EQ(store.Value(0, 1), 5.0);  // Summed across shards.
+  EXPECT_EQ(store.Delta(1, 0), 0u);          // Empty histogram.
+  EXPECT_EQ(store.Delta(1, 1), h.Merged().P99());
+  EXPECT_GT(store.Delta(1, 1), 0u);
 }
 
 }  // namespace
