@@ -3,6 +3,8 @@
 // --quick --json-dir=<dir> to produce the full set of BENCH_*.json reports
 // in one step; locally it reproduces every paper figure in one command.
 //
+// --help (or -h) prints the shared flags and runs nothing.
+//
 // --jobs=N (consumed here, NOT forwarded) runs up to N bench processes
 // concurrently. Children stay serial and each writes its own BENCH_*.json,
 // so reports are byte-identical to a serial run (modulo wall-clock fields);
@@ -19,6 +21,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "harness/report.h"
 
 namespace {
 
@@ -114,6 +118,10 @@ int main(int argc, char** argv) {
   int jobs = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      netlock::PrintBenchUsage(argv[0]);
+      return 0;
+    }
     if (arg.rfind("--jobs=", 0) == 0) {
       jobs = std::atoi(arg.c_str() + 7);
       continue;

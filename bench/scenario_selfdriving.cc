@@ -56,17 +56,16 @@ class DriftWorkload final : public WorkloadGenerator {
   DriftWorkload(const LockId* base, LockId window)
       : base_(base), window_(window) {}
 
-  TxnSpec Next(Rng& rng) override {
-    TxnSpec txn;
+  void NextInto(Rng& rng, TxnSpec& out) override {
+    out.locks.clear();
     for (std::uint32_t i = 0; i < kLocksPerTxn; ++i) {
       const LockId lock =
           rng.NextBool(kHotFraction)
               ? *base_ + static_cast<LockId>(rng.NextBounded(window_))
               : static_cast<LockId>(rng.NextBounded(kLockSpace));
-      txn.locks.push_back(LockRequest{lock, LockMode::kExclusive});
+      out.locks.push_back(LockRequest{lock, LockMode::kExclusive});
     }
-    NormalizeTxn(txn);
-    return txn;
+    NormalizeTxn(out);
   }
   LockId lock_space() const override { return kLockSpace; }
 

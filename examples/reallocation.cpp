@@ -24,13 +24,12 @@ class ShiftingWorkload final : public WorkloadGenerator {
  public:
   explicit ShiftingWorkload(const int* phase) : phase_(phase) {}
 
-  TxnSpec Next(Rng& rng) override {
-    TxnSpec txn;
+  void NextInto(Rng& rng, TxnSpec& out) override {
+    out.locks.clear();
     const LockId base = *phase_ == 0 ? 0 : 1000;
-    txn.locks.push_back(
+    out.locks.push_back(
         {base + static_cast<LockId>(rng.NextBounded(64)),
          rng.NextBool(0.3) ? LockMode::kShared : LockMode::kExclusive});
-    return txn;
   }
   LockId lock_space() const override { return 1064; }
 

@@ -40,7 +40,9 @@ void TxnEngine::StartNextTxn() {
     return;
   }
   idle_ = false;
-  txn_.spec = workload_->Next(rng_);
+  // Drawn into the session's spec: a steady-state transaction reuses its
+  // storage instead of allocating a fresh lock set.
+  workload_->NextInto(rng_, txn_.spec);
   // preserve_workload_order is deadlock-prone on purpose: it keeps the
   // workload's (unordered) sequence so conflicting transactions can wait on
   // each other in a cycle — the scenario the deadlock policies exist to

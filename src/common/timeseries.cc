@@ -36,7 +36,7 @@ void TimeSeriesStore::WatchP99(std::string name,
 }
 
 void TimeSeriesStore::Begin(SimTime start_time) {
-  NETLOCK_CHECK(!begun_);
+  NETLOCK_CHECK(!begun_ && !detached_);
   begun_ = true;
   start_time_ = start_time;
   for (Series& s : series_) {
@@ -45,7 +45,7 @@ void TimeSeriesStore::Begin(SimTime start_time) {
 }
 
 void TimeSeriesStore::Tick() {
-  NETLOCK_CHECK(begun_);
+  NETLOCK_CHECK(begun_ && !detached_);
   for (Series& s : series_) {
     if (s.is_rate) {
       const std::uint64_t v = s.counter->value();
@@ -56,6 +56,15 @@ void TimeSeriesStore::Tick() {
     } else {
       s.deltas.push_back(s.histogram->Merged().P99());
     }
+  }
+}
+
+void TimeSeriesStore::Detach() {
+  detached_ = true;
+  for (Series& s : series_) {
+    s.counter = nullptr;
+    s.gauge = nullptr;
+    s.histogram = nullptr;
   }
 }
 

@@ -46,6 +46,12 @@ class TimeSeriesStore {
   /// Closes one bucket: appends counter deltas and gauge levels.
   void Tick();
 
+  /// Forgets the watched instruments and keeps the buckets, for a store
+  /// that outlives the registry it watched (a run's result outlives its
+  /// rig). Begin() and Tick() CHECK-fail afterwards; the readers below
+  /// still work.
+  void Detach();
+
   SimTime interval() const { return interval_; }
   std::size_t num_series() const { return series_.size(); }
   std::size_t num_buckets() const {
@@ -85,6 +91,7 @@ class TimeSeriesStore {
   SimTime interval_;
   SimTime start_time_ = 0;
   bool begun_ = false;
+  bool detached_ = false;
   std::vector<Series> series_;
 };
 

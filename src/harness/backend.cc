@@ -312,7 +312,9 @@ BackendRunResult RunMicroTimed(BackendKind kind,
   rig.Finish(result);
   if (poller != nullptr) {
     result.has_time_series = true;
+    // The copy outlives the rig's registries: keep its buckets only.
     result.time_series = poller->store();
+    result.time_series.Detach();
   }
   result.metrics.duration = t1 - t0;
   result.wall_seconds = static_cast<double>(t1 - t0) / 1e9;

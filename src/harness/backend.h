@@ -111,6 +111,7 @@ struct BackendRunResult {
   std::vector<rt::RtEvent> events;
   /// Live time series sampled over the measurement window (kRt timed runs
   /// with rt_telemetry; feeds the report's "time_series" section).
+  /// Detached: buckets only, no pointers into the finished run's rig.
   bool has_time_series = false;
   TimeSeriesStore time_series;
   /// Per-core grant totals over the whole run (kRt; per-core MLPS extras).

@@ -92,10 +92,34 @@ std::uint32_t ParseSampleSpec(const char* spec) {
 
 }  // namespace
 
+void PrintBenchUsage(const char* program) {
+  std::printf(
+      "usage: %s [flags]\n"
+      "  --quick                 reduced sweeps and durations (CI mode)\n"
+      "  --json-dir=DIR          write BENCH_<name>.json into DIR "
+      "(default .)\n"
+      "  --trace-dir=DIR         record request traces into "
+      "DIR/TRACE_<name>.json\n"
+      "  --trace-sample=1/N      trace about one request in N\n"
+      "  --jobs=N                run independent sweep points (or, in "
+      "bench_all,\n"
+      "                          bench processes) N at a time\n"
+      "  --backend=sim|rt        substrate, for benches that run on both\n"
+      "  --controller=on|off     self-driving controller side, where a "
+      "bench has one\n"
+      "  -h, --help              print this and exit\n"
+      "Other flags are ignored here; some benches read their own.\n",
+      program);
+}
+
 BenchOptions ParseBenchOptions(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+      PrintBenchUsage(argv[0]);
+      std::exit(0);
+    }
     if (std::strcmp(arg, "--quick") == 0) {
       opts.quick = true;
     } else if (std::strncmp(arg, "--json-dir=", 11) == 0) {

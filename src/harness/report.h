@@ -76,8 +76,12 @@ struct BenchOptions {
 /// Parses `--quick`, `--json-dir=DIR` (or `--json-dir DIR`),
 /// `--trace-dir=DIR` (or `--trace-dir DIR`), `--trace-sample=1/N` (or
 /// `=N`) and `--jobs=N` (or `--jobs N`), and ignores anything else, so
-/// benches keep working under wrappers that add flags.
+/// benches keep working under wrappers that add flags. `--help` or `-h`
+/// prints PrintBenchUsage and exits 0 before anything runs.
 BenchOptions ParseBenchOptions(int argc, char** argv);
+
+/// Prints the shared bench flags to stdout.
+void PrintBenchUsage(const char* program);
 
 /// One measured configuration within a bench (a table row / curve point).
 struct BenchRun {

@@ -81,8 +81,13 @@ void RtClientPool::RunClient(ClientThread& ct) {
       continue;
     }
     idle = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (OnCompletion(ct, buf[i])) --live;
+    if (n != 0) {
+      // One clock read per nonempty poll serves every completion it
+      // popped: latency samples, backoff deadlines and next issues.
+      const SimTime now = substrate_.Now();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (OnCompletion(ct, buf[i], now)) --live;
+      }
     }
     // One flush per poll iteration: everything OnCompletion staged (next
     // acquires, commit releases, cancels) and every resumed session's
@@ -121,7 +126,9 @@ void RtClientPool::FlushStaged(ClientThread& ct) {
 }
 
 void RtClientPool::BeginTxn(ClientThread& ct, Session& s, SimTime now) {
-  s.txn.spec = s.workload->Next(s.rng);
+  // Drawn into the session's spec, so a steady-state transaction reuses
+  // its storage.
+  s.workload->NextInto(s.rng, s.txn.spec);
   // No OrderLockSet: rt conflict units are the lock ids, ordered workloads
   // already emit sorted, deduplicated sets, and unordered ones are
   // deadlock-prone on purpose (the sim runs them with
@@ -136,7 +143,8 @@ void RtClientPool::SubmitAcquire(ClientThread& ct, Session& s, SimTime now) {
   Stage(ct, RtRequest::Op::kAcquire, req, s.txn.id);
 }
 
-bool RtClientPool::OnCompletion(ClientThread& ct, const RtCompletion& comp) {
+bool RtClientPool::OnCompletion(ClientThread& ct, const RtCompletion& comp,
+                                SimTime now) {
   const int global = static_cast<int>(EngineOfTxn(comp.txn)) - 1;
   const int local = global - ct.first_session;
   NETLOCK_CHECK(local >= 0 &&
@@ -148,9 +156,6 @@ bool RtClientPool::OnCompletion(ClientThread& ct, const RtCompletion& comp) {
   // removed by the wound itself), so dropping it leaks nothing.
   if (!t.Is(comp.txn)) return false;
   const bool rec = recording_.load(std::memory_order_acquire);
-  // One clock read per completion feeds the RunMetrics recorder, the
-  // always-on sharded histograms, the backoff deadline and the next issue.
-  const SimTime now = substrate_.Now();
   if (comp.status == RtCompletion::Status::kAborted) {
     // Per-core FIFO completion order puts a grant before any wound of the
     // same entry, so an abort naming the pending lock refused the acquire
@@ -161,7 +166,9 @@ bool RtClientPool::OnCompletion(ClientThread& ct, const RtCompletion& comp) {
     } else {
       ct.driver.Wound(t, comp.txn, comp.lock, rec);
     }
+    NETLOCK_DCHECK(!s.backoff);
     s.backoff = true;
+    ++ct.backoffs;
     s.retry_at = now + config_.abort_backoff;
     return false;
   }
@@ -190,19 +197,13 @@ bool RtClientPool::OnCompletion(ClientThread& ct, const RtCompletion& comp) {
 
 std::size_t RtClientPool::ResumeBackoffs(ClientThread& ct,
                                          std::size_t& idled) {
-  bool any = false;
-  for (const Session& s : ct.sessions) {
-    if (s.backoff) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return 0;
+  if (ct.backoffs == 0) return 0;
   std::size_t resumed = 0;
   const SimTime now = substrate_.Now();
   for (Session& s : ct.sessions) {
     if (!s.backoff || now < s.retry_at) continue;
     s.backoff = false;
+    --ct.backoffs;
     if (stop_.load(std::memory_order_acquire)) {
       ++idled;
       continue;

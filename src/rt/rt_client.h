@@ -7,9 +7,12 @@
 // per-session request streams are identical across backends), acquiring
 // the locks in order, then releasing and committing. Sessions advance only
 // when the matching completion appears in the thread's completion ring, so
-// one thread drives many concurrent transactions without blocking. This
-// class is the rt scheduling around the driver: threads, polling, per-core
-// staging of every request the driver emits, and abort backoff.
+// one thread drives many concurrent transactions without blocking. A
+// thread reads the clock once per nonempty poll, and every completion the
+// poll popped shares that reading (its latency sample, its next issue
+// time). This class is the rt scheduling around the driver: threads,
+// polling, per-core staging of every request the driver emits, and abort
+// backoff.
 #pragma once
 
 #include <atomic>
@@ -129,6 +132,9 @@ class RtClientPool {
     int index = 0;
     int first_session = 0;  ///< Global index of sessions[0].
     std::vector<Session> sessions;
+    /// Sessions with backoff set; ResumeBackoffs returns at once while 0
+    /// (always, without a deadlock policy).
+    std::size_t backoffs = 0;
     /// Per-core submit staging: requests group here by target core and
     /// flush once per poll-loop iteration via RtLockService::SubmitBatch —
     /// one ring publish and one doorbell per flush instead of per request.
@@ -147,7 +153,9 @@ class RtClientPool {
   /// Flushes every nonempty per-core staging buffer with SubmitBatch.
   void FlushStaged(ClientThread& ct);
   /// Returns true when the session went idle (txn budget / stop flag).
-  bool OnCompletion(ClientThread& ct, const RtCompletion& comp);
+  /// `now` is the poll's one clock read, shared by every completion it
+  /// popped.
+  bool OnCompletion(ClientThread& ct, const RtCompletion& comp, SimTime now);
   /// Restarts sessions whose backoff expired (fresh txn id, same spec);
   /// sessions resumed after StopIssuing go idle and bump `idled` instead.
   /// Returns the number resumed.

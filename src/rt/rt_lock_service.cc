@@ -174,7 +174,10 @@ bool RtLockService::ServiceCore(int core) {
     any = true;
     c_batches_->Inc(core, 1);
     g_batch_->Set(core, n);  // hwm tracks the largest drain.
-    for (std::size_t i = 0; i < n; ++i) Process(core, c, buf[i]);
+    // One clock read per drained batch: every request in it is stamped
+    // with the drain's time (lease stamp, granted_at, recorder entries).
+    c.now = substrate_.Now();
+    for (std::size_t i = 0; i < n; ++i) Process(core, c, buf[i], c.now);
     processed += n;
   }
   // Flush staged grants before acknowledging the requests as processed, so
@@ -191,8 +194,8 @@ bool RtLockService::ServiceCore(int core) {
   return any;
 }
 
-void RtLockService::Process(int core_idx, Core& core, const RtRequest& req) {
-  const SimTime now = substrate_.Now();
+void RtLockService::Process(int core_idx, Core& core, const RtRequest& req,
+                            SimTime now) {
   if (req.op == RtRequest::Op::kAcquire) {
     c_requests_->Inc(core_idx, 1);
     if (recorder_ != nullptr) {
@@ -318,7 +321,7 @@ void RtLockService::Core::Sink::DeliverAbort(LockId lock,
       ->Inc(core, 1);
   if (svc.recorder_ != nullptr) {
     svc.recorder_->Record(core, FlightRecorder::Op::kAbort, lock, slot.mode,
-                          slot.txn_id, svc.substrate_.Now(),
+                          slot.txn_id, c.now,
                           static_cast<std::uint32_t>(slot.client_node));
   }
   // Fired before the wound's cascade grants (engine contract), so the

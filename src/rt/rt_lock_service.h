@@ -7,7 +7,10 @@
 // Requests travel from client threads to cores over SPSC rings (one per
 // (core, client) pair), are drained in batches, and run through the same
 // LockEngine the simulator's LockServer uses — the protocol logic is
-// compiled once, not forked. Blocked acquires park in the engine's per-lock
+// compiled once, not forked. Like a DPDK server paying its fixed costs
+// once per receive burst, a core reads the clock once per drained batch
+// and stamps every request in it with that time (lease stamp, granted_at,
+// recorder entries). Blocked acquires park in the engine's per-lock
 // wait queue (no core ever spins on a held lock); grants flow back through
 // per-(client, core) completion rings.
 //
@@ -63,7 +66,10 @@ struct RtCompletion {
   LockId lock = kInvalidLock;
   LockMode mode = LockMode::kExclusive;
   TxnId txn = kInvalidTxn;
-  SimTime granted_at = 0;  ///< Substrate time the grant was issued.
+  /// Substrate time of the worker's drain that issued the grant: one
+  /// clock read per drained ring batch stamps every request in it, so a
+  /// cascade grant carries the time of the drain whose release enabled it.
+  SimTime granted_at = 0;
   Status status = Status::kGranted;
   /// Valid when status == kAborted: why (no-wait / wait-die / wound).
   AbortReason reason = AbortReason::kNoWait;
@@ -206,6 +212,8 @@ class RtLockService {
     Sink sink;
     std::unique_ptr<LockEngine> engine;
     std::vector<RtEvent> events;
+    /// The current drain's clock read; the sink stamps aborts with it.
+    SimTime now = 0;
   };
 
   /// Per-core staging for completions: the sink appends here during the
@@ -220,7 +228,8 @@ class RtLockService {
   /// Pushes core's staged completions into the client rings (PushBatch,
   /// spin-with-yield on full — backpressure outside the engine cascade).
   void FlushStaged(int core);
-  void Process(int core_idx, Core& core, const RtRequest& req);
+  /// Runs one drained request; `now` is its batch's one clock read.
+  void Process(int core_idx, Core& core, const RtRequest& req, SimTime now);
   /// Stages one completion (grant or abort) for its client's ring.
   void DeliverCompletion(int core, const RtCompletion& comp,
                          std::uint32_t client);

@@ -14,9 +14,9 @@ MicroWorkload::MicroWorkload(MicroConfig config)
                 config_.shared_fraction <= 1.0);
 }
 
-TxnSpec MicroWorkload::Next(Rng& rng) {
-  TxnSpec txn;
-  txn.locks.reserve(config_.locks_per_txn);
+void MicroWorkload::NextInto(Rng& rng, TxnSpec& out) {
+  out.locks.clear();
+  out.locks.reserve(config_.locks_per_txn);
   for (std::uint32_t i = 0; i < config_.locks_per_txn; ++i) {
     LockRequest req;
     // ZipfSampler handles alpha == 0 as a single uniform draw itself, so
@@ -24,10 +24,9 @@ TxnSpec MicroWorkload::Next(Rng& rng) {
     req.lock = config_.first_lock + static_cast<LockId>(zipf_.Sample(rng));
     req.mode = rng.NextBool(config_.shared_fraction) ? LockMode::kShared
                                                      : LockMode::kExclusive;
-    txn.locks.push_back(req);
+    out.locks.push_back(req);
   }
-  NormalizeTxn(txn);
-  return txn;
+  NormalizeTxn(out);
 }
 
 UnorderedMicroWorkload::UnorderedMicroWorkload(MicroConfig config)
@@ -38,24 +37,23 @@ UnorderedMicroWorkload::UnorderedMicroWorkload(MicroConfig config)
                 config_.shared_fraction <= 1.0);
 }
 
-TxnSpec UnorderedMicroWorkload::Next(Rng& rng) {
-  TxnSpec txn;
-  txn.locks.reserve(config_.locks_per_txn);
+void UnorderedMicroWorkload::NextInto(Rng& rng, TxnSpec& out) {
+  out.locks.clear();
+  out.locks.reserve(config_.locks_per_txn);
   for (std::uint32_t i = 0; i < config_.locks_per_txn; ++i) {
     LockRequest req;
     req.lock = config_.first_lock + static_cast<LockId>(zipf_.Sample(rng));
     req.mode = rng.NextBool(config_.shared_fraction) ? LockMode::kShared
                                                      : LockMode::kExclusive;
-    txn.locks.push_back(req);
+    out.locks.push_back(req);
   }
   // Dedup (an engine must never queue the same lock twice within one txn)
   // but then shuffle: the acquisition order is the point of this workload.
-  NormalizeTxn(txn);
-  for (std::size_t i = txn.locks.size(); i > 1; --i) {
+  NormalizeTxn(out);
+  for (std::size_t i = out.locks.size(); i > 1; --i) {
     const std::size_t j = static_cast<std::size_t>(rng.NextBounded(i));
-    std::swap(txn.locks[i - 1], txn.locks[j]);
+    std::swap(out.locks[i - 1], out.locks[j]);
   }
-  return txn;
 }
 
 }  // namespace netlock

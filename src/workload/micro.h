@@ -25,7 +25,7 @@ class MicroWorkload final : public WorkloadGenerator {
  public:
   explicit MicroWorkload(MicroConfig config);
 
-  TxnSpec Next(Rng& rng) override;
+  void NextInto(Rng& rng, TxnSpec& out) override;
   LockId lock_space() const override {
     return config_.first_lock + config_.num_locks;
   }
@@ -47,7 +47,7 @@ class UnorderedMicroWorkload final : public WorkloadGenerator {
  public:
   explicit UnorderedMicroWorkload(MicroConfig config);
 
-  TxnSpec Next(Rng& rng) override;
+  void NextInto(Rng& rng, TxnSpec& out) override;
   LockId lock_space() const override {
     return config_.first_lock + config_.num_locks;
   }

@@ -24,15 +24,15 @@ ScenarioWorkload::ScenarioWorkload(ScenarioConfig config)
                 config_.shared_fraction <= 1.0);
 }
 
-TxnSpec ScenarioWorkload::Next(Rng& rng) {
+void ScenarioWorkload::NextInto(Rng& rng, TxnSpec& out) {
   if (emitted_ != 0 && emitted_ % kDriftEveryTxns == 0) {
     hot_base_ = static_cast<LockId>((hot_base_ + kDriftStep) %
                                     config_.num_locks);
   }
   ++emitted_;
 
-  TxnSpec txn;
-  txn.locks.reserve(config_.locks_per_txn);
+  out.locks.clear();
+  out.locks.reserve(config_.locks_per_txn);
   for (std::uint32_t i = 0; i < config_.locks_per_txn; ++i) {
     LockRequest req;
     if (rng.NextBool(config_.hot_fraction)) {
@@ -45,16 +45,15 @@ TxnSpec ScenarioWorkload::Next(Rng& rng) {
     }
     req.mode = rng.NextBool(config_.shared_fraction) ? LockMode::kShared
                                                      : LockMode::kExclusive;
-    txn.locks.push_back(req);
+    out.locks.push_back(req);
   }
-  NormalizeTxn(txn);
+  NormalizeTxn(out);
   if (config_.unordered) {
-    for (std::size_t i = txn.locks.size(); i > 1; --i) {
+    for (std::size_t i = out.locks.size(); i > 1; --i) {
       const std::size_t j = static_cast<std::size_t>(rng.NextBounded(i));
-      std::swap(txn.locks[i - 1], txn.locks[j]);
+      std::swap(out.locks[i - 1], out.locks[j]);
     }
   }
-  return txn;
 }
 
 }  // namespace netlock

@@ -37,7 +37,7 @@ class ScenarioWorkload final : public WorkloadGenerator {
  public:
   explicit ScenarioWorkload(ScenarioConfig config);
 
-  TxnSpec Next(Rng& rng) override;
+  void NextInto(Rng& rng, TxnSpec& out) override;
   LockId lock_space() const override { return config_.num_locks; }
 
   const ScenarioConfig& config() const { return config_; }

@@ -87,40 +87,38 @@ std::uint32_t TpccWorkload::NonUniform(Rng& rng, std::uint32_t a,
   return (x | y) % n;
 }
 
-TxnSpec TpccWorkload::Next(Rng& rng) {
-  TxnSpec txn;
+void TpccWorkload::NextInto(Rng& rng, TxnSpec& out) {
+  out.locks.clear();
   switch (SampleType(rng)) {
     case TpccTxnType::kNewOrder:
-      txn = NewOrder(rng);
+      NewOrder(rng, out.locks);
       break;
     case TpccTxnType::kPayment:
-      txn = Payment(rng);
+      Payment(rng, out.locks);
       break;
     case TpccTxnType::kOrderStatus:
-      txn = OrderStatus(rng);
+      OrderStatus(rng, out.locks);
       break;
     case TpccTxnType::kDelivery:
-      txn = Delivery(rng);
+      Delivery(rng, out.locks);
       break;
     case TpccTxnType::kStockLevel:
-      txn = StockLevel(rng);
+      StockLevel(rng, out.locks);
       break;
   }
-  NormalizeTxn(txn);
-  return txn;
+  NormalizeTxn(out);
 }
 
-TxnSpec TpccWorkload::NewOrder(Rng& rng) {
+void TpccWorkload::NewOrder(Rng& rng, std::vector<LockRequest>& locks) {
   // Reads warehouse tax, appends to the district's order sequence
   // (exclusive on the district row), reads the customer, and for each of
   // 5-15 order lines reads the item and updates the stock row.
-  TxnSpec txn;
   const std::uint32_t w = config_.home_warehouse;
   const std::uint32_t d =
       static_cast<std::uint32_t>(rng.NextBounded(kDistrictsPerWarehouse));
-  txn.locks.push_back({WarehouseLock(w), LockMode::kShared});
-  txn.locks.push_back({DistrictLock(w, d), LockMode::kExclusive});
-  txn.locks.push_back(
+  locks.push_back({WarehouseLock(w), LockMode::kShared});
+  locks.push_back({DistrictLock(w, d), LockMode::kExclusive});
+  locks.push_back(
       {CustomerLock(w, d, NonUniform(rng, 1023, kCustomersPerDistrict)),
        LockMode::kShared});
   const std::uint32_t ol_cnt =
@@ -135,20 +133,18 @@ TxnSpec TpccWorkload::NewOrder(Rng& rng) {
       } while (supply_w == w);
     }
     if (config_.lock_items) {
-      txn.locks.push_back({ItemLock(item), LockMode::kShared});
+      locks.push_back({ItemLock(item), LockMode::kShared});
     }
     if (config_.lock_stock) {
-      txn.locks.push_back({StockLock(supply_w, item), LockMode::kExclusive});
+      locks.push_back({StockLock(supply_w, item), LockMode::kExclusive});
     }
   }
-  return txn;
 }
 
-TxnSpec TpccWorkload::Payment(Rng& rng) {
+void TpccWorkload::Payment(Rng& rng, std::vector<LockRequest>& locks) {
   // Updates warehouse and district YTD (both exclusive — this is what makes
   // the warehouse row the hottest lock under high contention) and the
   // customer balance.
-  TxnSpec txn;
   const std::uint32_t w = config_.home_warehouse;
   const std::uint32_t d =
       static_cast<std::uint32_t>(rng.NextBounded(kDistrictsPerWarehouse));
@@ -160,59 +156,52 @@ TxnSpec TpccWorkload::Payment(Rng& rng) {
     } while (cw == w);
     cd = static_cast<std::uint32_t>(rng.NextBounded(kDistrictsPerWarehouse));
   }
-  txn.locks.push_back({WarehouseLock(w), LockMode::kExclusive});
-  txn.locks.push_back({DistrictLock(w, d), LockMode::kExclusive});
-  txn.locks.push_back(
+  locks.push_back({WarehouseLock(w), LockMode::kExclusive});
+  locks.push_back({DistrictLock(w, d), LockMode::kExclusive});
+  locks.push_back(
       {CustomerLock(cw, cd, NonUniform(rng, 1023, kCustomersPerDistrict)),
        LockMode::kExclusive});
-  return txn;
 }
 
-TxnSpec TpccWorkload::OrderStatus(Rng& rng) {
+void TpccWorkload::OrderStatus(Rng& rng, std::vector<LockRequest>& locks) {
   // Reads a customer and their latest order (order rows are per-district
   // appends; the read rides the district row shared).
-  TxnSpec txn;
   const std::uint32_t w = config_.home_warehouse;
   const std::uint32_t d =
       static_cast<std::uint32_t>(rng.NextBounded(kDistrictsPerWarehouse));
-  txn.locks.push_back(
+  locks.push_back(
       {CustomerLock(w, d, NonUniform(rng, 1023, kCustomersPerDistrict)),
        LockMode::kShared});
-  txn.locks.push_back({DistrictLock(w, d), LockMode::kShared});
-  return txn;
+  locks.push_back({DistrictLock(w, d), LockMode::kShared});
 }
 
-TxnSpec TpccWorkload::Delivery(Rng& rng) {
+void TpccWorkload::Delivery(Rng& rng, std::vector<LockRequest>& locks) {
   // Delivery is deferred-executed in TPC-C (queued and processed
   // asynchronously, district by district); locking all ten districts in
   // one transaction would serialize the entire warehouse. Model the
   // deferred executor's unit of work: one district's oldest order.
-  TxnSpec txn;
   const std::uint32_t w = config_.home_warehouse;
   const std::uint32_t d =
       static_cast<std::uint32_t>(rng.NextBounded(kDistrictsPerWarehouse));
-  txn.locks.push_back({DistrictLock(w, d), LockMode::kExclusive});
-  txn.locks.push_back(
+  locks.push_back({DistrictLock(w, d), LockMode::kExclusive});
+  locks.push_back(
       {CustomerLock(w, d, NonUniform(rng, 1023, kCustomersPerDistrict)),
        LockMode::kExclusive});
-  return txn;
 }
 
-TxnSpec TpccWorkload::StockLevel(Rng& rng) {
+void TpccWorkload::StockLevel(Rng& rng, std::vector<LockRequest>& locks) {
   // Examines recent order lines' stock levels: shared on the district
   // sequence and on a batch of stock rows.
-  TxnSpec txn;
   const std::uint32_t w = config_.home_warehouse;
   const std::uint32_t d =
       static_cast<std::uint32_t>(rng.NextBounded(kDistrictsPerWarehouse));
-  txn.locks.push_back({DistrictLock(w, d), LockMode::kShared});
+  locks.push_back({DistrictLock(w, d), LockMode::kShared});
   if (config_.lock_stock) {
     for (int i = 0; i < 20; ++i) {
-      txn.locks.push_back(
+      locks.push_back(
           {StockLock(w, NonUniform(rng, 8191, kItems)), LockMode::kShared});
     }
   }
-  return txn;
 }
 
 }  // namespace netlock

@@ -64,7 +64,7 @@ class TpccWorkload final : public WorkloadGenerator {
  public:
   explicit TpccWorkload(TpccConfig config);
 
-  TxnSpec Next(Rng& rng) override;
+  void NextInto(Rng& rng, TxnSpec& out) override;
   LockId lock_space() const override { return total_locks_; }
 
   /// Lock id helpers (exposed for tests and allocation analysis).
@@ -85,11 +85,12 @@ class TpccWorkload final : public WorkloadGenerator {
   const TpccConfig& config() const { return config_; }
 
  private:
-  TxnSpec NewOrder(Rng& rng);
-  TxnSpec Payment(Rng& rng);
-  TxnSpec OrderStatus(Rng& rng);
-  TxnSpec Delivery(Rng& rng);
-  TxnSpec StockLevel(Rng& rng);
+  /// Each appends one transaction type's lock requests to `locks`.
+  void NewOrder(Rng& rng, std::vector<LockRequest>& locks);
+  void Payment(Rng& rng, std::vector<LockRequest>& locks);
+  void OrderStatus(Rng& rng, std::vector<LockRequest>& locks);
+  void Delivery(Rng& rng, std::vector<LockRequest>& locks);
+  void StockLevel(Rng& rng, std::vector<LockRequest>& locks);
 
   /// NURand-style non-uniform row selection (hot rows within a table).
   std::uint32_t NonUniform(Rng& rng, std::uint32_t a, std::uint32_t n) const;

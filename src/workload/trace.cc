@@ -20,10 +20,10 @@ TraceWorkload::TraceWorkload(std::vector<TxnSpec> txns,
   }
 }
 
-TxnSpec TraceWorkload::Next(Rng& /*rng*/) {
+void TraceWorkload::NextInto(Rng& /*rng*/, TxnSpec& out) {
   const TxnSpec& txn = txns_[next_];
   next_ = (next_ + 1) % txns_.size();
-  return txn;
+  out.locks.assign(txn.locks.begin(), txn.locks.end());
 }
 
 std::vector<TxnSpec> TraceWorkload::Parse(std::istream& in) {

@@ -41,7 +41,7 @@ class TraceWorkload final : public WorkloadGenerator {
   static std::vector<TxnSpec> Record(WorkloadGenerator& source, Rng& rng,
                                      std::size_t count);
 
-  TxnSpec Next(Rng& rng) override;
+  void NextInto(Rng& rng, TxnSpec& out) override;
   LockId lock_space() const override { return lock_space_; }
 
   std::size_t size() const { return txns_.size(); }

@@ -29,11 +29,23 @@ class WorkloadGenerator {
  public:
   virtual ~WorkloadGenerator() = default;
 
-  /// Produces the next transaction's lock set. Lock ids within a
-  /// transaction are sorted and deduplicated (deadlock avoidance by global
-  /// ordering — the standard discipline; the paper additionally relies on
-  /// leases to break deadlocks from undisciplined clients).
-  virtual TxnSpec Next(Rng& rng) = 0;
+  /// Draws the next transaction's lock set into `out`: clears it, then
+  /// refills it, so a caller that keeps one spec per session reuses its
+  /// storage and a steady-state draw allocates nothing. Nothing of `out`'s
+  /// previous contents survives, and the RNG draws (hence the lock set) are
+  /// exactly those a fresh Next() makes. Lock ids within a transaction are
+  /// sorted and deduplicated (deadlock avoidance by global ordering — the
+  /// standard discipline; the paper additionally relies on leases to break
+  /// deadlocks from undisciplined clients) unless the generator documents
+  /// a deliberately unordered set.
+  virtual void NextInto(Rng& rng, TxnSpec& out) = 0;
+
+  /// NextInto a fresh spec.
+  TxnSpec Next(Rng& rng) {
+    TxnSpec txn;
+    NextInto(rng, txn);
+    return txn;
+  }
 
   /// Number of distinct lock ids this workload can touch (used by control
   /// planes to size directories).

@@ -12,18 +12,17 @@ YcsbWorkload::YcsbWorkload(YcsbConfig config)
                 config_.write_fraction <= 1.0);
 }
 
-TxnSpec YcsbWorkload::Next(Rng& rng) {
-  TxnSpec txn;
-  txn.locks.reserve(config_.keys_per_txn);
+void YcsbWorkload::NextInto(Rng& rng, TxnSpec& out) {
+  out.locks.clear();
+  out.locks.reserve(config_.keys_per_txn);
   for (std::uint32_t i = 0; i < config_.keys_per_txn; ++i) {
     LockRequest req;
     req.lock = config_.first_key + static_cast<LockId>(zipf_.Sample(rng));
     req.mode = rng.NextBool(config_.write_fraction) ? LockMode::kExclusive
                                                     : LockMode::kShared;
-    txn.locks.push_back(req);
+    out.locks.push_back(req);
   }
-  NormalizeTxn(txn);
-  return txn;
+  NormalizeTxn(out);
 }
 
 }  // namespace netlock

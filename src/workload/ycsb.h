@@ -24,7 +24,7 @@ class YcsbWorkload final : public WorkloadGenerator {
  public:
   explicit YcsbWorkload(YcsbConfig config);
 
-  TxnSpec Next(Rng& rng) override;
+  void NextInto(Rng& rng, TxnSpec& out) override;
   LockId lock_space() const override {
     return config_.first_key + config_.num_keys;
   }

@@ -229,12 +229,10 @@ class ListWorkload final : public WorkloadGenerator {
   ListWorkload(const std::vector<LockId>* locks, LockId space)
       : locks_(locks), space_(space) {}
 
-  TxnSpec Next(Rng& rng) override {
-    TxnSpec txn;
+  void NextInto(Rng& rng, TxnSpec& out) override {
     const std::size_t i =
         static_cast<std::size_t>(rng.NextBounded(locks_->size()));
-    txn.locks.push_back(LockRequest{(*locks_)[i], LockMode::kExclusive});
-    return txn;
+    out.locks.assign(1, LockRequest{(*locks_)[i], LockMode::kExclusive});
   }
   LockId lock_space() const override { return space_; }
 

@@ -126,13 +126,12 @@ class SometimesEmptyWorkload : public WorkloadGenerator {
   explicit SometimesEmptyWorkload(double empty_fraction)
       : empty_fraction_(empty_fraction) {}
 
-  TxnSpec Next(Rng& rng) override {
-    TxnSpec spec;
+  void NextInto(Rng& rng, TxnSpec& out) override {
+    out.locks.clear();
     if (!rng.NextBool(empty_fraction_)) {
-      spec.locks.push_back({static_cast<LockId>(rng.NextBounded(16)),
-                            LockMode::kExclusive});
+      out.locks.push_back({static_cast<LockId>(rng.NextBounded(16)),
+                           LockMode::kExclusive});
     }
-    return spec;
   }
 
   LockId lock_space() const override { return 16; }

@@ -77,6 +77,19 @@ TEST(BenchOptionsTest, DefaultsAndFlags) {
   }
 }
 
+// --help and -h print the shared flags (stdout) and exit 0 before a bench
+// can run anything.
+TEST(BenchOptionsTest, HelpExitsZero) {
+  for (const char* flag : {"--help", "-h"}) {
+    char arg0[] = "bench";
+    char arg1[] = "--quick";
+    std::string help = flag;
+    char* argv[] = {arg0, arg1, help.data()};
+    EXPECT_EXIT(ParseBenchOptions(3, argv), testing::ExitedWithCode(0), "")
+        << flag;
+  }
+}
+
 TEST(BenchReportTest, JsonHasSchemaKeysAndRuns) {
   BenchOptions opts;
   opts.quick = true;

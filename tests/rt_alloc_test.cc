@@ -3,19 +3,26 @@
 // table, the slab pool, and the staging buffers to working size, a
 // submit -> drain -> grant -> poll -> release loop must perform ZERO global
 // operator new/delete calls. This is the acceptance gate for the
-// flat-table LockEngine and the staged-completion service path. A second
-// gate bounds the heap bytes an idle owned lock costs the engine, and a
-// third the bytes a latency sample costs the clients' recorders.
+// flat-table LockEngine and the staged-completion service path. The same
+// gate covers the whole closed loop with the client pool driving it: a
+// transaction is drawn into its session's reused spec. A second gate
+// bounds the heap bytes an idle owned lock costs the engine, and a third
+// the bytes a latency sample costs the clients' recorders.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <thread>
 
 #include "common/stats.h"
 #include "core/lock_engine.h"
+#include "rt/rt_client.h"
 #include "rt/rt_lock_service.h"
 #include "substrate/execution_substrate.h"
+#include "workload/micro.h"
 
 namespace {
 
@@ -228,6 +235,75 @@ TEST(RtAllocTest, RtServiceSteadyStateIsAllocationFree) {
   EXPECT_EQ(stats.grants, static_cast<std::uint64_t>(564) * kBatch);
   EXPECT_EQ(stats.staged_completions, stats.grants);  // All staged path.
   EXPECT_EQ(service.TotalQueueDepth(), 0u);
+}
+
+// The closed loop with the client pool driving it: micro-workload sessions
+// draw each transaction into their reused spec, stage and flush requests,
+// poll completions and commit, against live worker cores. With recording
+// off (the RunMetrics recorders grow with their samples by design), once
+// the lock table, slab and staging buffers reach working size, a window in
+// which thousands of transactions commit performs ZERO heap allocations —
+// with the always-on telemetry (sharded histograms, flight recorder) and
+// without it.
+void ExpectClientPoolSteadyStateAllocationFree(std::uint32_t locks_per_txn,
+                                               bool telemetry) {
+  SCOPED_TRACE(testing::Message() << "locks_per_txn=" << locks_per_txn
+                                  << " telemetry=" << telemetry);
+  RtSubstrate substrate;
+  rt::RtLockService::Options options;
+  options.cores = 2;
+  options.num_clients = 2;
+  options.telemetry = telemetry;
+  rt::RtLockService service(options, substrate);
+  rt::RtClientConfig client_config;
+  client_config.sessions_per_client = 4;
+  client_config.telemetry = telemetry;
+  MicroConfig micro;
+  micro.num_locks = 256;
+  micro.locks_per_txn = locks_per_txn;
+  rt::RtClientPool pool(service, substrate, client_config, [&](int) {
+    return std::make_unique<MicroWorkload>(micro);
+  });
+
+  // The live grant count (sharded relaxed cells) paces the test thread,
+  // which itself allocates nothing while it waits.
+  const auto wait_for_grants = [&](std::uint64_t target) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (service.TotalStats().grants < target) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+  };
+  constexpr std::uint64_t kWarmupGrants = 20'000;
+  constexpr std::uint64_t kWindowGrants = 20'000;
+
+  service.Start();
+  pool.Start();
+  ASSERT_TRUE(wait_for_grants(kWarmupGrants)) << "warm-up stalled";
+  const std::uint64_t grants_before = service.TotalStats().grants;
+  const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
+  const bool advanced = wait_for_grants(grants_before + kWindowGrants);
+  const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
+  pool.StopIssuing();
+  pool.Join();
+  service.Stop();
+
+  ASSERT_TRUE(advanced) << "the measured window stalled";
+  EXPECT_EQ(news_after - news_before, 0u)
+      << "client pool steady state allocated on the heap";
+  EXPECT_GE(pool.TotalCommits(),
+            (kWarmupGrants + kWindowGrants) / locks_per_txn);
+  EXPECT_EQ(service.TotalQueueDepth(), 0u);
+}
+
+TEST(RtAllocTest, RtClientPoolSteadyStateIsAllocationFree) {
+  for (const bool telemetry : {true, false}) {
+    for (const std::uint32_t locks_per_txn : {1u, 2u}) {
+      ExpectClientPoolSteadyStateAllocationFree(locks_per_txn, telemetry);
+    }
+  }
 }
 
 }  // namespace

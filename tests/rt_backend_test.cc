@@ -245,6 +245,32 @@ TEST(RtBackendTest, TimedRunCarriesTimeSeries) {
   EXPECT_TRUE(found_grants);
 }
 
+// The returned time series outlives the rig whose registries it watched:
+// it holds buckets only. Every reader works on every bucket (ASan builds
+// catch any read that still reaches the freed rig), and sampling it again
+// fails loudly instead of reading freed instruments.
+TEST(RtBackendTest, TimedRunTimeSeriesHoldsBucketsOnly) {
+  SimContext context;
+  BackendRunConfig config = SmallRun();
+  config.context = &context;
+  config.rt_poll_interval = 5'000'000;  // 5 ms buckets.
+  BackendRunResult result = RunMicroTimed(
+      BackendKind::kRt, config, /*warmup=*/5'000'000, /*measure=*/30'000'000);
+  ASSERT_TRUE(result.has_time_series);
+  TimeSeriesStore& ts = result.time_series;
+  ASSERT_GT(ts.num_buckets(), 0u);
+  double sum = 0.0;
+  for (std::size_t s = 0; s < ts.num_series(); ++s) {
+    EXPECT_FALSE(ts.series_name(s).empty());
+    for (std::size_t b = 0; b < ts.num_buckets(); ++b) {
+      sum += ts.Value(s, b) + static_cast<double>(ts.Delta(s, b)) +
+             ts.BucketTimeSeconds(b);
+    }
+  }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_DEATH(ts.Tick(), "CHECK");
+}
+
 TEST(RtBackendTest, TelemetryOffStillCountsAndSkipsHistograms) {
   SimContext context;
   BackendRunConfig config = SmallRun();

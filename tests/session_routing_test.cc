@@ -87,7 +87,7 @@ class CoarseSession : public LockSession {
 class FixedWorkload : public WorkloadGenerator {
  public:
   explicit FixedWorkload(TxnSpec spec) : spec_(std::move(spec)) {}
-  TxnSpec Next(Rng&) override { return spec_; }
+  void NextInto(Rng&, TxnSpec& out) override { out = spec_; }
   LockId lock_space() const override { return 100; }
 
  private:

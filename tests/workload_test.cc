@@ -1,14 +1,17 @@
 // Tests for the workload generators: normalization, microbenchmark
 // parameters, TPC-C structure (mix, lock-id packing, modes, contention
-// settings), and the deadlock scenario's drifting hot window.
+// settings), the deadlock scenario's drifting hot window, and NextInto's
+// reuse contract across every generator.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 
 #include "workload/micro.h"
 #include "workload/scenario.h"
 #include "workload/tpcc.h"
+#include "workload/trace.h"
 #include "workload/ycsb.h"
 
 namespace netlock {
@@ -329,6 +332,88 @@ TEST(ScenarioWorkloadTest, HotWindowDriftsEvery200Txns) {
       EXPECT_LT(req.lock, base + 16) << "txn " << txn;
     }
   }
+}
+
+// NextInto into one reused spec draws exactly what fresh Next calls draw:
+// two generators built alike, two Rngs seeded alike, 1 000 transactions,
+// every lock set equal — whatever the reused spec held before — and the
+// Rngs end in the same state (same number of draws).
+template <typename Make>
+void ExpectNextIntoMatchesNext(Make make) {
+  const std::unique_ptr<WorkloadGenerator> fresh = make();
+  const std::unique_ptr<WorkloadGenerator> reused = make();
+  Rng fresh_rng(4242);
+  Rng reused_rng(4242);
+  TxnSpec spec;
+  spec.locks = {{999'999, LockMode::kShared},
+                {3, LockMode::kExclusive},
+                {77'777, LockMode::kShared},
+                {1, LockMode::kExclusive},
+                {123'456, LockMode::kExclusive}};
+  for (int i = 0; i < 1000; ++i) {
+    const TxnSpec want = fresh->Next(fresh_rng);
+    reused->NextInto(reused_rng, spec);
+    ASSERT_EQ(spec.locks, want.locks) << "txn " << i;
+  }
+  EXPECT_EQ(fresh_rng(), reused_rng());
+}
+
+TEST(NextIntoTest, MicroMatchesNext) {
+  MicroConfig config;
+  config.num_locks = 500;
+  config.locks_per_txn = 4;
+  config.shared_fraction = 0.3;
+  config.zipf_alpha = 0.9;
+  ExpectNextIntoMatchesNext(
+      [&] { return std::make_unique<MicroWorkload>(config); });
+}
+
+TEST(NextIntoTest, UnorderedMicroMatchesNext) {
+  MicroConfig config;
+  config.num_locks = 64;
+  config.locks_per_txn = 5;
+  config.shared_fraction = 0.2;
+  ExpectNextIntoMatchesNext(
+      [&] { return std::make_unique<UnorderedMicroWorkload>(config); });
+}
+
+TEST(NextIntoTest, TpccMatchesNext) {
+  TpccConfig config;
+  config.warehouses = 4;
+  config.home_warehouse = 2;
+  ExpectNextIntoMatchesNext(
+      [&] { return std::make_unique<TpccWorkload>(config); });
+}
+
+TEST(NextIntoTest, YcsbMatchesNext) {
+  YcsbConfig config;
+  config.num_keys = 10'000;
+  config.keys_per_txn = 3;
+  config.write_fraction = 0.5;
+  ExpectNextIntoMatchesNext(
+      [&] { return std::make_unique<YcsbWorkload>(config); });
+}
+
+TEST(NextIntoTest, ScenarioMatchesNext) {
+  ScenarioConfig config;
+  config.num_locks = 1000;
+  config.shared_fraction = 0.25;
+  ExpectNextIntoMatchesNext(
+      [&] { return std::make_unique<ScenarioWorkload>(config); });
+}
+
+TEST(NextIntoTest, TraceMatchesNext) {
+  MicroConfig source_config;
+  source_config.num_locks = 200;
+  source_config.locks_per_txn = 3;
+  source_config.shared_fraction = 0.5;
+  MicroWorkload source(source_config);
+  Rng source_rng(5);
+  // 97 transactions: the 1 000 draws wrap the trace several times.
+  const std::vector<TxnSpec> txns =
+      TraceWorkload::Record(source, source_rng, 97);
+  ExpectNextIntoMatchesNext(
+      [&] { return std::make_unique<TraceWorkload>(txns, 11); });
 }
 
 }  // namespace
