@@ -52,10 +52,12 @@ void NetLockSession::Release(LockId lock, LockMode mode, TxnId txn) {
   NodeId target = RouteFor(lock);
   SimTime granted_at = 0;
   bool have_grant_time = false;
+  Priority priority = 0;
   const auto src = grant_source_.find(std::make_pair(lock, txn));
   if (src != grant_source_.end()) {
     if (src->second.source != kInvalidNode) target = src->second.source;
     granted_at = src->second.granted_at;
+    priority = src->second.priority;
     have_grant_time = true;
     grant_source_.erase(src);
   }
@@ -77,6 +79,7 @@ void NetLockSession::Release(LockId lock, LockMode mode, TxnId txn) {
   hdr.op = LockOp::kRelease;
   hdr.lock_id = lock;
   hdr.mode = mode;
+  hdr.priority = priority;
   hdr.txn_id = txn;
   hdr.client_node = node_;
   hdr.timestamp = now;
@@ -260,6 +263,7 @@ void NetLockSession::OnPacket(const Packet& pkt) {
       release.op = LockOp::kRelease;
       release.lock_id = hdr->lock_id;
       release.mode = hdr->mode;
+      release.priority = hdr->priority;
       release.txn_id = hdr->txn_id;
       release.client_node = node_;
       // Fresh nonce: this ghost release must NOT be deduplicated against
@@ -279,6 +283,7 @@ void NetLockSession::OnPacket(const Packet& pkt) {
     GrantInfo info;
     if (hdr->op == LockOp::kGrant) info.source = pkt.src;
     info.granted_at = machine_.net().sim().now();
+    info.priority = hdr->priority;
     grant_source_[std::make_pair(hdr->lock_id, hdr->txn_id)] = info;
     if (trace_->Sampled(hdr->lock_id, hdr->txn_id)) {
       const SimTime now = machine_.net().sim().now();

@@ -235,6 +235,9 @@ class NetLockSession : public LockSession {
     NodeId source = kInvalidNode;
     /// Local arrival time of the grant, anchoring the lease discipline.
     SimTime granted_at = 0;
+    /// The granted entry's priority; the release names it so the switch
+    /// pops the holder's own class ring (§4.4).
+    Priority priority = 0;
   };
 
   /// Where and when each held lock's grant arrived: releases are sent back

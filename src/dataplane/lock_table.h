@@ -13,6 +13,7 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -85,8 +86,12 @@ struct SwitchLockEntry {
   LockId lock_id = kInvalidLock;
   std::uint32_t meta_index = 0;      ///< Index into the meta register arrays.
   NodeId home_server = kInvalidNode; ///< Server holding this lock's q2.
-  /// Region per priority class (single-element for the default path).
+  /// Region per priority class (one element with a single class).
   PerPriority<LockBounds> regions;
+  /// Being moved off the switch (§4.3): new requests are forwarded to the
+  /// home server buffer-only until the queue drains. A (re)install starts
+  /// unpaused.
+  bool paused = false;
 };
 
 /// Directory of switch-resident locks plus the home-server map for locks the
@@ -108,6 +113,9 @@ class SwitchLockTable {
   void Remove(LockId lock);
 
   const SwitchLockEntry* Find(LockId lock) const;
+  SwitchLockEntry* Find(LockId lock) {
+    return const_cast<SwitchLockEntry*>(std::as_const(*this).Find(lock));
+  }
 
   /// Home server for any lock (installed or not); kInvalidNode if unmapped.
   NodeId HomeServer(LockId lock) const;

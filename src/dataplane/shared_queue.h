@@ -56,6 +56,13 @@ class SharedQueue {
     return next == bounds.right ? bounds.left : next;
   }
 
+  /// The index `steps` positions after `index`, circularly within bounds.
+  static std::uint32_t Advance(std::uint32_t index, std::uint32_t steps,
+                               const LockBounds& bounds) {
+    NETLOCK_DCHECK(index >= bounds.left && index < bounds.right);
+    return bounds.left + (index - bounds.left + steps) % bounds.size();
+  }
+
  private:
   std::uint32_t capacity_;
   std::uint32_t array_size_;

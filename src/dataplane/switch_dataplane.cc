@@ -10,6 +10,13 @@ namespace {
 // Register sizes fixed when the P4 program is compiled.
 constexpr std::uint16_t kMaxTenants = 64;            ///< Quota-table cells.
 constexpr std::uint32_t kReleaseFilterSlots = 4096;  ///< Dedup-filter cells.
+
+/// Queued entries of a lock: the sum over its classes' rings.
+std::uint32_t Entries(std::span<const LockMeta> lanes) {
+  std::uint32_t entries = 0;
+  for (const LockMeta& lane : lanes) entries += lane.ring.count;
+  return entries;
+}
 }  // namespace
 
 // Overflow protocol (paper Section 4.3, "Handling overflowed requests"),
@@ -67,36 +74,22 @@ LockSwitch::LockSwitch(Network& net, LockSwitchConfig config)
   // filter first, so a retransmitted copy never reaches the queue RMW.
   release_filter_ = std::make_unique<RegisterArray<std::uint64_t>>(
       pipeline_, /*stage=*/0, kReleaseFilterSlots);
-  if (config_.num_priorities == 1) {
-    bounds_ = std::make_unique<RegisterArray<LockBounds>>(
-        pipeline_, /*stage=*/0, config_.max_locks);
-    meta_ = std::make_unique<RegisterArray<LockMeta>>(pipeline_, /*stage=*/1,
-                                                      config_.max_locks);
-    queue_ = std::make_unique<SharedQueue>(pipeline_, /*first_stage=*/2,
-                                           config_.queue_capacity,
-                                           config_.array_size);
-  } else {
-    // Priority layout: aggregate decision register at stage 1, one queue-
-    // metadata register per class in stages 2..1+P (the paper's "one queue
-    // in each stage for one priority"), slots after them.
-    agg_ = std::make_unique<RegisterArray<AggState>>(pipeline_, /*stage=*/1,
-                                                     config_.max_locks);
-    for (int p = 0; p < config_.num_priorities; ++p) {
-      prio_bounds_.push_back(std::make_unique<RegisterArray<LockBounds>>(
-          pipeline_, /*stage=*/0, config_.max_locks));
-      prio_meta_.push_back(std::make_unique<RegisterArray<PrioMeta>>(
-          pipeline_, /*stage=*/2 + p, config_.max_locks));
-    }
-    queue_ = std::make_unique<SharedQueue>(
-        pipeline_, /*first_stage=*/2 + config_.num_priorities,
-        config_.queue_capacity, config_.array_size);
-  }
+  // Stage 0: each lock's per-class region boundaries; stage 1: its
+  // per-class queue-metadata lanes; the shared-queue arrays after them.
+  const std::size_t cells =
+      std::size_t{config_.max_locks} * config_.num_priorities;
+  bounds_ = std::make_unique<RegisterArray<LockBounds>>(pipeline_,
+                                                        /*stage=*/0, cells);
+  meta_ = std::make_unique<RegisterArray<LockMeta>>(pipeline_, /*stage=*/1,
+                                                    cells);
+  queue_ = std::make_unique<SharedQueue>(pipeline_, /*first_stage=*/2,
+                                         config_.queue_capacity,
+                                         config_.array_size);
 }
 
 bool LockSwitch::InstallLock(LockId lock, NodeId home_server,
                              std::uint32_t slots, bool suspended) {
   NETLOCK_CHECK(slots >= 1);
-  NETLOCK_CHECK(!suspended || config_.num_priorities == 1);
   // Split across priority classes, at least one slot each (one class gets
   // exactly `slots`). The remainder is spread over the first (highest-
   // priority) classes so the split sums to max(slots, p).
@@ -109,56 +102,41 @@ bool LockSwitch::InstallLock(LockId lock, NodeId home_server,
   const SwitchLockEntry* entry = table_.Install(lock, home_server, split);
   if (entry == nullptr) return false;
 
-  if (config_.num_priorities == 1) {
-    const LockBounds& bounds = entry->regions[0];
-    bounds_->ControlWrite(entry->meta_index, bounds);
-    LockMeta meta;
-    meta.head = bounds.left;
-    meta.tail = bounds.left;
-    meta.suspended = suspended;
-    meta_->ControlWrite(entry->meta_index, meta);
-  } else {
-    agg_->ControlWrite(entry->meta_index, AggState{});
-    for (int p = 0; p < config_.num_priorities; ++p) {
-      const LockBounds& bounds = entry->regions[p];
-      // The PrioMeta mode bitmask covers one 64-bit register.
-      NETLOCK_CHECK(bounds.size() <= 64);
-      prio_bounds_[p]->ControlWrite(entry->meta_index, bounds);
-      PrioMeta meta;
-      meta.head = bounds.left;
-      meta.tail = bounds.left;
-      prio_meta_[p]->ControlWrite(entry->meta_index, meta);
-    }
+  const std::size_t row = RowOf(*entry);
+  const std::span<LockMeta> lanes = meta_->ControlRow(row, p);
+  for (std::uint32_t c = 0; c < p; ++c) {
+    const LockBounds& bounds = entry->regions[c];
+    bounds_->ControlWrite(row + c, bounds);
+    lanes[c] = LockMeta{};
+    lanes[c].ring.head = bounds.left;
+    lanes[c].ring.tail = bounds.left;
   }
+  lanes[0].suspended = suspended;
   return true;
 }
 
 void LockSwitch::PauseLock(LockId lock, bool paused) {
-  NETLOCK_CHECK(table_.Find(lock) != nullptr);
-  paused_[lock] = paused;
+  SwitchLockEntry* entry = table_.Find(lock);
+  NETLOCK_CHECK(entry != nullptr);
+  entry->paused = paused;
 }
 
 bool LockSwitch::QueueEmpty(LockId lock) const {
   const SwitchLockEntry* entry = table_.Find(lock);
   NETLOCK_CHECK(entry != nullptr);
-  if (config_.num_priorities == 1) {
-    return meta_->ControlRead(entry->meta_index).count == 0;
-  }
-  const AggState& agg = agg_->ControlRead(entry->meta_index);
-  return agg.holders == 0 && agg.waiting_total == 0;
+  return Entries(meta_->ControlRow(RowOf(*entry), config_.num_priorities)) ==
+         0;
 }
 
 void LockSwitch::RemoveLock(LockId lock) {
   NETLOCK_CHECK(QueueEmpty(lock));
   table_.Remove(lock);
-  paused_.erase(lock);
 }
 
 void LockSwitch::Fail() { failed_ = true; }
 
 void LockSwitch::ConfigureChainHead(NodeId tail) {
   NETLOCK_CHECK(tail != kInvalidNode);
-  NETLOCK_CHECK(config_.num_priorities == 1);  // Chain: default path only.
   chain_next_ = tail;
   suppress_emissions_ = true;
   src_override_ = kInvalidNode;
@@ -190,19 +168,10 @@ void LockSwitch::Restart() {
   for (std::uint32_t i = 0; i < kReleaseFilterSlots; ++i) {
     release_filter_->ControlWrite(i, 0);
   }
-  for (std::uint32_t i = 0; i < config_.max_locks; ++i) {
-    if (config_.num_priorities == 1) {
-      meta_->ControlWrite(i, LockMeta{});
-      bounds_->ControlWrite(i, LockBounds{});
-    } else {
-      agg_->ControlWrite(i, AggState{});
-      for (int p = 0; p < config_.num_priorities; ++p) {
-        prio_bounds_[p]->ControlWrite(i, LockBounds{});
-        prio_meta_[p]->ControlWrite(i, PrioMeta{});
-      }
-    }
+  for (std::size_t i = 0; i < bounds_->size(); ++i) {
+    meta_->ControlWrite(i, LockMeta{});
+    bounds_->ControlWrite(i, LockBounds{});
   }
-  paused_.clear();
 }
 
 void LockSwitch::HandlePacket(const Packet& pkt) {
@@ -282,81 +251,88 @@ void LockSwitch::HandleAcquire(const LockHeader& hdr, bool pushed) {
     }
     return;
   }
-  const auto paused_it = paused_.find(hdr.lock_id);
-  if (!pushed && paused_it != paused_.end() && paused_it->second) {
+  if (!pushed && entry->paused) {
     // Lock being migrated: buffer at the server to preserve order (§4.3).
-    if (queue_observer_ && config_.num_priorities == 1) {
+    if (queue_observer_) {
       queue_observer_(hdr.lock_id, hdr.txn_id, hdr.mode,
-                      /*overflowed=*/true);
+                      ClassOf(hdr.priority), /*overflowed=*/true);
     }
     if (replicate) ChainForward(hdr, kFlagChained);
     ForwardBufferOnly(hdr, entry->home_server);
     return;
   }
-  if (config_.num_priorities > 1) {
-    AcquirePrio(hdr, *entry, pass);
-  } else {
-    AcquireDefault(hdr, pushed, *entry, pass);
-  }
+  Enqueue(hdr, pushed, *entry, pass);
 }
 
-void LockSwitch::AcquireDefault(const LockHeader& hdr, bool pushed,
-                                const SwitchLockEntry& entry,
-                                PacketPass& pass) {
-  // Stage 0: region boundaries; stage 1: queue metadata RMW.
-  const LockBounds bounds = bounds_->Read(pass, entry.meta_index);
+void LockSwitch::Enqueue(const LockHeader& hdr, bool pushed,
+                         const SwitchLockEntry& entry, PacketPass& pass) {
+  const Priority cls = ClassOf(hdr.priority);
+  const std::size_t row = RowOf(entry);
+  // Stage 0: region boundaries; stage 1: the lock's queue-metadata row.
+  const LockBounds bounds =
+      bounds_->ReadRow(pass, row, config_.num_priorities)[cls];
   struct Outcome {
     AcquireDecision::Kind kind;
     std::uint32_t slot_index = 0;
   };
   bool episode_start = false;  // q1 full for the first time this episode.
-  const Outcome outcome = meta_->ReadModifyWrite(
-      pass, entry.meta_index, [&](LockMeta& m) -> Outcome {
+  const Outcome outcome = meta_->ReadModifyWriteRow(
+      pass, row, config_.num_priorities,
+      [&](std::span<LockMeta> lanes) -> Outcome {
+        LockMeta& m = lanes[0];
+        ClassRing& ring = lanes[cls].ring;
         if (!pushed) ++m.req_count;  // r_i counter (pushes counted once).
         // Chain tail: follow the head's overflow decision so the replicas'
         // queue contents stay identical (the head may lag an overflow
         // episode behind the tail after a tail-side wedge re-arm).
         const bool chained = (hdr.flags & kFlagChained) != 0;
+        const bool full = ring.count == bounds.size();
         const bool must_overflow =
             chained ? (hdr.flags & kFlagOverflowed) != 0
-                    : (m.overflow || m.count == bounds.size());
-        if (!pushed && must_overflow) {
+                    : (m.overflow || full);
+        // A push arriving at a full ring: under an adversarial network a
+        // duplicated kQueueEmpty notify can make the server push more
+        // entries than there are free slots, or direct acquires can race
+        // in ahead of the pushes. Bounce it back to q2 instead of
+        // corrupting the ring (order may bend; correctness holds).
+        if (pushed ? full : must_overflow) {
           episode_start = !m.overflow;
           m.overflow = true;
           ++m.fwd_since_notify;
           return {AcquireDecision::Kind::kForwardOverflow, 0};
         }
-        if (pushed && m.count == bounds.size()) {
-          // A push arriving at a full q1: under an adversarial network a
-          // duplicated kQueueEmpty notify can make the server push more
-          // entries than there are free slots, or direct acquires can race
-          // in ahead of the pushes. Bounce it back to q2 instead of
-          // corrupting the ring (order may bend; correctness holds).
-          episode_start = !m.overflow;
-          m.overflow = true;
-          ++m.fwd_since_notify;
-          return {AcquireDecision::Kind::kForwardOverflow, 0};
+        NETLOCK_CHECK(ring.count < bounds.size());
+        std::uint32_t entries = 0;
+        std::uint32_t holders = 0;
+        std::uint32_t x_ahead = 0;  // Exclusives at this class or higher.
+        for (std::size_t c = 0; c < lanes.size(); ++c) {
+          entries += lanes[c].ring.count;
+          holders += lanes[c].ring.granted;
+          if (c <= cls) x_ahead += lanes[c].ring.xcnt;
         }
-        NETLOCK_CHECK(m.count < bounds.size());
-        const std::uint32_t slot_index = m.tail;
-        m.tail = SharedQueue::Next(m.tail, bounds);
-        ++m.count;
-        m.max_count = std::max(m.max_count, m.count);  // c_i counter.
-        const bool was_empty = m.count == 1;
-        const bool all_shared = m.xcnt == 0;
-        if (hdr.mode == LockMode::kExclusive) ++m.xcnt;
-        // Algorithm 2 lines 3-5 (suspended locks queue without granting).
+        const std::uint32_t slot_index = ring.tail;
+        ring.tail = SharedQueue::Next(ring.tail, bounds);
+        ++ring.count;
+        m.max_count = std::max(m.max_count, entries + 1);  // c_i counter.
+        if (hdr.mode == LockMode::kExclusive) ++ring.xcnt;
+        // Algorithm 2 lines 3-5 with §4.4's classes: grant if the lock has
+        // no entries, or if a shared request finds it held shared and no
+        // exclusive waiting at its class or a higher one (held shared, every
+        // exclusive entry waits). Suspended locks queue without granting.
         const bool grant =
             !m.suspended &&
-            (was_empty || (all_shared && hdr.mode == LockMode::kShared));
-        return {grant ? AcquireDecision::Kind::kEnqueueGrant
-                      : AcquireDecision::Kind::kEnqueueWait,
-                slot_index};
+            (entries == 0 ||
+             (hdr.mode == LockMode::kShared && holders > 0 &&
+              !m.held_exclusive && x_ahead == 0));
+        if (!grant) return {AcquireDecision::Kind::kEnqueueWait, slot_index};
+        ++ring.granted;
+        m.held_exclusive = hdr.mode == LockMode::kExclusive;
+        return {AcquireDecision::Kind::kEnqueueGrant, slot_index};
       });
 
   if (!pushed && queue_observer_) {
     queue_observer_(
-        hdr.lock_id, hdr.txn_id, hdr.mode,
+        hdr.lock_id, hdr.txn_id, hdr.mode, cls,
         outcome.kind == AcquireDecision::Kind::kForwardOverflow);
   }
   const bool replicate = !pushed && chain_next_ != kInvalidNode;
@@ -414,18 +390,15 @@ bool LockSwitch::HandleRelease(const LockHeader& hdr, bool lease_forced) {
   // internal and never duplicated; they skip the filter so that repeated
   // forced releases of re-granted entries are not misdropped.
   if (!lease_forced && DuplicateRelease(hdr, pass)) return false;
-  if (config_.num_priorities > 1) {
-    ReleasePrio(hdr, lease_forced, *entry, pass);
-  } else {
-    ReleaseDefault(hdr, lease_forced, *entry, pass);
-  }
+  Dequeue(hdr, lease_forced, *entry, pass);
   return true;
 }
 
-void LockSwitch::ReleaseDefault(const LockHeader& hdr, bool lease_forced,
-                                const SwitchLockEntry& entry,
-                                PacketPass& pass) {
-  const LockBounds bounds = bounds_->Read(pass, entry.meta_index);
+void LockSwitch::Dequeue(const LockHeader& hdr, bool lease_forced,
+                         const SwitchLockEntry& entry, PacketPass& pass) {
+  const std::size_t row = RowOf(entry);
+  const std::span<const LockBounds> bounds =
+      bounds_->ReadRow(pass, row, config_.num_priorities);
 
   // Validation pass (Algorithm 2 line 8, hoisted): peek at the head entry
   // BEFORE popping. Releases carry no queue position, so the pop is a blind
@@ -437,20 +410,38 @@ void LockSwitch::ReleaseDefault(const LockHeader& hdr, bool lease_forced,
   // lives in a later stage than the queue metadata, so the pop happens on
   // a resubmit — the same dequeue-then-inspect recirculation the paper
   // needs for consecutive shared grants.
-  const LockMeta peek = meta_->Read(pass, entry.meta_index);
+  const std::span<const LockMeta> peek =
+      meta_->ReadRow(pass, row, config_.num_priorities);
+  // The ring to pop. A lease-forced release names the class whose head it
+  // reclaims. A client release names its entry's class (the grant carried
+  // it); if that ring holds nothing — the entry was reclaimed, or the
+  // sender did not name the class — the release falls to the first ring
+  // that holds: the exclusive holder's, or a shared holder's (shared
+  // releases are commutative).
+  Priority cls = ClassOf(hdr.priority);
+  if (!lease_forced && peek[cls].ring.granted == 0) {
+    for (std::size_t c = 0; c < peek.size(); ++c) {
+      if (peek[c].ring.granted > 0) {
+        cls = static_cast<Priority>(c);
+        break;
+      }
+    }
+  }
+  const ClassRing ring = peek[cls].ring;
   // Suspended locks have granted nothing: a *client* release reaching
   // them is a stale pre-failure message and must not dequeue a waiter. A
   // lease-forced release, however, targets the (expired) queue head itself
   // and must still dequeue it, or the sweep could never reclaim entries on
   // a suspended lock.
-  if (peek.count == 0 || (peek.suspended && !lease_forced)) {
+  if (ring.count == 0 || (!lease_forced && ring.granted == 0) ||
+      (peek[0].suspended && !lease_forced)) {
     // A release for an entry the switch no longer has (post-restart or
     // post-lease-expiry duplicate). Safe to drop: leases already reclaimed
     // the slot.
     DropRelease(hdr, /*mismatched=*/false);
     return;
   }
-  const QueueSlot head_peek = queue_->Read(pass, peek.head);
+  const QueueSlot head_peek = queue_->Read(pass, ring.head);
   // An exclusive head is popped only by its own holder's release; a shared
   // head is popped by any shared release (shared releases are commutative —
   // holders release in arbitrary order but each pop retires one granted
@@ -467,27 +458,48 @@ void LockSwitch::ReleaseDefault(const LockHeader& hdr, bool lease_forced,
 
   // Pop pass. Within one simulated packet the resubmit is atomic (as is
   // the paper's grant-chain recirculation), so the validated head is still
-  // the head here.
+  // the head here. When the pop leaves the lock without holders and
+  // entries wait (and it is not suspended: a suspended lock dequeues for
+  // the lease sweep but grants only once Activate() lifts the suspension),
+  // the same stage-1 access picks the cascade's first candidate: the head
+  // of the highest non-empty class.
   pipeline_.Resubmit(pass);
   struct DequeueResult {
-    bool suspended = false;
-    std::uint32_t new_head = 0;
-    std::uint32_t remaining = 0;
     bool notify_server = false;
+    bool cascade = false;
+    Priority next_cls = 0;
+    std::uint32_t next_head = 0;
   };
-  const DequeueResult deq = meta_->ReadModifyWrite(
-      pass, entry.meta_index, [&](LockMeta& m) -> DequeueResult {
+  const DequeueResult deq = meta_->ReadModifyWriteRow(
+      pass, row, config_.num_priorities,
+      [&](std::span<LockMeta> lanes) -> DequeueResult {
         DequeueResult r;
-        r.suspended = m.suspended;
-        m.head = SharedQueue::Next(m.head, bounds);
-        --m.count;
-        if (hdr.mode == LockMode::kExclusive) {
-          NETLOCK_CHECK(m.xcnt > 0);
-          --m.xcnt;
+        LockMeta& m = lanes[0];
+        ClassRing& popped = lanes[cls].ring;
+        popped.head = SharedQueue::Next(popped.head, bounds[cls]);
+        --popped.count;
+        if (head_peek.mode == LockMode::kExclusive) {
+          NETLOCK_CHECK(popped.xcnt > 0);
+          --popped.xcnt;
         }
-        r.new_head = m.head;
-        r.remaining = m.count;
-        if (m.count == 0 && m.overflow) {
+        if (popped.granted > 0) {
+          --popped.granted;
+          if (head_peek.mode == LockMode::kExclusive) m.held_exclusive = false;
+        }
+        std::uint32_t entries = 0;
+        std::uint32_t holders = 0;
+        for (std::size_t c = 0; c < lanes.size(); ++c) {
+          const ClassRing& q = lanes[c].ring;
+          if (!r.cascade && q.count > 0) {
+            r.cascade = true;
+            r.next_cls = static_cast<Priority>(c);
+            r.next_head = q.head;
+          }
+          entries += q.count;
+          holders += q.granted;
+        }
+        r.cascade = r.cascade && holders == 0 && !m.suspended;
+        if (entries == 0 && m.overflow) {
           r.notify_server = true;
           m.fwd_since_notify = 0;
           m.last_notify = net_.sim().now();
@@ -499,12 +511,10 @@ void LockSwitch::ReleaseDefault(const LockHeader& hdr, bool lease_forced,
   metrics_.releases->Inc();
   if (deq.notify_server) {
     ++stats_.queue_empty_notifies;
-    SendQueueEmptyNotify(hdr.lock_id, entry.home_server, bounds.size());
+    SendQueueEmptyNotify(hdr.lock_id, entry.home_server, bounds);
   }
-  // A suspended lock dequeues (lease sweep) but never grants: the cascade
-  // runs when Activate() lifts the suspension.
-  if (deq.remaining > 0 && !deq.suspended) {
-    GrantCascade(hdr.lock_id, bounds, deq.new_head, deq.remaining, hdr.mode,
+  if (deq.cascade) {
+    GrantCascade(hdr.lock_id, row, bounds, deq.next_cls, deq.next_head,
                  pass);
   }
   // The pass count covers the whole resubmit chain.
@@ -516,51 +526,55 @@ void LockSwitch::ReleaseDefault(const LockHeader& hdr, bool lease_forced,
   }
 }
 
-void LockSwitch::GrantCascade(LockId lock, const LockBounds& bounds,
-                              std::uint32_t head, std::uint32_t count,
-                              LockMode released, PacketPass& pass) {
-  // Resubmit to examine the new head (Algorithm 2 lines 12-27). Grants
-  // re-stamp the slot's timestamp (a read-modify-write, still one access):
-  // the lease measures *holding* time from grant, not queueing time, so a
-  // request that waited long and was just granted is not immediately
-  // reclaimed by the lease sweep.
-  pipeline_.Resubmit(pass);
+void LockSwitch::GrantCascade(LockId lock, std::size_t row,
+                              std::span<const LockBounds> bounds,
+                              Priority cls, std::uint32_t index,
+                              PacketPass& pass) {
+  // Algorithm 2 lines 12-27. Grants re-stamp the slot's timestamp (a
+  // read-modify-write, still one access): the lease measures *holding*
+  // time from grant, not queueing time, so a request that waited long and
+  // was just granted is not immediately reclaimed by the lease sweep.
   const SimTime now = net_.sim().now();
-  // Head case: granted iff it is exclusive (S->E / E->E) or the released
-  // lock was exclusive (E->S); only then re-stamp.
-  const QueueSlot first =
-      queue_->ReadModifyWrite(pass, head, [&](QueueSlot& slot) {
-        QueueSlot copy = slot;
-        if (slot.mode == LockMode::kExclusive ||
-            released == LockMode::kExclusive) {
-          slot.timestamp = now;
-        }
-        return copy;
-      });
-  // Shared -> Shared: the head was already granted when it entered the
-  // queue (or by an earlier cascade); nothing to do.
-  if (first.mode == LockMode::kShared && released == LockMode::kShared) {
-    return;
-  }
-  // Shared -> Exclusive (the last shared holder left; had others remained
-  // the head would still be shared) and Exclusive -> Exclusive grant the
-  // exclusive head and stop.
-  GrantQueued(lock, first);
-  if (first.mode == LockMode::kExclusive) return;
-  // Exclusive -> Shared: grant consecutive shared requests, one resubmit
-  // per grant, until an exclusive request or the end of the queue.
-  std::uint32_t pointer = SharedQueue::Next(head, bounds);
-  for (std::uint32_t remaining = count - 1; remaining > 0; --remaining) {
-    pipeline_.Resubmit(pass);
-    const QueueSlot next =
-        queue_->ReadModifyWrite(pass, pointer, [&](QueueSlot& slot) {
-          QueueSlot copy = slot;
-          if (slot.mode == LockMode::kShared) slot.timestamp = now;
+  for (bool first = true;; first = false) {
+    // Stage 2+: the first candidate is granted whatever its mode (S->E,
+    // E->E, or the head of E->S); later ones only while shared (E->S).
+    const QueueSlot slot =
+        queue_->ReadModifyWrite(pass, index, [&](QueueSlot& s) {
+          QueueSlot copy = s;
+          if (first || s.mode == LockMode::kShared) s.timestamp = now;
           return copy;
         });
-    if (next.mode == LockMode::kExclusive) break;
-    GrantQueued(lock, next);
-    pointer = SharedQueue::Next(pointer, bounds);
+    if (!first && slot.mode == LockMode::kExclusive) return;
+    GrantQueued(lock, slot);
+    // Next pass, stage 1: account the grant, then (shared batch) find the
+    // next waiter in class order — behind this ring's holders, or the head
+    // of a lower class once this one has none left.
+    pipeline_.Resubmit(pass);
+    struct Next {
+      bool more = false;
+      Priority cls = 0;
+      std::uint32_t index = 0;
+    };
+    const Next next = meta_->ReadModifyWriteRow(
+        pass, row, config_.num_priorities,
+        [&](std::span<LockMeta> lanes) -> Next {
+          ++lanes[cls].ring.granted;
+          if (slot.mode == LockMode::kExclusive) {
+            lanes[0].held_exclusive = true;
+            return {};
+          }
+          for (std::size_t c = 0; c < lanes.size(); ++c) {
+            const ClassRing& q = lanes[c].ring;
+            if (q.granted < q.count) {
+              return {true, static_cast<Priority>(c),
+                      SharedQueue::Advance(q.head, q.granted, bounds[c])};
+            }
+          }
+          return {};
+        });
+    if (!next.more) return;
+    cls = next.cls;
+    index = next.index;
   }
 }
 
@@ -608,19 +622,28 @@ void LockSwitch::HandleResume(const LockHeader& hdr) {
   const SwitchLockEntry* entry = table_.Find(hdr.lock_id);
   if (entry == nullptr) return;  // Lock migrated away meanwhile.
   PacketPass pass = pipeline_.BeginPass();
-  const LockBounds bounds = bounds_->Read(pass, entry->meta_index);
+  const std::size_t row = RowOf(*entry);
+  const std::span<const LockBounds> bounds =
+      bounds_->ReadRow(pass, row, config_.num_priorities);
   const std::uint32_t remaining_q2 = hdr.aux;
 
   enum class Action { kNone, kRenotify };
-  const Action action = meta_->ReadModifyWrite(
-      pass, entry->meta_index, [&](LockMeta& m) -> Action {
+  const Action action = meta_->ReadModifyWriteRow(
+      pass, row, config_.num_priorities,
+      [&](std::span<LockMeta> lanes) -> Action {
+        LockMeta& m = lanes[0];
         if (!m.overflow) return Action::kNone;
-        if (remaining_q2 == 0 && m.fwd_since_notify == 0 &&
-            m.count < bounds.size()) {
+        std::uint32_t entries = 0;
+        bool room = true;  // Every class's ring has a free slot.
+        for (std::size_t c = 0; c < lanes.size(); ++c) {
+          entries += lanes[c].ring.count;
+          room = room && lanes[c].ring.count < bounds[c].size();
+        }
+        if (remaining_q2 == 0 && m.fwd_since_notify == 0 && room) {
           m.overflow = false;  // Episode over; normal mode (§4.3).
           return Action::kNone;
         }
-        if (m.count == 0) {
+        if (entries == 0) {
           m.fwd_since_notify = 0;
           m.last_notify = net_.sim().now();
           return Action::kRenotify;
@@ -629,209 +652,7 @@ void LockSwitch::HandleResume(const LockHeader& hdr) {
       });
   if (action == Action::kRenotify) {
     ++stats_.queue_empty_notifies;
-    SendQueueEmptyNotify(hdr.lock_id, entry->home_server, bounds.size());
-  }
-}
-
-void LockSwitch::AcquirePrio(const LockHeader& hdr,
-                             const SwitchLockEntry& entry, PacketPass& pass) {
-  const Priority p = std::min<Priority>(
-      hdr.priority, static_cast<Priority>(config_.num_priorities - 1));
-  // Stage 0: this class's region boundaries.
-  const LockBounds bounds = prio_bounds_[p]->Read(pass, entry.meta_index);
-
-  // Stage 1: the aggregate register decides grant / queue / overflow in one
-  // RMW. Grant rule (Section 4.4): immediately if nothing is held and
-  // nothing waits; or, for a shared request, if the lock is held shared and
-  // no exclusive request waits at the same or higher priority.
-  enum class Outcome { kGrant, kEnqueue, kOverflow };
-  const SimTime now = net_.sim().now();
-  const Outcome outcome = agg_->ReadModifyWrite(
-      pass, entry.meta_index, [&](AggState& a) {
-        ++a.req_count;
-        a.max_concurrent = std::max(
-            a.max_concurrent, a.holders + a.waiting_total + 1);
-        const bool free_now = a.holders == 0 && a.waiting_total == 0;
-        std::uint32_t x_ahead = 0;
-        for (Priority q = 0; q <= p; ++q) x_ahead += a.wait_x[q];
-        const bool share_now =
-            hdr.mode == LockMode::kShared && a.holders > 0 &&
-            a.held_mode == LockMode::kShared && x_ahead == 0;
-        if (free_now || share_now) {
-          if (a.holders == 0) {
-            a.held_mode = hdr.mode;
-            a.held_txn = hdr.txn_id;
-            a.held_since = now;
-          }
-          ++a.holders;
-          return Outcome::kGrant;
-        }
-        if (a.wait_count[p] >= bounds.size()) return Outcome::kOverflow;
-        ++a.wait_count[p];
-        ++a.waiting_total;
-        if (hdr.mode == LockMode::kExclusive) ++a.wait_x[p];
-        return Outcome::kEnqueue;
-      });
-  if (outcome == Outcome::kGrant) {
-    if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
-      trace_->Complete(TraceTrack::kPipeline, "pipeline.acquire", now, now,
-                       TraceLog::RequestId(hdr.lock_id, hdr.txn_id),
-                       {"passes", pass.pass_index() + 1}, {"granted", 1});
-    }
-    SendGrant(hdr);
-    return;
-  }
-  if (outcome == Outcome::kOverflow) {
-    // Class queue full: fall back to the server path (buffer-only), which
-    // keeps the request alive; priority is preserved server-side FIFO only.
-    ForwardBufferOnly(hdr, entry.home_server);
-    if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
-      trace_->Instant(TraceTrack::kQueue, "queue.overflow_forward", now,
-                      TraceLog::RequestId(hdr.lock_id, hdr.txn_id));
-    }
-    return;
-  }
-  metrics_.queued->Inc();
-
-  // Stage 2+p: ring enqueue into this class's queue, caching the mode bit
-  // so later conditional pops know the head's mode without a slot access.
-  const std::uint32_t slot_index = prio_meta_[p]->ReadModifyWrite(
-      pass, entry.meta_index, [&](PrioMeta& m) {
-        const std::uint32_t index = m.tail;
-        m.tail = SharedQueue::Next(m.tail, bounds);
-        ++m.count;
-        const std::uint32_t bit = index - bounds.left;
-        if (hdr.mode == LockMode::kExclusive) {
-          m.mode_mask |= (1ull << bit);
-        } else {
-          m.mode_mask &= ~(1ull << bit);
-        }
-        return index;
-      });
-
-  queue_->Write(pass, slot_index, SlotFromHeader(hdr, now));
-  if (trace_->Sampled(hdr.lock_id, hdr.txn_id)) {
-    const std::uint64_t id = TraceLog::RequestId(hdr.lock_id, hdr.txn_id);
-    trace_->Complete(TraceTrack::kPipeline, "pipeline.acquire", now, now,
-                     id, {"passes", pass.pass_index() + 1},
-                     {"granted", 0});
-    trace_->Instant(TraceTrack::kQueue, "queue.enqueue", now, id,
-                    {"slot", slot_index}, {"priority", p});
-  }
-}
-
-void LockSwitch::ReleasePrio(const LockHeader& hdr, bool lease_forced,
-                             const SwitchLockEntry& entry, PacketPass& pass) {
-  enum class Action { kStale, kMismatch, kDone, kChain };
-  const Action action = agg_->ReadModifyWrite(
-      pass, entry.meta_index, [&](AggState& a) {
-        if (a.holders == 0) return Action::kStale;
-        // Stale-release validation (see ReleaseDefault): a release whose
-        // mode — or, for an exclusive hold, transaction — does not match
-        // the current holder is from an entry already reclaimed (lease
-        // sweep) and must not decrement someone else's hold.
-        if (!lease_forced &&
-            (hdr.mode != a.held_mode ||
-             (a.held_mode == LockMode::kExclusive &&
-              hdr.txn_id != a.held_txn))) {
-          return Action::kMismatch;
-        }
-        --a.holders;
-        if (a.holders > 0) return Action::kDone;
-        return a.waiting_total > 0 ? Action::kChain : Action::kDone;
-      });
-  if (action == Action::kStale || action == Action::kMismatch) {
-    DropRelease(hdr, action == Action::kMismatch);
-    return;
-  }
-  ++stats_.releases;
-  metrics_.releases->Inc();
-  if (action == Action::kChain) GrantChainPrio(entry, pass);
-}
-
-void LockSwitch::GrantChainPrio(const SwitchLockEntry& entry,
-                                PacketPass& pass) {
-  // One pop-and-grant per pass; the aggregate accounting for grant k is
-  // applied by pass k+1's stage-1 RMW (carried resubmit metadata), and the
-  // chain ends with a pass that applies the last update and pops nothing.
-  // Strict priority: while batching shared grants, an exclusive head at
-  // the highest non-empty class stops the batch.
-  const SimTime now = net_.sim().now();
-  bool first = true;
-  struct Pending {
-    bool valid = false;
-    Priority prio = 0;
-    LockMode mode = LockMode::kShared;
-    TxnId txn = kInvalidTxn;
-  };
-  Pending prev;
-  for (;;) {
-    pipeline_.Resubmit(pass);
-    // Stage 0: every class's boundaries (any class may pop this pass).
-    LockBounds bounds[kMaxPriorities];
-    for (int q = 0; q < config_.num_priorities; ++q) {
-      bounds[q] = prio_bounds_[q]->Read(pass, entry.meta_index);
-    }
-    // Stage 1: apply the previous pass's grant; decide continuation.
-    const bool proceed = agg_->ReadModifyWrite(
-        pass, entry.meta_index, [&](AggState& a) {
-          if (prev.valid) {
-            ++a.holders;
-            a.held_mode = prev.mode;
-            a.held_txn = prev.txn;
-            if (a.holders == 1) a.held_since = now;
-            NETLOCK_CHECK(a.wait_count[prev.prio] > 0);
-            --a.wait_count[prev.prio];
-            --a.waiting_total;
-            if (prev.mode == LockMode::kExclusive) {
-              NETLOCK_CHECK(a.wait_x[prev.prio] > 0);
-              --a.wait_x[prev.prio];
-              return false;  // An exclusive grant ends the chain.
-            }
-          }
-          return a.waiting_total > 0;
-        });
-    if (!proceed) return;
-    // Stages 2..1+P: conditional pop from the first non-empty class; in
-    // shared-batch mode an exclusive head there blocks further grants.
-    bool popped = false;
-    bool blocked = false;
-    Priority pop_prio = 0;
-    std::uint32_t pop_index = 0;
-    LockMode pop_mode = LockMode::kShared;
-    for (int q = 0; q < config_.num_priorities && !popped && !blocked;
-         ++q) {
-      prio_meta_[q]->ReadModifyWrite(
-          pass, entry.meta_index, [&](PrioMeta& m) {
-            if (m.count == 0) return 0;
-            const std::uint32_t bit = m.head - bounds[q].left;
-            const bool head_exclusive = (m.mode_mask >> bit) & 1ull;
-            if (!first && head_exclusive) {
-              blocked = true;
-              return 0;
-            }
-            popped = true;
-            pop_prio = static_cast<Priority>(q);
-            pop_index = m.head;
-            pop_mode = head_exclusive ? LockMode::kExclusive
-                                      : LockMode::kShared;
-            m.head = SharedQueue::Next(m.head, bounds[q]);
-            --m.count;
-            return 0;
-          });
-    }
-    if (!popped) return;  // Blocked by an exclusive head (already applied).
-    // Slot read + grant re-stamp (stage >= 2+P).
-    const QueueSlot slot = queue_->ReadModifyWrite(
-        pass, pop_index, [&](QueueSlot& s) {
-          QueueSlot copy = s;
-          s.timestamp = now;
-          return copy;
-        });
-    NETLOCK_DCHECK(slot.mode == pop_mode);
-    GrantQueued(entry.lock_id, slot, {"priority", pop_prio});
-    prev = Pending{true, pop_prio, pop_mode, slot.txn_id};
-    first = false;
+    SendQueueEmptyNotify(hdr.lock_id, entry->home_server, bounds);
   }
 }
 
@@ -846,64 +667,62 @@ void LockSwitch::ClearExpired(SimTime lease, SweepScope scope) {
   const SimTime cutoff = now - lease;
   const bool do_releases = scope != SweepScope::kOverflowRearmOnly;
   const bool do_rearm = scope != SweepScope::kForcedReleasesOnly;
-  if (config_.num_priorities == 1) {
-    for (const LockId lock : table_.InstalledLocks()) {
-      const SwitchLockEntry* entry = table_.Find(lock);
-      while (do_releases) {
-        const LockMeta& meta = meta_->ControlRead(entry->meta_index);
-        if (meta.count == 0) break;
-        const QueueSlot& head = queue_->ControlAt(meta.head);
-        if (head.timestamp > cutoff) break;
-        // Forced release of the expired head: reuses the data-plane release
-        // path (the control plane injects the packet), which also cascades
-        // grants to unblocked requests.
-        const LockHeader forced =
-            ForcedRelease(lock, head.mode, head.txn_id, head.client_node);
-        HandleRelease(forced, /*lease_forced=*/true);
-        // Chain head: the forced release must replicate like any other op.
-        if (chain_next_ != kInvalidNode) ChainForward(forced, 0);
+  const std::size_t classes = config_.num_priorities;
+  for (const LockId lock : table_.InstalledLocks()) {
+    const SwitchLockEntry* entry = table_.Find(lock);
+    const std::size_t row = RowOf(*entry);
+    const std::span<LockMeta> lanes = meta_->ControlRow(row, classes);
+    while (do_releases) {
+      // The expired head of the highest class that has one. A ring's head
+      // is a holder unless the ring holds nothing; a suspended lock's
+      // heads are reclaimed whether granted or not.
+      Priority expired_cls = 0;
+      const QueueSlot* expired = nullptr;
+      for (std::size_t c = 0; c < classes && expired == nullptr; ++c) {
+        const ClassRing& ring = lanes[c].ring;
+        if (ring.count == 0 || (ring.granted == 0 && !lanes[0].suspended)) {
+          continue;
+        }
+        const QueueSlot& head = queue_->ControlAt(ring.head);
+        if (head.timestamp > cutoff) continue;
+        expired_cls = static_cast<Priority>(c);
+        expired = &head;
       }
-      if (!do_rearm) continue;
-      // Wedge recovery: if an overflow episode stalled with q1 empty — a
-      // lost notify/push/resume — re-arm the handshake. Waiting a full
-      // lease since the last notify guarantees no pushes are in flight
-      // (they either landed long ago or were lost).
-      LockMeta& meta = meta_->ControlRead(entry->meta_index);
-      if (meta.overflow && meta.count == 0 &&
-          meta.last_notify + lease <= now) {
-        meta.fwd_since_notify = 0;
-        meta.last_notify = now;
-        ++stats_.queue_empty_notifies;
-        SendQueueEmptyNotify(lock, entry->home_server,
-                             bounds_->ControlRead(entry->meta_index).size());
-      }
+      if (expired == nullptr) break;
+      // Forced release of the expired head: reuses the data-plane release
+      // path (the control plane injects the packet), which also cascades
+      // grants to unblocked requests.
+      const LockHeader forced = ForcedRelease(lock, *expired, expired_cls);
+      HandleRelease(forced, /*lease_forced=*/true);
+      // Chain head: the forced release must replicate like any other op.
+      if (chain_next_ != kInvalidNode) ChainForward(forced, 0);
     }
-  } else {
-    for (const LockId lock : table_.InstalledLocks()) {
-      const SwitchLockEntry* entry = table_.Find(lock);
-      // Force-release expired holders one by one; the release path's grant
-      // chain re-stamps new holders, terminating the loop. Waiting entries
-      // are not expired here: when eventually granted, clients that moved
-      // on release them immediately (unsolicited-grant release).
-      for (int guard = 0; guard < 1 << 16; ++guard) {
-        const AggState& agg = agg_->ControlRead(entry->meta_index);
-        if (agg.holders == 0 || agg.held_since > cutoff) break;
-        HandleRelease(
-            ForcedRelease(lock, agg.held_mode, agg.held_txn, kInvalidNode),
-            /*lease_forced=*/true);
-      }
+    if (!do_rearm) continue;
+    // Wedge recovery: if an overflow episode stalled with q1 empty — a
+    // lost notify/push/resume — re-arm the handshake. Waiting a full
+    // lease since the last notify guarantees no pushes are in flight
+    // (they either landed long ago or were lost).
+    LockMeta& meta = lanes[0];
+    if (meta.overflow && Entries(lanes) == 0 &&
+        meta.last_notify + lease <= now) {
+      meta.fwd_since_notify = 0;
+      meta.last_notify = now;
+      ++stats_.queue_empty_notifies;
+      SendQueueEmptyNotify(lock, entry->home_server,
+                           bounds_->ControlRow(row, classes));
     }
   }
 }
 
-LockHeader LockSwitch::ForcedRelease(LockId lock, LockMode mode, TxnId txn,
-                                     NodeId client) {
+LockHeader LockSwitch::ForcedRelease(LockId lock, const QueueSlot& head,
+                                     Priority cls) {
   LockHeader forced;
   forced.op = LockOp::kRelease;
   forced.lock_id = lock;
-  forced.mode = mode;
-  forced.txn_id = txn;
-  forced.client_node = client;
+  forced.mode = head.mode;
+  forced.priority = cls;
+  forced.txn_id = head.txn_id;
+  forced.client_node = head.client_node;
   forced.aux = forced_release_nonce_++;
   return forced;
 }
@@ -912,76 +731,80 @@ void LockSwitch::HarvestDemands(double window_sec,
                                 std::vector<LockDemand>& out) {
   NETLOCK_CHECK(window_sec > 0.0);
   for (const LockId lock : table_.InstalledLocks()) {
-    const SwitchLockEntry* entry = table_.Find(lock);
-    if (config_.num_priorities == 1) {
-      LockMeta& meta = meta_->ControlRead(entry->meta_index);
-      out.push_back(LockDemand{
-          lock, static_cast<double>(meta.req_count) / window_sec,
-          std::max(1u, meta.max_count)});
-      meta.req_count = 0;
-      meta.max_count = std::max(1u, meta.count);
-    } else {
-      AggState& agg = agg_->ControlRead(entry->meta_index);
-      out.push_back(LockDemand{
-          lock, static_cast<double>(agg.req_count) / window_sec,
-          std::max(1u, agg.max_concurrent)});
-      agg.req_count = 0;
-      agg.max_concurrent = std::max(1u, agg.holders + agg.waiting_total);
-    }
+    const std::span<LockMeta> lanes = meta_->ControlRow(
+        RowOf(*table_.Find(lock)), config_.num_priorities);
+    LockMeta& meta = lanes[0];
+    out.push_back(LockDemand{
+        lock, static_cast<double>(meta.req_count) / window_sec,
+        std::max(1u, meta.max_count)});
+    meta.req_count = 0;
+    meta.max_count = std::max(1u, Entries(lanes));
   }
 }
 
 bool LockSwitch::IsSuspended(LockId lock) const {
   const SwitchLockEntry* entry = table_.Find(lock);
   if (entry == nullptr) return false;
-  return meta_->ControlRead(entry->meta_index).suspended;
+  return meta_->ControlRead(RowOf(*entry)).suspended;
 }
 
 void LockSwitch::Suspend(LockId lock) {
-  NETLOCK_CHECK(config_.num_priorities == 1);
   const SwitchLockEntry* entry = table_.Find(lock);
   NETLOCK_CHECK(entry != nullptr);
   PacketPass pass = pipeline_.BeginPass();
-  meta_->ReadModifyWrite(pass, entry->meta_index, [](LockMeta& m) {
-    m.suspended = true;
-    return 0;
-  });
+  meta_->ReadModifyWriteRow(pass, RowOf(*entry), config_.num_priorities,
+                            [](std::span<LockMeta> lanes) {
+                              lanes[0].suspended = true;
+                              return 0;
+                            });
 }
 
 void LockSwitch::Activate(LockId lock) {
-  NETLOCK_CHECK(config_.num_priorities == 1);
   const SwitchLockEntry* entry = table_.Find(lock);
   NETLOCK_CHECK(entry != nullptr);
   PacketPass pass = pipeline_.BeginPass();
-  const LockBounds bounds = bounds_->Read(pass, entry->meta_index);
+  const std::size_t row = RowOf(*entry);
+  const std::span<const LockBounds> bounds =
+      bounds_->ReadRow(pass, row, config_.num_priorities);
   struct Wake {
+    bool grant = false;
+    Priority cls = 0;
     std::uint32_t head = 0;
-    std::uint32_t count = 0;  ///< Zero: nothing to grant.
   };
-  const Wake wake = meta_->ReadModifyWrite(
-      pass, entry->meta_index, [&](LockMeta& m) -> Wake {
-        if (!m.suspended) return {};
-        m.suspended = false;
-        return {m.head, m.count};
+  // Grant from scratch, as the cascade after an exclusive release does:
+  // the head of the highest non-empty class, and if it is shared, the
+  // whole leading shared batch. Grants made before a Suspend() are made
+  // again (the lease sweep reclaims their entries meanwhile).
+  const Wake wake = meta_->ReadModifyWriteRow(
+      pass, row, config_.num_priorities,
+      [&](std::span<LockMeta> lanes) -> Wake {
+        if (!lanes[0].suspended) return {};
+        lanes[0].suspended = false;
+        lanes[0].held_exclusive = false;
+        Wake w;
+        for (std::size_t c = 0; c < lanes.size(); ++c) {
+          ClassRing& ring = lanes[c].ring;
+          ring.granted = 0;
+          if (!w.grant && ring.count > 0) {
+            w = {true, static_cast<Priority>(c), ring.head};
+          }
+        }
+        return w;
       });
-  // Grant the head, and if it is shared, the whole leading shared batch:
-  // the cascade an exclusive release runs.
-  if (wake.count > 0) {
-    GrantCascade(lock, bounds, wake.head, wake.count, LockMode::kExclusive,
-                 pass);
+  if (wake.grant) {
+    GrantCascade(lock, row, bounds, wake.cls, wake.head, pass);
   }
 }
 
 LockSwitch::DebugState LockSwitch::Debug(LockId lock) const {
-  NETLOCK_CHECK(config_.num_priorities == 1);
   const SwitchLockEntry* entry = table_.Find(lock);
   NETLOCK_CHECK(entry != nullptr);
   DebugState state;
-  state.meta = meta_->ControlRead(entry->meta_index);
-  state.bounds = bounds_->ControlRead(entry->meta_index);
-  if (state.meta.count > 0) {
-    state.head = queue_->ControlAt(state.meta.head);
+  for (const LockMeta& lane :
+       meta_->ControlRow(RowOf(*entry), config_.num_priorities)) {
+    state.rings.push_back(lane.ring);
   }
+  state.meta = meta_->ControlRead(RowOf(*entry));
   return state;
 }
 
@@ -1008,14 +831,12 @@ void LockSwitch::SendGrant(const LockHeader& request) {
   Emit(MakeLockPacket(node_, request.client_node, grant));
 }
 
-void LockSwitch::GrantQueued(LockId lock, const QueueSlot& slot,
-                             TraceArg trace_arg) {
+void LockSwitch::GrantQueued(LockId lock, const QueueSlot& slot) {
   // `slot` is the pre-restamp copy: its timestamp is the enqueue time, so
   // the span is this waiter's full time in the shared queue.
   if (trace_->Sampled(lock, slot.txn_id)) {
     trace_->Complete(TraceTrack::kQueue, "queue.wait", slot.timestamp,
-                     net_.sim().now(), TraceLog::RequestId(lock, slot.txn_id),
-                     trace_arg);
+                     net_.sim().now(), TraceLog::RequestId(lock, slot.txn_id));
   }
   SendGrant(HeaderFromSlot(LockOp::kGrant, lock, slot));
 }
@@ -1043,12 +864,15 @@ void LockSwitch::SendToServer(LockHeader hdr, NodeId server,
 }
 
 void LockSwitch::SendQueueEmptyNotify(LockId lock, NodeId server,
-                                      std::uint32_t free_slots) {
+                                      std::span<const LockBounds> bounds) {
   if (server == kInvalidNode) return;
   LockHeader notify;
   notify.op = LockOp::kQueueEmpty;
   notify.lock_id = lock;
-  notify.aux = free_slots;
+  notify.aux = bounds[0].size();
+  for (const LockBounds& region : bounds) {
+    notify.aux = std::min(notify.aux, region.size());
+  }
   // Stamped so the server can discard stale or duplicated notifies: pushing
   // twice for one notify would overrun q1 (and bend FIFO order).
   notify.timestamp = net_.sim().now();

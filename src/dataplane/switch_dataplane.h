@@ -2,33 +2,41 @@
 //
 // Implements, against the programmable-switch substrate:
 //   - Algorithm 1's dispatch as one admission stage that every acquire
-//     takes once, whatever the queue layout: tenant quota, forward of a
-//     lock the switch does not own, buffer-only forward of a paused
-//     (migrating) lock; then the layout's queue update. Releases likewise
-//     share one front end (unowned forward, dedup filter);
+//     takes once: tenant quota, forward of a lock the switch does not own,
+//     buffer-only forward of a paused (migrating) lock; then the queue
+//     update. Releases likewise share one front end (unowned forward,
+//     dedup filter);
 //   - Algorithm 2's acquire/release logic over circular queues in the
 //     shared queue, including the four release cases (S->S, S->E, E->S,
 //     E->E) realized with resubmit, in one grant cascade that activation
 //     of a suspended lock runs too;
 //   - the q1/q2 overflow protocol with lock servers (Section 4.3);
 //   - policy support (Section 4.4): FCFS starvation-freedom (native to the
-//     queues), per-stage priority classes, and per-tenant quotas;
+//     queues), priority classes, and per-tenant quotas;
 //   - lease-based cleanup of expired transactions and switch failure
 //     injection (Section 4.5).
 //
-// Fidelity notes. Both paths run under the full register-access
+// One queue layout serves every number of priority classes P >= 1. Each
+// class is an Algorithm 2 ring in its own region of the lock's share of the
+// shared queue: holders stay at the head, waiters queue behind them, and
+// an entry carries its class. A lock's stage-1 metadata is a row of P
+// lanes (LockMeta) accessed as one register: lane c is class c's ring, and
+// lane 0 also holds the once-per-lock state — the admission decision's
+// inputs, the overflow episode, suspension, and the demand counters. With
+// P = 1 this is exactly Algorithm 2's single queue.
+//
+// Fidelity notes. Every path runs under the full register-access
 // discipline: one access per register array per pass, stage ordering, and
 // resubmit for multi-step operations — exactly the constraints Algorithm 2
-// was designed around. The priority path (§4.4's per-stage queues) uses a
-// stage-1 aggregate register for the grant decision, per-stage PrioMeta
-// registers whose cached mode bitmask enables informed conditional pops,
-// and a resubmit chain that grants one waiter per pass.
+// was designed around. The grant cascade examines one slot per pass; the
+// stage-1 accounting of each cascade grant rides the next pass.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -55,9 +63,10 @@ struct LockSwitchConfig {
   std::uint32_t max_locks = 131'072;
   /// Hardware stage budget (Tofino-class: 10-20).
   int num_stages = 12;
-  /// Priority classes; 1 selects the pure Algorithm 2 path. Bounded by the
-  /// stage budget (paper: "the number of priorities is limited to the
-  /// number of stages").
+  /// Priority classes (§4.4), one Algorithm 2 ring each; 1 is the paper's
+  /// single queue. A request's class is its priority, clamped to the last
+  /// class. Bounded by the stage budget (paper: "the number of priorities
+  /// is limited to the number of stages").
   std::uint8_t num_priorities = 1;
 };
 
@@ -68,10 +77,11 @@ using GrantObserver =
     std::function<void(LockId, TxnId, LockMode, NodeId client)>;
 
 /// Observer invoked when the switch accepts an acquire into its queue (or
-/// decides to overflow it to the server). Fires at the admission decision,
-/// i.e. in queue order — the FIFO oracle pairs it with the grant observer.
-using QueueObserver =
-    std::function<void(LockId, TxnId, LockMode, bool overflowed)>;
+/// decides to overflow it to the server), with the class it queues in.
+/// Fires at the admission decision, i.e. in queue order — the FIFO oracle
+/// pairs it with the grant observer.
+using QueueObserver = std::function<void(LockId, TxnId, LockMode,
+                                         Priority cls, bool overflowed)>;
 
 class LockSwitch {
  public:
@@ -92,9 +102,9 @@ class LockSwitch {
   bool InstallLock(LockId lock, NodeId home_server, std::uint32_t slots,
                    bool suspended = false);
 
-  /// Leaves suspended mode and grants the queue head (plus the leading
-  /// shared batch) exactly as a release cascade would. No-op when already
-  /// active. Default path only.
+  /// Leaves suspended mode and grants the head of the highest non-empty
+  /// class (plus the leading shared batch) exactly as a release cascade
+  /// would. No-op when already active.
   void Activate(LockId lock);
 
   /// True if the lock is installed and in suspended mode.
@@ -103,7 +113,6 @@ class LockSwitch {
   /// Re-enters suspended mode for an installed lock: requests keep queuing
   /// but nothing is granted until Activate(). Used by failover when the
   /// primary fails again while this (backup) switch still holds queues.
-  /// Default path only (like Activate).
   void Suspend(LockId lock);
 
   /// True if the lock is installed in the switch.
@@ -240,9 +249,8 @@ class LockSwitch {
 
   /// Control-plane inspection of one installed lock (diagnostics, tests).
   struct DebugState {
-    LockMeta meta;
-    LockBounds bounds;
-    QueueSlot head;
+    LockMeta meta;                 ///< Lane 0: the once-per-lock state.
+    PerPriority<ClassRing> rings;  ///< Every class's ring.
   };
   DebugState Debug(LockId lock) const;
 
@@ -254,22 +262,21 @@ class LockSwitch {
 
   /// The admission stage every acquire and push takes once (Algorithm 1):
   /// quota, then forward an unowned lock to its server, then forward a
-  /// paused lock's request buffer-only; what is left goes to the layout's
-  /// queue update (AcquireDefault or AcquirePrio).
+  /// paused lock's request buffer-only; what is left goes to Enqueue.
   void HandleAcquire(const LockHeader& hdr, bool pushed);
-  void AcquireDefault(const LockHeader& hdr, bool pushed,
-                      const SwitchLockEntry& entry, PacketPass& pass);
-  void AcquirePrio(const LockHeader& hdr, const SwitchLockEntry& entry,
-                   PacketPass& pass);
+  /// The queue update: grant, enqueue into the request's class ring, or
+  /// overflow to the server's q2.
+  void Enqueue(const LockHeader& hdr, bool pushed,
+               const SwitchLockEntry& entry, PacketPass& pass);
   /// The release front end: forward an unowned lock's release, then drop a
-  /// retransmitted copy (dedup filter), then the layout's release
-  /// (ReleaseDefault or ReleasePrio). Returns false when the release was
-  /// dropped as a duplicate — the caller must not chain-forward it.
+  /// retransmitted copy (dedup filter), then Dequeue. Returns false when
+  /// the release was dropped as a duplicate — the caller must not
+  /// chain-forward it.
   bool HandleRelease(const LockHeader& hdr, bool lease_forced);
-  void ReleaseDefault(const LockHeader& hdr, bool lease_forced,
-                      const SwitchLockEntry& entry, PacketPass& pass);
-  void ReleasePrio(const LockHeader& hdr, bool lease_forced,
-                   const SwitchLockEntry& entry, PacketPass& pass);
+  /// Validated peek-then-pop of a holder's entry, then the grant cascade
+  /// if the lock is left without holders.
+  void Dequeue(const LockHeader& hdr, bool lease_forced,
+               const SwitchLockEntry& entry, PacketPass& pass);
   void HandleResume(const LockHeader& hdr);
   /// Dedup-filter RMW (stage 0, before any other register access on the
   /// release pass). True when hdr is a retransmitted copy already seen.
@@ -277,32 +284,39 @@ class LockSwitch {
   /// Counts (and traces) a release the validation dropped: stale (nothing
   /// held) or mismatched (not the holder's mode / transaction).
   void DropRelease(const LockHeader& hdr, bool mismatched);
-  /// Algorithm 2's grant cascade over a default-path queue of `count`
-  /// entries starting at `head`, after a release of mode `released`
-  /// (S->S, S->E, E->E, E->S); one resubmit per examined slot. Activate
-  /// runs it with released = exclusive.
-  void GrantCascade(LockId lock, const LockBounds& bounds,
-                    std::uint32_t head, std::uint32_t count,
-                    LockMode released, PacketPass& pass);
-  /// The resubmit-per-grant chain after a priority-path release leaves the
-  /// lock free: pops and grants the highest-priority waiter per pass, and
-  /// keeps going while the grants are shared.
-  void GrantChainPrio(const SwitchLockEntry& entry, PacketPass& pass);
-  /// A lease sweep's forced release of (lock, txn); each carries a fresh
-  /// nonce (see forced_release_nonce_).
-  LockHeader ForcedRelease(LockId lock, LockMode mode, TxnId txn,
-                           NodeId client);
+  /// Algorithm 2's grant cascade on a lock left without holders, starting
+  /// at slot `index`, the head of class `cls` (the highest non-empty one):
+  /// grants that entry whatever its mode and, if it is shared, every shared
+  /// entry after it in class order up to the first exclusive (S->E, E->E,
+  /// E->S). One slot per pass; each grant's stage-1 accounting rides the
+  /// next pass, which also picks the next candidate. Activate runs it too.
+  void GrantCascade(LockId lock, std::size_t row,
+                    std::span<const LockBounds> bounds, Priority cls,
+                    std::uint32_t index, PacketPass& pass);
+  /// A lease sweep's forced release of `head`, the head entry of class
+  /// `cls`; each carries a fresh nonce (see forced_release_nonce_).
+  LockHeader ForcedRelease(LockId lock, const QueueSlot& head, Priority cls);
+
+  /// The class a request or entry of priority `priority` queues in.
+  Priority ClassOf(Priority priority) const {
+    return std::min<Priority>(priority, config_.num_priorities - 1);
+  }
+  /// First cell of a lock's row in the per-class register arrays.
+  std::size_t RowOf(const SwitchLockEntry& entry) const {
+    return std::size_t{entry.meta_index} * config_.num_priorities;
+  }
 
   /// Grants a queued entry (pre-restamp `slot`), tracing its queue wait.
-  void GrantQueued(LockId lock, const QueueSlot& slot,
-                   TraceArg trace_arg = {});
+  void GrantQueued(LockId lock, const QueueSlot& slot);
   void SendGrant(const LockHeader& request);
   void EmitReject(const LockHeader& request);
   /// Sends an acquire the switch will not queue to `server`'s q2 (§4.3).
   void ForwardBufferOnly(const LockHeader& hdr, NodeId server);
   void SendToServer(LockHeader hdr, NodeId server, std::uint8_t extra_flags);
+  /// Tells the server q1 drained. The free-slot count is the smallest
+  /// class region, so a pushed batch fits whatever its classes.
   void SendQueueEmptyNotify(LockId lock, NodeId server,
-                            std::uint32_t free_slots);
+                            std::span<const LockBounds> bounds);
   void Emit(Packet pkt);
   void ChainForward(LockHeader hdr, std::uint8_t extra_flags);
 
@@ -315,26 +329,22 @@ class LockSwitch {
   /// while this switch handles packets so shared-log spans split by rack.
   std::uint32_t trace_pid_ = 0;
 
-  // Register arrays. Default path stage layout: 0 = quota + boundaries,
-  // 1 = per-lock queue metadata, 2.. = the pooled shared-queue arrays.
-  // Priority path: 0 = quota + per-class boundaries, 1 = aggregate state,
-  // 2..1+P = per-class queue metadata, 2+P.. = shared-queue arrays.
+  // Register arrays. Stage 0 = quota, release filter and per-class region
+  // boundaries; stage 1 = the per-lock queue-metadata rows; 2.. = the
+  // pooled shared-queue arrays.
   std::unique_ptr<TenantQuota> quota_;
   /// Release-dedup fingerprints, hash-indexed (stage 0): drops
   /// retransmitted copies of a RELEASE before they can blind-pop someone
   /// else's queue entry (releases do not check transaction IDs, §4.2).
   std::unique_ptr<RegisterArray<std::uint64_t>> release_filter_;
+  /// One row of num_priorities cells per lock (see RowOf).
   std::unique_ptr<RegisterArray<LockBounds>> bounds_;
   std::unique_ptr<RegisterArray<LockMeta>> meta_;
-  std::unique_ptr<RegisterArray<AggState>> agg_;
-  std::vector<std::unique_ptr<RegisterArray<LockBounds>>> prio_bounds_;
-  std::vector<std::unique_ptr<RegisterArray<PrioMeta>>> prio_meta_;
   std::unique_ptr<SharedQueue> queue_;
 
   SwitchLockTable table_;
   std::function<NodeId(LockId)> default_route_;
   std::function<NodeId(LockId)> db_route_;
-  std::unordered_map<LockId, bool> paused_;
 
   bool failed_ = false;
   /// Stamped into lease-forced releases' aux so each forced instance has a

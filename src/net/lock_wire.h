@@ -105,12 +105,13 @@ struct LockHeader {
 /// Builds a ready-to-send packet around a header.
 Packet MakeLockPacket(NodeId src, NodeId dst, const LockHeader& hdr);
 
-/// The queue entry a request occupies: the header's mode, transaction,
-/// client and tenant, stamped with `timestamp` (enqueue time, or the
-/// client's issue time for a request buffered on its behalf).
+/// The queue entry a request occupies: the header's mode, priority,
+/// transaction, client and tenant, stamped with `timestamp` (enqueue time,
+/// or the client's issue time for a request buffered on its behalf).
 inline QueueSlot SlotFromHeader(const LockHeader& hdr, SimTime timestamp) {
   QueueSlot slot;
   slot.mode = hdr.mode;
+  slot.priority = hdr.priority;
   slot.txn_id = hdr.txn_id;
   slot.client_node = hdr.client_node;
   slot.tenant = hdr.tenant;
@@ -127,6 +128,7 @@ inline LockHeader HeaderFromSlot(LockOp op, LockId lock,
   hdr.op = op;
   hdr.lock_id = lock;
   hdr.mode = slot.mode;
+  hdr.priority = slot.priority;
   hdr.txn_id = slot.txn_id;
   hdr.client_node = slot.client_node;
   hdr.tenant = slot.tenant;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -137,6 +138,25 @@ class RegisterArray {
     return fn(cells_[idx]);
   }
 
+  /// Reads the row of `width` cells starting at `first` — one access, as
+  /// for a register whose cell is a struct of `width` lanes (a lock's
+  /// per-class lanes, which hardware would lay out one per stage and visit
+  /// in order within the pass).
+  std::span<const T> ReadRow(PacketPass& pass, std::size_t first,
+                             std::size_t width) {
+    NoteAccess(pass, first + width - 1);
+    return {cells_.data() + first, width};
+  }
+
+  /// Read-modify-write of the row of `width` cells starting at `first`;
+  /// `fn` receives the row as a mutable span. One access.
+  template <typename Fn>
+  auto ReadModifyWriteRow(PacketPass& pass, std::size_t first,
+                          std::size_t width, Fn&& fn) {
+    NoteAccess(pass, first + width - 1);
+    return fn(std::span<T>(cells_.data() + first, width));
+  }
+
   /// Control-plane access: the switch CPU reads/writes registers out-of-band
   /// (the paper's control plane polls lease timestamps and rewrites queue
   /// boundaries this way). Not subject to per-pass constraints.
@@ -147,6 +167,10 @@ class RegisterArray {
   void ControlWrite(std::size_t idx, T value) {
     NETLOCK_CHECK(idx < cells_.size());
     cells_[idx] = std::move(value);
+  }
+  std::span<T> ControlRow(std::size_t first, std::size_t width) {
+    NETLOCK_CHECK(first + width <= cells_.size());
+    return {cells_.data() + first, width};
   }
 
  private:

@@ -203,6 +203,7 @@ std::string Schedule::SerializeParams() const {
   out += ";unord=" + std::to_string(workload.unordered);
   out += ";policy=" + std::to_string(workload.policy);
   out += ";ctrl=" + std::to_string(workload.controller);
+  out += ";prio=" + std::to_string(workload.priorities);
   out += ";run=" + std::to_string(workload.run_time);
   out += ";plan=" + plan.Serialize();
   return out;
@@ -256,6 +257,8 @@ bool Schedule::Parse(std::string_view text, Schedule* out) {
       out->workload.policy = static_cast<int>(num);
     } else if (key == "ctrl") {
       out->workload.controller = static_cast<int>(num);
+    } else if (key == "prio") {
+      out->workload.priorities = static_cast<int>(num);
     } else if (key == "run") {
       out->workload.run_time = static_cast<SimTime>(num);
     } else {
@@ -494,6 +497,13 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
       std::max<std::uint32_t>(2, w.queue_capacity);
   config.switch_config.array_size = 512;
   config.switch_config.max_locks = 64;
+  const int priorities = std::clamp(w.priorities, 1, 3);
+  config.switch_config.num_priorities = static_cast<std::uint8_t>(priorities);
+  if (priorities > 1) {
+    config.priority_of = [priorities](int i) {
+      return static_cast<Priority>(i % priorities);
+    };
+  }
   if (controller_on) {
     // Fuzz horizons are tens of milliseconds, so the controller runs at
     // fuzz scale: fast ticks, one observe-only window, short dwell. The
@@ -679,8 +689,9 @@ RunReport ScheduleFuzzer::RunSchedule(const Schedule& schedule,
       sw.set_queue_observer([&oracle, fifo, recorder, rec_shard,
                              &sim = testbed.sim()](LockId lock, TxnId txn,
                                                    LockMode mode,
+                                                   Priority cls,
                                                    bool overflow) {
-        if (fifo) oracle.OnSwitchAccept(lock, txn, mode, overflow);
+        if (fifo) oracle.OnSwitchAccept(lock, txn, mode, cls, overflow);
         if (recorder != nullptr) {
           recorder->Record(rec_shard, FlightRecorder::Op::kAccept, lock,
                            mode, txn, sim.now());

@@ -8,8 +8,8 @@
 // and checks:
 //
 //   * mutual exclusion (client-side LockOracle),
-//   * per-lock FIFO order of exclusive grants (switch-side, benign plans
-//     only),
+//   * FIFO order of exclusive grants per (lock, priority class)
+//     (switch-side, benign plans only),
 //   * liveness: every engine goes idle and a drained backup goes cold once
 //     faults stop,
 //   * leak freedom: every observed grant is eventually released.
@@ -55,6 +55,10 @@ struct WorkloadParams {
   /// schedule forces an all-server allocation (unordered / policy != 0).
   /// Serialized as "ctrl=1"; absent parses as 0.
   int controller = 0;
+  /// Priority classes on the switch (§4.4), 1-3; engine i runs at
+  /// priority i % N, so the clients spread over the N classes. Serialized
+  /// as "prio=N"; absent parses as 1.
+  int priorities = 1;
   SimTime run_time = 30 * kMillisecond;
 
   friend bool operator==(const WorkloadParams&,

@@ -9,13 +9,14 @@
 //     and a release no later than it takes effect — so any overlap the
 //     oracle reports is a real mutual-exclusion violation.
 //
-//  2. Per-lock FIFO order of exclusive grants, observed at the *switch*
-//     (wire the data plane's queue/grant observers to OnSwitchAccept /
-//     OnSwitchGrant). Exclusive grants must come back in admission order —
-//     the property Algorithm 2 and the overflow protocol (Section 4.3)
-//     both promise. Only meaningful on fault-free runs: packet loss and
-//     lease expiry legitimately reorder grants, so the fuzzer enables this
-//     check only for benign fault plans.
+//  2. FIFO order of exclusive grants per (lock, priority class), observed
+//     at the *switch* (wire the data plane's queue/grant observers to
+//     OnSwitchAccept / OnSwitchGrant). Within a class, exclusive grants
+//     must come back in admission order — the property Algorithm 2, §4.4's
+//     per-class queues and the overflow protocol (Section 4.3) all
+//     promise. Only meaningful on fault-free runs: packet loss and lease
+//     expiry legitimately reorder grants, so the fuzzer enables this check
+//     only for benign fault plans.
 #pragma once
 
 #include <cstdio>
@@ -110,12 +111,12 @@ class LockOracle {
       }
       held->second.shared.erase(txn);
     }
-    const auto ord = x_order_.find(lock);
-    if (ord != x_order_.end()) {
+    for (auto ord = x_order_.lower_bound({lock, 0});
+         ord != x_order_.end() && ord->first.first == lock; ++ord) {
       for (auto pos = ord->second.begin(); pos != ord->second.end(); ++pos) {
         if (*pos == txn) {
           ord->second.erase(pos);
-          break;
+          return;
         }
       }
     }
@@ -137,14 +138,14 @@ class LockOracle {
     }
   }
 
-  // --- Switch-side FIFO order (exclusive grants only) ---
+  // --- Switch-side FIFO order (exclusive grants only, per class) ---
 
   /// Feed from LockSwitch::set_queue_observer. Retransmitted acquires
   /// (same txn accepted again) are collapsed onto the first admission.
-  void OnSwitchAccept(LockId lock, TxnId txn, LockMode mode,
+  void OnSwitchAccept(LockId lock, TxnId txn, LockMode mode, Priority cls,
                       bool /*overflowed*/) {
     if (mode != LockMode::kExclusive) return;
-    std::deque<TxnId>& order = x_order_[lock];
+    std::deque<TxnId>& order = x_order_[{lock, cls}];
     for (const TxnId t : order) {
       if (t == txn) return;  // Client retransmission: keep first position.
     }
@@ -153,29 +154,31 @@ class LockOracle {
 
   /// Feed from LockSwitch::set_grant_observer. A grant for a txn the
   /// oracle never saw admitted (a ghost grant for a retransmitted entry)
-  /// is ignored; a grant that overtakes an earlier admission is a FIFO
-  /// violation.
+  /// is ignored; a grant that overtakes an earlier admission of its class
+  /// is a FIFO violation.
   void OnSwitchGrant(LockId lock, TxnId txn, LockMode mode) {
     if (mode != LockMode::kExclusive) return;
-    const auto it = x_order_.find(lock);
-    if (it == x_order_.end() || it->second.empty()) return;
-    std::deque<TxnId>& order = it->second;
-    if (order.front() == txn) {
-      order.pop_front();
-      return;
-    }
-    for (auto pos = order.begin(); pos != order.end(); ++pos) {
-      if (*pos != txn) continue;
-      ++fifo_violations_;
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "fifo lock=%llu txn=%llu granted before txn=%llu",
-                    static_cast<unsigned long long>(lock),
-                    static_cast<unsigned long long>(txn),
-                    static_cast<unsigned long long>(order.front()));
-      log_.push_back(buf);
-      order.erase(pos);
-      return;
+    for (auto it = x_order_.lower_bound({lock, 0});
+         it != x_order_.end() && it->first.first == lock; ++it) {
+      std::deque<TxnId>& order = it->second;
+      if (order.empty()) continue;
+      if (order.front() == txn) {
+        order.pop_front();
+        return;
+      }
+      for (auto pos = order.begin(); pos != order.end(); ++pos) {
+        if (*pos != txn) continue;
+        ++fifo_violations_;
+        char buf[128];
+        std::snprintf(buf, sizeof(buf),
+                      "fifo lock=%llu txn=%llu granted before txn=%llu",
+                      static_cast<unsigned long long>(lock),
+                      static_cast<unsigned long long>(txn),
+                      static_cast<unsigned long long>(order.front()));
+        log_.push_back(buf);
+        order.erase(pos);
+        return;
+      }
     }
     // Not admitted through the observer (e.g. ghost grant): ignore.
   }
@@ -240,7 +243,8 @@ class LockOracle {
   }
 
   std::map<LockId, Holders> held_;
-  std::map<LockId, std::deque<TxnId>> x_order_;
+  /// Admitted, not yet granted exclusives per (lock, class), in order.
+  std::map<std::pair<LockId, Priority>, std::deque<TxnId>> x_order_;
   /// Pairs wound-wait revoked whose grant the client may still observe.
   std::set<std::pair<LockId, TxnId>> wounded_;
   std::deque<std::pair<LockId, TxnId>> wounded_fifo_;

@@ -40,7 +40,7 @@ inline std::uint64_t ReplayRtEventsThroughOracle(
     if (options.drop && options.drop(ev)) continue;
     switch (ev.kind) {
       case rt::RtEvent::Kind::kAccept:
-        oracle.OnSwitchAccept(ev.lock, ev.txn, ev.mode, false);
+        oracle.OnSwitchAccept(ev.lock, ev.txn, ev.mode, /*cls=*/0, false);
         break;
       case rt::RtEvent::Kind::kGrant:
         oracle.OnGrant(ev.lock, ev.mode, ev.txn);

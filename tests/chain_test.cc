@@ -19,11 +19,12 @@ using testing::PacketCatcher;
 
 class ChainBasicsTest : public ::testing::Test {
  protected:
-  ChainBasicsTest() : net_(sim_, 1000) {
+  explicit ChainBasicsTest(std::uint8_t priorities = 1) : net_(sim_, 1000) {
     LockSwitchConfig config;
     config.queue_capacity = 256;
     config.array_size = 64;
     config.max_locks = 16;
+    config.num_priorities = priorities;
     head_ = std::make_unique<LockSwitch>(net_, config);
     tail_ = std::make_unique<LockSwitch>(net_, config);
     server_ = std::make_unique<LockServer>(net_, LockServerConfig{});
@@ -38,16 +39,41 @@ class ChainBasicsTest : public ::testing::Test {
     tail_->ConfigureChainTail(head_->node());
   }
 
-  void Acquire(LockId lock, LockMode mode, TxnId txn) {
-    net_.Send(MakeLockPacket(client_->node(), head_->node(),
-                             MakeAcquire(lock, mode, txn, client_->node())));
+  void Acquire(LockId lock, LockMode mode, TxnId txn, Priority prio = 0) {
+    net_.Send(MakeLockPacket(
+        client_->node(), head_->node(),
+        MakeAcquire(lock, mode, txn, client_->node(), prio)));
     sim_.Run();
   }
 
-  void Release(LockId lock, LockMode mode, TxnId txn) {
-    net_.Send(MakeLockPacket(client_->node(), head_->node(),
-                             MakeRelease(lock, mode, txn, client_->node())));
+  void Release(LockId lock, LockMode mode, TxnId txn, Priority prio = 0) {
+    net_.Send(MakeLockPacket(
+        client_->node(), head_->node(),
+        MakeRelease(lock, mode, txn, client_->node(), prio)));
     sim_.Run();
+  }
+
+  /// Queued entries of `lock` on `sw`, over every class.
+  static std::uint32_t Entries(const LockSwitch& sw, LockId lock) {
+    std::uint32_t entries = 0;
+    for (const ClassRing& ring : sw.Debug(lock).rings) entries += ring.count;
+    return entries;
+  }
+
+  /// Head and tail hold the same registers for `lock`.
+  void ExpectLockStep(LockId lock) const {
+    const auto h = head_->Debug(lock);
+    const auto t = tail_->Debug(lock);
+    ASSERT_EQ(h.rings.size(), t.rings.size());
+    for (std::size_t c = 0; c < h.rings.size(); ++c) {
+      EXPECT_EQ(h.rings[c].head, t.rings[c].head) << "class " << c;
+      EXPECT_EQ(h.rings[c].tail, t.rings[c].tail) << "class " << c;
+      EXPECT_EQ(h.rings[c].count, t.rings[c].count) << "class " << c;
+      EXPECT_EQ(h.rings[c].xcnt, t.rings[c].xcnt) << "class " << c;
+      EXPECT_EQ(h.rings[c].granted, t.rings[c].granted) << "class " << c;
+    }
+    EXPECT_EQ(h.meta.overflow, t.meta.overflow);
+    EXPECT_EQ(h.meta.held_exclusive, t.meta.held_exclusive);
   }
 
   Simulator sim_;
@@ -75,13 +101,7 @@ TEST_F(ChainBasicsTest, ReplicasStayInLockStep) {
     Acquire(1, txn % 2 ? LockMode::kShared : LockMode::kExclusive, txn);
   }
   Release(1, LockMode::kExclusive, 0);
-  const auto h = head_->Debug(1);
-  const auto t = tail_->Debug(1);
-  EXPECT_EQ(h.meta.head, t.meta.head);
-  EXPECT_EQ(h.meta.tail, t.meta.tail);
-  EXPECT_EQ(h.meta.count, t.meta.count);
-  EXPECT_EQ(h.meta.xcnt, t.meta.xcnt);
-  EXPECT_EQ(h.meta.overflow, t.meta.overflow);
+  ExpectLockStep(1);
 }
 
 TEST_F(ChainBasicsTest, ReleaseCascadeReplicates) {
@@ -95,7 +115,7 @@ TEST_F(ChainBasicsTest, ReleaseCascadeReplicates) {
   EXPECT_TRUE(client_->HasGrantFor(2));
   EXPECT_TRUE(client_->HasGrantFor(3));
   EXPECT_EQ(client_->Grants().size(), 2u);
-  EXPECT_EQ(head_->Debug(1).meta.count, tail_->Debug(1).meta.count);
+  EXPECT_EQ(Entries(*head_, 1), Entries(*tail_, 1));
 }
 
 TEST_F(ChainBasicsTest, QuotaRejectEmittedOnceThroughChain) {
@@ -111,8 +131,8 @@ TEST_F(ChainBasicsTest, QuotaRejectEmittedOnceThroughChain) {
   }
   EXPECT_EQ(rejects, 1);
   // Neither replica enqueued the rejected op.
-  EXPECT_EQ(head_->Debug(2).meta.count, 0u);
-  EXPECT_EQ(tail_->Debug(2).meta.count, 0u);
+  EXPECT_EQ(Entries(*head_, 2), 0u);
+  EXPECT_EQ(Entries(*tail_, 2), 0u);
 }
 
 TEST_F(ChainBasicsTest, OverflowProtocolWorksThroughChain) {
@@ -131,8 +151,47 @@ TEST_F(ChainBasicsTest, OverflowProtocolWorksThroughChain) {
     }
   }
   EXPECT_EQ(order, (std::vector<TxnId>{1, 2, 3, 4, 5}));
-  EXPECT_EQ(head_->Debug(1).meta.count, 0u);
-  EXPECT_EQ(tail_->Debug(1).meta.count, 0u);
+  EXPECT_EQ(Entries(*head_, 1), 0u);
+  EXPECT_EQ(Entries(*tail_, 1), 0u);
+}
+
+class PriorityChainTest : public ChainBasicsTest {
+ protected:
+  PriorityChainTest() : ChainBasicsTest(/*priorities=*/2) {}
+};
+
+// Two priority classes through a chain: acquires, releases and the
+// overflow protocol's pushes replicate, the tail alone emits, and the
+// replicas' per-class rings stay in lock-step.
+TEST_F(PriorityChainTest, ReplicatesAcquiresReleasesAndPushes) {
+  Wire(1, 6);  // Three slots per class.
+  for (TxnId txn = 1; txn <= 5; ++txn) {
+    // 1 holds, 2 and 3 wait, class 1 is full: 4 and 5 go to q2.
+    Acquire(1, LockMode::kExclusive, txn, /*prio=*/1);
+  }
+  Acquire(1, LockMode::kExclusive, 6, /*prio=*/0);  // Episode on: q2.
+  EXPECT_EQ(server_->OverflowDepth(1), 3u);  // One buffered copy each.
+  ExpectLockStep(1);
+  std::vector<TxnId> order;
+  for (int round = 0; round < 32 && order.size() < 6; ++round) {
+    for (const auto& g : client_->Grants()) {
+      if (std::find(order.begin(), order.end(), g.txn_id) == order.end()) {
+        order.push_back(g.txn_id);
+        Release(1, LockMode::kExclusive, g.txn_id, g.priority);
+        ExpectLockStep(1);
+      }
+    }
+  }
+  // q2 is one FIFO per lock. Its entries return to their own classes'
+  // rings: 4 finds q1 empty and is granted, then class 0's 6 goes before
+  // class 1's 5.
+  EXPECT_EQ(order, (std::vector<TxnId>{1, 2, 3, 4, 6, 5}));
+  EXPECT_EQ(client_->Grants().size(), 6u);  // Emitted once, by the tail.
+  EXPECT_EQ(head_->stats().pushes_accepted, 3u);
+  EXPECT_EQ(tail_->stats().pushes_accepted, 3u);
+  EXPECT_EQ(server_->OverflowDepth(1), 0u);
+  EXPECT_EQ(Entries(*head_, 1), 0u);
+  EXPECT_EQ(Entries(*tail_, 1), 0u);
 }
 
 // End-to-end: failover with no lease wait.

@@ -1,6 +1,7 @@
-// Extended data-plane tests: demand-counter harvesting on both paths,
-// suspended-mode interaction with overflow, quota and pausing on the
-// priority path, priority-class overflow, and region accounting across
+// Extended data-plane tests: demand-counter harvesting with one and with
+// several priority classes, suspended-mode interaction with overflow and
+// activation, quota and pausing with classes, priority-class overflow and
+// its drain, class regions beyond 64 slots, and region accounting across
 // install cycles.
 #include <gtest/gtest.h>
 
@@ -199,6 +200,93 @@ TEST_F(PriorityExtendedTest, LeaseClearsExpiredHolderOnPriorityPath) {
   switch_->ClearExpired(/*lease=*/5 * kMillisecond);
   sim_.Run();
   EXPECT_TRUE(client_->HasGrantFor(2));
+}
+
+// Hole B: a priority class's overflow must drain back through the
+// kQueueEmpty handshake. Six class-1 exclusives on an 8-slot lock (4 slots
+// per class): four queue, two go to the server's q2; releasing 0..4 in
+// grant order must end with txn 5 granted from its own class's ring.
+TEST_F(PriorityExtendedTest, ClassOverflowDrainsThroughQueueEmpty) {
+  ASSERT_TRUE(switch_->InstallLock(1, server_->node(), 8));
+  for (TxnId txn = 0; txn < 6; ++txn) {
+    Send(MakeAcquire(1, LockMode::kExclusive, txn, client_->node(),
+                     /*priority=*/1));
+  }
+  EXPECT_GE(server_->OverflowDepth(1), 1u);
+  for (TxnId txn = 0; txn < 5; ++txn) {
+    ASSERT_TRUE(client_->HasGrantFor(txn)) << txn;
+    Send(MakeRelease(1, LockMode::kExclusive, txn, client_->node(),
+                     /*priority=*/1));
+  }
+  sim_.RunUntil(sim_.now() + 20 * kMillisecond);
+  switch_->ClearExpired(/*lease=*/5 * kMillisecond);
+  server_->ClearExpired(/*lease=*/5 * kMillisecond);
+  sim_.Run();
+  EXPECT_TRUE(client_->HasGrantFor(5));
+  EXPECT_EQ(server_->OverflowDepth(1), 0u);
+  EXPECT_GE(switch_->stats().queue_empty_notifies, 1u);
+}
+
+TEST_F(PriorityExtendedTest, IsSuspendedReportsInstallMode) {
+  ASSERT_TRUE(switch_->InstallLock(1, server_->node(), 8));
+  ASSERT_TRUE(switch_->InstallLock(2, server_->node(), 8,
+                                   /*suspended=*/true));
+  EXPECT_FALSE(switch_->IsSuspended(1));
+  EXPECT_TRUE(switch_->IsSuspended(2));
+  EXPECT_FALSE(switch_->IsSuspended(3));  // Not installed.
+}
+
+// A suspended install queues without granting; Activate then grants the
+// highest class's head first, whatever the arrival order.
+TEST_F(PriorityExtendedTest, SuspendedInstallActivatesHighestClassFirst) {
+  ASSERT_TRUE(switch_->InstallLock(1, server_->node(), 8,
+                                   /*suspended=*/true));
+  Send(MakeAcquire(1, LockMode::kExclusive, 1, client_->node(),
+                   /*priority=*/1));
+  Send(MakeAcquire(1, LockMode::kExclusive, 2, client_->node(),
+                   /*priority=*/0));
+  Send(MakeAcquire(1, LockMode::kShared, 3, client_->node(),
+                   /*priority=*/0));
+  EXPECT_TRUE(client_->Grants().empty());
+  switch_->Activate(1);
+  sim_.Run();
+  EXPECT_FALSE(switch_->IsSuspended(1));
+  ASSERT_EQ(client_->Grants().size(), 1u);
+  EXPECT_EQ(client_->Grants()[0].txn_id, 2u);
+  Send(MakeRelease(1, LockMode::kExclusive, 2, client_->node(),
+                   /*priority=*/0));
+  ASSERT_EQ(client_->Grants().size(), 2u);
+  EXPECT_EQ(client_->Grants()[1].txn_id, 3u);
+  Send(MakeRelease(1, LockMode::kShared, 3, client_->node(),
+                   /*priority=*/0));
+  ASSERT_EQ(client_->Grants().size(), 3u);
+  EXPECT_EQ(client_->Grants()[2].txn_id, 1u);
+}
+
+// Regions are not capped at 64 slots per class: 100 waiters per class
+// queue on the switch and drain in strict priority, FIFO within a class.
+TEST_F(PriorityExtendedTest, ClassRegionsBeyondSixtyFourSlots) {
+  ASSERT_TRUE(switch_->InstallLock(1, server_->node(), 2 * 101));
+  Send(MakeAcquire(1, LockMode::kExclusive, 0, client_->node()));
+  for (TxnId txn = 1; txn <= 200; ++txn) {
+    Send(MakeAcquire(1, LockMode::kExclusive, txn, client_->node(),
+                     /*priority=*/static_cast<Priority>(txn % 2)));
+  }
+  EXPECT_EQ(switch_->stats().forwarded_overflow, 0u);
+  std::vector<TxnId> order;
+  for (TxnId held = 0;;) {
+    Send(MakeRelease(1, LockMode::kExclusive, held, client_->node(),
+                     static_cast<Priority>(held % 2)));
+    const auto grants = client_->Grants();
+    if (grants.size() == order.size() + 1) break;  // Nothing new: done.
+    held = grants.back().txn_id;
+    order.push_back(held);
+  }
+  ASSERT_EQ(order.size(), 200u);
+  for (std::size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(order[i], 2 * (i + 1)) << i;        // Class 0 first...
+    EXPECT_EQ(order[100 + i], 2 * i + 1) << i;    // ...then class 1.
+  }
 }
 
 TEST_F(DefaultPathExtendedTest, RegionsRecycleAcrossInstallCycles) {

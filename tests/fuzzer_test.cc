@@ -445,6 +445,56 @@ TEST(ScheduleFuzzerTest, ChainHeadCrashStaysSafeAndReplays) {
   EXPECT_EQ(Replay(15577060265091414427ull, params).digest, first.digest);
 }
 
+// Priority classes: "prio=N" puts N classes on the switch and spreads the
+// clients over them; an older replay line without the token runs one.
+TEST(ScheduleFuzzerTest, PriorityTokenRoundTripsAndDefaultsToOne) {
+  Schedule sched;
+  ASSERT_TRUE(Schedule::Parse(
+      "m=2;spm=2;locks=4;cap=8;shared=0;lpt=1;racks=1;unord=0;policy=0;"
+      "ctrl=0;run=10000000;plan=",
+      &sched));
+  EXPECT_EQ(sched.workload.priorities, 1);
+  sched.workload.priorities = 3;
+  Schedule parsed;
+  ASSERT_TRUE(Schedule::Parse(sched.Serialize(), &parsed));
+  EXPECT_EQ(parsed, sched);
+  EXPECT_NE(sched.Serialize().find(";prio=3;"), std::string::npos);
+}
+
+// Two classes on overflow-sized regions (cap=8 over four locks): class
+// rings overflow into q2 and drain back through the kQueueEmpty handshake,
+// with exclusive grants FIFO within each class.
+TEST(PriorityFuzzTest, OverflowSizedClassesDrainAndStayFifoPerClass) {
+  const std::string params =
+      "m=3;spm=3;locks=4;cap=8;shared=300;lpt=2;racks=1;unord=0;policy=0;"
+      "ctrl=0;prio=2;run=20000000;plan=";
+  const RunReport first = Replay(101, params);
+  EXPECT_TRUE(first.ok) << first.Summary();
+  EXPECT_GT(first.grants, 0u);
+  EXPECT_EQ(Replay(101, params).digest, first.digest);
+}
+
+// Three classes across an in-place switch crash and restart.
+TEST(PriorityFuzzTest, SwitchRestartWithThreeClasses) {
+  const RunReport report = Replay(
+      29,
+      "m=2;spm=3;locks=6;cap=8;shared=300;lpt=2;racks=1;unord=0;policy=0;"
+      "ctrl=0;prio=3;run=30000000;plan=downsw:9000000:0:0:0,"
+      "upsw:14000000:0:0:0");
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// Two classes through a cold-backup failover: the backup installs every
+// lock suspended and activates each one after the lease wait.
+TEST(PriorityFuzzTest, BackupFailoverWithTwoClasses) {
+  const RunReport report = Replay(
+      29,
+      "m=2;spm=3;locks=6;cap=4;shared=300;lpt=2;racks=1;unord=0;policy=0;"
+      "ctrl=0;prio=2;run=30000000;plan=failsw:9000000:0:0:0,"
+      "recsw:11000000:0:0:0");
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
 TEST(ScheduleFuzzerTest, GeneratedSweepIsCleanOnTheSeedTree) {
   // A miniature version of the CI fuzz-smoke job: every generated
   // schedule must satisfy safety, FIFO (when applicable), and liveness.

@@ -45,8 +45,9 @@ TEST_P(AllSystemsTest, ContendedMicroWorkloadSafeAndLive) {
     // Fault-free run: exclusive grants must come back in per-lock
     // admission order (Algorithm 2's FIFO promise).
     testbed.netlock().lock_switch().set_queue_observer(
-        [oracle](LockId lock, TxnId txn, LockMode mode, bool overflowed) {
-          oracle->OnSwitchAccept(lock, txn, mode, overflowed);
+        [oracle](LockId lock, TxnId txn, LockMode mode, Priority cls,
+                 bool overflowed) {
+          oracle->OnSwitchAccept(lock, txn, mode, cls, overflowed);
         });
     testbed.netlock().lock_switch().set_grant_observer(
         [oracle](LockId lock, TxnId txn, LockMode mode, NodeId) {

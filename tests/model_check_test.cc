@@ -8,6 +8,8 @@
 
 #include <deque>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -229,6 +231,151 @@ std::vector<ModelCheckParams> MakeParams() {
 
 INSTANTIATE_TEST_SUITE_P(Sequences, ModelCheckTest,
                          ::testing::ValuesIn(MakeParams()));
+
+// Differential test against the per-class reference model (§4.4): random
+// acquire / release / shared mixes over P priority classes. With regions
+// too large to overflow, the switch's grant sequence must equal the
+// model's exactly. With overflow-sized regions and a lock server attached,
+// the model is fed what q1 actually admits — direct acquires the switch
+// queued, and pushes it took back from q2 — so the sequences must still be
+// equal, and every request must end up granted once the test drains.
+struct DifferentialParams {
+  int classes;
+  std::uint64_t seed;
+  std::uint32_t slots_per_class;
+  int num_locks;
+  double shared_fraction;
+};
+
+class PriorityDifferentialTest
+    : public ::testing::TestWithParam<DifferentialParams> {
+ protected:
+  void Run(bool attach_server_relay) {
+    const DifferentialParams params = GetParam();
+    Simulator sim;
+    Network net(sim, /*latency=*/1000);
+    LockSwitchConfig config;
+    config.queue_capacity = 4096;
+    config.array_size = 512;
+    config.max_locks = 64;
+    config.num_priorities = static_cast<std::uint8_t>(params.classes);
+    LockSwitch lock_switch(net, config);
+    LockServer server(net, LockServerConfig{});
+    ReferenceLockManager reference(params.classes);
+    // The server reaches the switch through a relay that feeds every push
+    // the switch accepts into the model, as an arrival at q1.
+    const NodeId relay = net.AddNode([&](const Packet& pkt) {
+      const std::optional<LockHeader> hdr = LockHeader::Parse(pkt);
+      const std::uint64_t accepted = lock_switch.stats().pushes_accepted;
+      lock_switch.HandlePacket(pkt);
+      if (hdr && hdr->op == LockOp::kPush &&
+          lock_switch.stats().pushes_accepted > accepted) {
+        reference.Acquire(hdr->lock_id, hdr->mode, hdr->txn_id,
+                          hdr->priority);
+      }
+    });
+    server.set_switch_node(attach_server_relay ? relay : lock_switch.node());
+    const NodeId client = net.AddNode([](const Packet&) {});
+    for (int l = 0; l < params.num_locks; ++l) {
+      ASSERT_TRUE(lock_switch.InstallLock(
+          l, server.node(), params.slots_per_class * params.classes));
+    }
+    std::vector<ReferenceLockManager::Grant> switch_grants;
+    lock_switch.set_grant_observer(
+        [&](LockId lock, TxnId txn, LockMode mode, NodeId) {
+          switch_grants.push_back({lock, txn, mode});
+        });
+
+    const auto release = [&](const ReferenceLockManager::Grant& target) {
+      const Priority cls = reference.ClassOfHolder(target.lock, target.txn);
+      ASSERT_TRUE(reference.Release(target.lock, target.mode, cls));
+      lock_switch.HandlePacket(MakeLockPacket(
+          client, lock_switch.node(),
+          MakeRelease(target.lock, target.mode, target.txn, client, cls)));
+      sim.Run();
+    };
+
+    Rng rng(params.seed);
+    TxnId next_txn = 1;
+    std::uint64_t acquires = 0;
+    const int kOps = 400;
+    for (int op = 0; op < kOps; ++op) {
+      const auto held = reference.GrantedNow();
+      if (!held.empty() && rng.NextBool(0.5)) {
+        release(held[rng.NextBounded(held.size())]);
+      } else {
+        const LockId lock =
+            static_cast<LockId>(rng.NextBounded(params.num_locks));
+        const LockMode mode = rng.NextBool(params.shared_fraction)
+                                  ? LockMode::kShared
+                                  : LockMode::kExclusive;
+        const Priority cls =
+            static_cast<Priority>(rng.NextBounded(params.classes));
+        const TxnId txn = next_txn++;
+        ++acquires;
+        const std::uint64_t forwarded = lock_switch.stats().forwarded_overflow;
+        lock_switch.HandlePacket(
+            MakeLockPacket(client, lock_switch.node(),
+                           MakeAcquire(lock, mode, txn, client, cls)));
+        if (lock_switch.stats().forwarded_overflow == forwarded) {
+          reference.Acquire(lock, mode, txn, cls);
+        }
+        sim.Run();
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Drain: release every holder until nothing is left anywhere.
+    for (int round = 0; round < 4000; ++round) {
+      const auto held = reference.GrantedNow();
+      if (held.empty()) break;
+      release(held.front());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+
+    const std::string where = "classes=" + std::to_string(params.classes) +
+                              " seed=" + std::to_string(params.seed);
+    if (!attach_server_relay) {
+      EXPECT_EQ(lock_switch.stats().forwarded_overflow, 0u) << where;
+    }
+    ASSERT_EQ(switch_grants.size(), reference.grants().size()) << where;
+    for (std::size_t i = 0; i < switch_grants.size(); ++i) {
+      EXPECT_EQ(switch_grants[i], reference.grants()[i])
+          << where << " at " << i;
+    }
+    EXPECT_EQ(switch_grants.size(), acquires) << where;
+    for (int l = 0; l < params.num_locks; ++l) {
+      EXPECT_TRUE(lock_switch.QueueEmpty(l)) << where << " lock " << l;
+      EXPECT_EQ(server.OverflowDepth(l), 0u) << where << " lock " << l;
+    }
+  }
+};
+
+TEST_P(PriorityDifferentialTest, SwitchMatchesPerClassReference) {
+  if (GetParam().slots_per_class < 48) {
+    GTEST_SKIP() << "exact sequences without a relay need regions that "
+                    "never overflow";
+  }
+  Run(/*attach_server_relay=*/false);
+}
+
+TEST_P(PriorityDifferentialTest, OverflowMatchesReferenceFedByQ1) {
+  Run(/*attach_server_relay=*/true);
+}
+
+std::vector<DifferentialParams> MakeDifferentialParams() {
+  std::vector<DifferentialParams> params;
+  for (const int classes : {1, 2, 3}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      params.push_back({classes, seed * 31 + classes, 60, 3, 0.5});
+      params.push_back({classes, seed * 37 + classes, 2, 3, 0.5});
+      params.push_back({classes, seed * 41 + classes, 1, 2, 0.7});
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(Classes, PriorityDifferentialTest,
+                         ::testing::ValuesIn(MakeDifferentialParams()));
 
 }  // namespace
 }  // namespace netlock

@@ -56,8 +56,9 @@ TEST_P(StressMatrixTest, SafeAndLive) {
     // Fault-free runs also promise per-lock FIFO order of exclusive
     // grants at the switch (Algorithm 2 + overflow, Section 4.3).
     testbed.netlock().lock_switch().set_queue_observer(
-        [oracle](LockId lock, TxnId txn, LockMode mode, bool overflowed) {
-          oracle->OnSwitchAccept(lock, txn, mode, overflowed);
+        [oracle](LockId lock, TxnId txn, LockMode mode, Priority cls,
+                 bool overflowed) {
+          oracle->OnSwitchAccept(lock, txn, mode, cls, overflowed);
         });
     testbed.netlock().lock_switch().set_grant_observer(
         [oracle](LockId lock, TxnId txn, LockMode mode, NodeId) {
